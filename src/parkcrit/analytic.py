@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (
@@ -28,7 +27,7 @@ from .errors import (
     ParkingModelError,
 )
 from .laws import FAMILIES
-from .series import FLOAT, TruncatedSeries1, constant_series, monomial_y
+from .series import product
 from .series import reciprocal as series_reciprocal
 from .series import sqrt_series
 
@@ -38,6 +37,7 @@ TIME_BUDGET = 1e6
 MARGIN_TOL = 1e-9
 REL_ROOT_TOL = 1e-13
 ITER_CAP = 200
+CACHE_SIZE = 1024  # laws remembered by classify and find_critical_time
 
 
 def kernel_margin(law, t):
@@ -110,7 +110,7 @@ class CriticalTime:
     evaluable: bool  # the margin could be evaluated at t
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def find_critical_time(law):
     """Locate the end of the monotone time range.
 
@@ -130,7 +130,6 @@ def find_critical_time(law):
         radius_within_budget = True
 
     prev_t = 0.0
-    prev_m = 2.0 * mu0 * mu0
     t = GRID_START
     grid = []
     while t < cap:
@@ -147,7 +146,7 @@ def find_critical_time(law):
                 lambda s: kernel_margin(law, s), prev_t, t
             )
             return CriticalTime(root, True, False, True)
-        prev_t, prev_m = t, m
+        prev_t = t
 
     if not radius_within_budget:
         raise NoRootWithinBudget(
@@ -233,7 +232,21 @@ class RegimeReport:
     occupied_no_flux_prob: float | None
 
 
-@lru_cache(maxsize=None)
+def _occupied_no_flux(law, p_empty):
+    """P(root occupied, no flux) from P(root empty): sqrt(p / mu0) - p."""
+    return math.sqrt(p_empty / law.mu0) - p_empty
+
+
+def _boundary(law, ct):
+    """(test, lhs, rhs) at an evaluable critical time; lhs > rhs is subcritical."""
+    t = ct.t
+    if ct.margin_vanishes:
+        g0, g1 = (float(v) for v in law.derivatives(t, 1))
+        return "kernel", (t - 2.0) * g0, t * (t - 1.0) * g1
+    return "radius", float(_fixed_point_value(law, t)), 1.0
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def classify(law, tol=MARGIN_TOL):
     """Decide the regime of the parking process under the given law.
 
@@ -252,37 +265,24 @@ def classify(law, tol=MARGIN_TOL):
             regime, "none", False, t, None, None, None, None, None, None, None
         )
 
-    g0, g1 = (float(v) for v in law.derivatives(t, 1))
     x = float(density_from_time(law, t))
     gf = _gf_from_time(law, t)
-    if ct.margin_vanishes:
-        lhs = (t - 2.0) * g0
-        rhs = t * (t - 1.0) * g1
-        test = "kernel"
-    else:
-        lhs = float(_fixed_point_value(law, t))
-        rhs = 1.0
-        test = "radius"
+    test, lhs, rhs = _boundary(law, ct)
     gap = lhs - rhs
     band = tol * max(1.0, abs(lhs), abs(rhs))
 
     if abs(gap) <= band:
-        p_empty = x
-        p_occ = math.sqrt(p_empty / law.mu0) - p_empty
+        regime, p_empty = "critical", x
+    elif gap > 0.0:
+        regime, p_empty = "subcritical", solve_empty_prob(law, t)[1]
+    else:
         return RegimeReport(
-            "critical", test, ct.margin_vanishes, t, x, gf, lhs, rhs, gap,
-            p_empty, p_occ,
-        )
-    if gap > 0.0:
-        _, p_empty = solve_empty_prob(law, t)
-        p_occ = math.sqrt(p_empty / law.mu0) - p_empty
-        return RegimeReport(
-            "subcritical", test, ct.margin_vanishes, t, x, gf, lhs, rhs, gap,
-            p_empty, p_occ,
+            "supercritical", test, ct.margin_vanishes, t, x, gf, lhs, rhs, gap,
+            None, None,
         )
     return RegimeReport(
-        "supercritical", test, ct.margin_vanishes, t, x, gf, lhs, rhs, gap,
-        None, None,
+        regime, test, ct.margin_vanishes, t, x, gf, lhs, rhs, gap,
+        p_empty, _occupied_no_flux(law, p_empty),
     )
 
 
@@ -324,7 +324,7 @@ def critical_quantities(law, tol=MARGIN_TOL):
     t = report.critical_time
     g0 = float(law.derivatives(t, 0)[0])
     p_empty = t * t / (4.0 * (t - 1.0) * g0)
-    p_occ = math.sqrt(p_empty / law.mu0) - p_empty
+    p_occ = _occupied_no_flux(law, p_empty)
     return CriticalQuantities(
         critical_time=t,
         crit_density=report.crit_density,
@@ -360,7 +360,8 @@ def flux_distribution(law, order=40, tol=MARGIN_TOL):
 
     Solves the quadratic for the flux generating function: with p the
     empty-root probability, p G(y) f(y)^2 = y f(y) + 1 - y, taking the
-    branch with f(0) > 0; then P(flux = k) = p [y^k] f.  Requires a
+    branch with f(0) > 0, by the coefficient recurrences of a square
+    root and a reciprocal; then P(flux = k) = p [y^k] f.  Requires a
     subcritical or critical law.
     """
     if order < 2:
@@ -369,26 +370,28 @@ def flux_distribution(law, order=40, tol=MARGIN_TOL):
     if report.empty_prob is None:
         raise NoSolution(f"{law.describe()} is {report.regime}: no flux law")
     p = report.empty_prob
-    g = law.g_series(order, FLOAT)
-    y = monomial_y(order, FLOAT, scale=1.0)
-    one = constant_series(1.0, order, FLOAT)
-    radicand = y * y + (one - y) * g * (4.0 * p)
-    f = (y + sqrt_series(radicand)) * series_reciprocal(g * (2.0 * p))
+    g = [float(law.coefficient(k)) for k in range(order + 1)]
+    # f = (y + sqrt(y^2 + 4p (1 - y) G)) / (2p G)
+    radicand = [(gk - gj) * (4.0 * p) for gj, gk in zip([0.0] + g, g)]
+    radicand[2] += 1.0
+    numerator = sqrt_series(radicand)
+    numerator[1] += 1.0
+    f = product(numerator, series_reciprocal([c * (2.0 * p) for c in g]))
     probs = []
     for k in range(order + 1):
-        v = p * f.coeff(k)
+        v = p * f[k]
         if v < 0.0:
             if v < -1e-10:
                 raise NegativeCoefficient(f"P(flux = {k}) came out {v!r}")
             v = 0.0
         probs.append(v)
-    mean_a = float(law.mean())
+    moments = _moments(law, p)
     return FluxDistribution(
         probs=tuple(probs),
         empty_prob=p,
         occupied_no_flux_prob=probs[0] - p,
-        mean_flux=(1.0 - p) - mean_a,
-        mean_occupancy=2.0 * (1.0 - p) - mean_a,
+        mean_flux=moments["mean_flux"],
+        mean_occupancy=moments["mean_occupancy"],
         tail_mass=1.0 - math.fsum(probs),
     )
 
@@ -417,35 +420,35 @@ def occupancy_self_consistency(law, flux, upto):
     return tuple(out)
 
 
+def _moments(law, p_empty):
+    """First moments of arrivals, root occupancy and root flux given P(root empty)."""
+    mean_a = float(law.mean())
+    return {
+        "empty_prob": p_empty,
+        "mean_arrivals": mean_a,
+        "mean_occupancy": 2.0 * (1.0 - p_empty) - mean_a,
+        "mean_flux": (1.0 - p_empty) - mean_a,
+    }
+
+
 def mean_identities(law, tol=MARGIN_TOL):
     """Exact first moments implied by the empty-root probability."""
     report = classify(law, tol)
     if report.empty_prob is None:
         raise NoSolution(f"{law.describe()} is {report.regime}: no stationary root law")
-    p = report.empty_prob
-    mean_a = float(law.mean())
-    return {
-        "empty_prob": p,
-        "mean_arrivals": mean_a,
-        "mean_occupancy": 2.0 * (1.0 - p) - mean_a,
-        "mean_flux": (1.0 - p) - mean_a,
-    }
+    return _moments(law, report.empty_prob)
 
 
 def _regime_gap(law):
     """Signed distance to criticality; positive subcritical, negative super."""
     ct = find_critical_time(law)
-    t = ct.t
     if not ct.evaluable:
         raise NoSolution(f"{law.describe()}: boundary not evaluable")
-    if ct.margin_vanishes:
-        g0, g1 = (float(v) for v in law.derivatives(t, 1))
-        return (t - 2.0) * g0 - t * (t - 1.0) * g1
-    return float(_fixed_point_value(law, t)) - 1.0
+    _, lhs, rhs = _boundary(law, ct)
+    return lhs - rhs
 
 
 _DEFAULT_BRACKETS = {
-    "binary0k": None,  # depends on k, handled below
     "poisson": (1e-4, 50.0),
     "geometric": (1e-6, 50.0),
     "nongeneric_example": (1e-3, 1.0),

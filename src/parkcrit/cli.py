@@ -28,6 +28,7 @@ from .enumeration import (
     FptTable,
     brute_force_table,
     check_against_oracle,
+    first_mismatch,
     flux_via_table,
     tutte_series,
 )
@@ -77,21 +78,15 @@ def _law_from_spec(spec):
         name = fam.pop("name", None)
         if name not in FAMILIES:
             raise LawError(f"unknown family {name!r}; choose from {sorted(FAMILIES)}")
-        if name == "binary0k":
-            alpha = _exact_number(fam.pop("alpha"), "alpha")
-            k = fam.pop("k", 2)
-            if fam:
-                raise LawError(f"unexpected family keys {sorted(fam)}")
-            return FAMILIES[name](alpha, int(k))
         if name == "nongeneric_example":
-            mix = _exact_number(fam.pop("mix", 1), "mix")
-            if fam:
-                raise LawError(f"unexpected family keys {sorted(fam)}")
-            return FAMILIES[name](mix)
-        alpha = _exact_number(fam.pop("alpha"), "alpha")
+            params = [_exact_number(fam.pop("mix", 1), "mix")]
+        else:
+            params = [_exact_number(fam.pop("alpha"), "alpha")]
+        if name == "binary0k":
+            params.append(int(fam.pop("k", 2)))
         if fam:
             raise LawError(f"unexpected family keys {sorted(fam)}")
-        return FAMILIES[name](alpha)
+        return FAMILIES[name](*params)
     raise LawError("law spec needs a 'finite' or a 'family' entry")
 
 
@@ -397,22 +392,11 @@ def _cmd_verify(args):
         try:
             table = FptTable.read_csv(args.table)
             fresh = tutte_series(law, table.vertex_order, table.flux_order)
-            bad = None
-            for n in range(1, table.vertex_order + 1):
-                for p in range(table.flux_order + 1):
-                    if table.rows[n][p] != fresh.rows[n][p]:
-                        bad = (n, p, table.rows[n][p], fresh.rows[n][p])
-                        break
-                if bad:
-                    break
+            bad = first_mismatch(table, fresh)
+            detail = "all entries agree"
             if bad:
-                record(
-                    "table-match",
-                    False,
-                    f"entry ({bad[0]}, {bad[1]}) is {bad[2]}, recomputed {bad[3]}",
-                )
-            else:
-                record("table-match", True, "all entries agree")
+                detail = "entry (%s, %s) is %s, recomputed %s" % bad
+            record("table-match", not bad, detail)
         except ParkingModelError as exc:
             record("table-match", False, f"{exc.code}: {exc}")
 

@@ -405,18 +405,23 @@ def brute_force_table(law, vertex_order, flux_order):
     )
 
 
+def first_mismatch(table, other):
+    """First (n, p, table cell, other cell) where other differs from table, or None."""
+    for n in range(1, table.vertex_order + 1):
+        for p in range(table.flux_order + 1):
+            a, b = table.rows[n][p], other.rows[n][p]
+            if a != b:
+                return n, p, a, b
+    return None
+
+
 def check_against_oracle(law, vertex_order, flux_order):
     """Run both constructions and insist on exact agreement."""
     fast = tutte_series(law, vertex_order, flux_order)
-    slow = brute_force_table(law, vertex_order, flux_order)
-    for n in range(1, vertex_order + 1):
-        for p in range(flux_order + 1):
-            a = fast.rows[n][p]
-            b = slow.rows[n][p]
-            if a != b:
-                raise OracleMismatch(
-                    f"({n}, {p}): recursion gives {a}, enumeration gives {b}"
-                )
+    bad = first_mismatch(fast, brute_force_table(law, vertex_order, flux_order))
+    if bad:
+        n, p, a, b = bad
+        raise OracleMismatch(f"({n}, {p}): recursion gives {a}, enumeration gives {b}")
     return fast
 
 

@@ -49,29 +49,12 @@ class SeriesError(ParkingModelError):
     code = "SeriesError"
 
 
-class BackendMismatch(SeriesError):
-    code = "BackendMismatch"
-
-
-class OrderMismatch(SeriesError):
-    code = "OrderMismatch"
-
-
-class NonzeroConstantTerm(SeriesError):
-    code = "NonzeroConstantTerm"
-
-
 class NonpositiveConstantTerm(SeriesError):
     code = "NonpositiveConstantTerm"
 
 
 class ZeroConstantTerm(SeriesError):
     code = "ZeroConstantTerm"
-
-
-class IrrationalConstantTerm(SeriesError):
-    # exact square root requested for a rational constant that has none
-    code = "IrrationalConstantTerm"
 
 
 # --- analytic engine ---------------------------------------------------------

@@ -24,7 +24,6 @@ from .errors import (
     OutOfDomain,
     ProbabilitySumNotOne,
 )
-from .series import FLOAT, RATIONAL, TruncatedSeries1
 
 
 def _falling(k, j):
@@ -91,16 +90,6 @@ class ArrivalLaw:
     def mean(self):
         ds = self.derivatives(1, order=1)
         return ds[1]
-
-    def g_series(self, K, backend=None):
-        """G as a truncated series in the flux-marking variable."""
-        if backend is None:
-            backend = RATIONAL if self.is_exact else FLOAT
-        if backend == RATIONAL:
-            return TruncatedSeries1(self.exact_coefficients(K), RATIONAL)
-        return TruncatedSeries1(
-            [float(self.coefficient(k)) for k in range(K + 1)], FLOAT
-        )
 
     def finite_support(self):
         """Largest arrival count with positive mass, or None if unbounded."""
@@ -210,10 +199,7 @@ class Binary0kLaw(ArrivalLaw):
             )
         self.alpha = alpha
         self.k = k
-        if isinstance(alpha, Fraction):
-            self._pk = alpha / k
-        else:
-            self._pk = alpha / k
+        self._pk = alpha / k
 
     @property
     def radius(self):

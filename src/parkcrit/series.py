@@ -1,412 +1,43 @@
-"""Truncated formal power series in one or two variables.
+"""Truncated power series in y, as lists of float coefficients.
 
-Univariate series live in the flux-marking variable y; bivariate series
-carry a vertex-weight variable x as well.  Coefficients are either exact
-``fractions.Fraction`` values (backend ``"rational"``) or plain floats
-(backend ``"float"``).  Backends never mix inside one computation, and
-all binary operations require matching truncation orders.
+Coefficient n of a product, reciprocal or square root depends only on
+the input coefficients up to n, so each result is as long as its
+shortest input.
 """
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from operator import mul
 
-from .errors import (
-    BackendMismatch,
-    IrrationalConstantTerm,
-    NonpositiveConstantTerm,
-    NonzeroConstantTerm,
-    OrderMismatch,
-    ZeroConstantTerm,
-)
+from .errors import NonpositiveConstantTerm, ZeroConstantTerm
 
-FLOAT_ZERO_TOL = 1e-12
 
-RATIONAL = "rational"
-FLOAT = "float"
+def _dot(a, b):
+    return sum(map(mul, a, b), 0.0)
 
 
-def _coerce(value, backend):
-    if backend == RATIONAL:
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
-            return Fraction(value)
-        raise BackendMismatch(f"rational backend got {type(value).__name__}")
-    return float(value)
-
-
-def _infer_backend(values):
-    for v in values:
-        if isinstance(v, float):
-            return FLOAT
-    return RATIONAL
-
-
-class TruncatedSeries1:
-    """Power series in y truncated at a fixed order (inclusive)."""
-
-    __slots__ = ("coeffs", "backend")
-
-    def __init__(self, coeffs, backend=None):
-        coeffs = tuple(coeffs)
-        if not coeffs:
-            raise ValueError("series needs at least the constant coefficient")
-        if backend is None:
-            backend = _infer_backend(coeffs)
-        if backend not in (RATIONAL, FLOAT):
-            raise ValueError(f"unknown backend {backend!r}")
-        object.__setattr__(self, "coeffs", tuple(_coerce(c, backend) for c in coeffs))
-        object.__setattr__(self, "backend", backend)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries1 is immutable")
-
-    @property
-    def order(self):
-        return len(self.coeffs) - 1
-
-    def coeff(self, k):
-        return self.coeffs[k]
-
-    def _zero(self):
-        return Fraction(0) if self.backend == RATIONAL else 0.0
-
-    def _check(self, other):
-        if self.backend != other.backend:
-            raise BackendMismatch(f"{self.backend} vs {other.backend}")
-        if self.order != other.order:
-            raise OrderMismatch(f"order {self.order} vs {other.order}")
-
-    def _scalar(self, s):
-        return _coerce(s, self.backend)
-
-    # -- arithmetic -----------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, TruncatedSeries1):
-            self._check(other)
-            return TruncatedSeries1(
-                (a + b for a, b in zip(self.coeffs, other.coeffs)), self.backend
-            )
-        s = self._scalar(other)
-        out = list(self.coeffs)
-        out[0] = out[0] + s
-        return TruncatedSeries1(out, self.backend)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries1((-c for c in self.coeffs), self.backend)
-
-    def __sub__(self, other):
-        if isinstance(other, TruncatedSeries1):
-            self._check(other)
-            return TruncatedSeries1(
-                (a - b for a, b in zip(self.coeffs, other.coeffs)), self.backend
-            )
-        return self + (-self._scalar(other))
-
-    def __rsub__(self, other):
-        return (-self) + self._scalar(other)
-
-    def __mul__(self, other):
-        if not isinstance(other, TruncatedSeries1):
-            s = self._scalar(other)
-            return TruncatedSeries1((c * s for c in self.coeffs), self.backend)
-        self._check(other)
-        K = self.order
-        zero = self._zero()
-        out = [zero] * (K + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            bc = other.coeffs
-            for j in range(K + 1 - i):
-                b = bc[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return TruncatedSeries1(out, self.backend)
-
-    __rmul__ = __mul__
-
-    def truncate(self, new_order):
-        if new_order > self.order:
-            raise OrderMismatch("cannot extend a truncated series")
-        return TruncatedSeries1(self.coeffs[: new_order + 1], self.backend)
-
-    def as_float(self):
-        if self.backend == FLOAT:
-            return self
-        return TruncatedSeries1((float(c) for c in self.coeffs), FLOAT)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedSeries1)
-            and self.backend == other.backend
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        return f"TruncatedSeries1({list(self.coeffs)!r}, backend={self.backend!r})"
-
-
-def monomial_y(order, backend=RATIONAL, power=1, scale=1):
-    """The series scale * y**power at the given truncation order."""
-    if power > order:
-        raise OrderMismatch("monomial power beyond truncation order")
-    zero = Fraction(0) if backend == RATIONAL else 0.0
-    coeffs = [zero] * (order + 1)
-    coeffs[power] = _coerce(scale, backend)
-    return TruncatedSeries1(coeffs, backend)
-
-
-def constant_series(value, order, backend=None):
-    if backend is None:
-        backend = _infer_backend((value,))
-    zero = Fraction(0) if backend == RATIONAL else 0.0
-    coeffs = [zero] * (order + 1)
-    coeffs[0] = _coerce(value, backend)
-    return TruncatedSeries1(coeffs, backend)
-
-
-class TruncatedSeries2:
-    """Power series in (x, y), truncated at x-order N and y-order P."""
-
-    __slots__ = ("coeffs", "backend")
-
-    def __init__(self, rows, backend=None):
-        rows = tuple(tuple(r) for r in rows)
-        if not rows or not rows[0]:
-            raise ValueError("bivariate series needs at least the constant cell")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("ragged coefficient table")
-        if backend is None:
-            backend = _infer_backend(c for r in rows for c in r)
-        object.__setattr__(
-            self,
-            "coeffs",
-            tuple(tuple(_coerce(c, backend) for c in r) for r in rows),
-        )
-        object.__setattr__(self, "backend", backend)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries2 is immutable")
-
-    @property
-    def orders(self):
-        return (len(self.coeffs) - 1, len(self.coeffs[0]) - 1)
-
-    def coeff(self, n, p):
-        return self.coeffs[n][p]
-
-    def _zero(self):
-        return Fraction(0) if self.backend == RATIONAL else 0.0
-
-    def _check(self, other):
-        if self.backend != other.backend:
-            raise BackendMismatch(f"{self.backend} vs {other.backend}")
-        if self.orders != other.orders:
-            raise OrderMismatch(f"orders {self.orders} vs {other.orders}")
-
-    def __add__(self, other):
-        if isinstance(other, TruncatedSeries2):
-            self._check(other)
-            return TruncatedSeries2(
-                (
-                    tuple(a + b for a, b in zip(ra, rb))
-                    for ra, rb in zip(self.coeffs, other.coeffs)
-                ),
-                self.backend,
-            )
-        s = _coerce(other, self.backend)
-        rows = [list(r) for r in self.coeffs]
-        rows[0][0] = rows[0][0] + s
-        return TruncatedSeries2(rows, self.backend)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries2(
-            (tuple(-c for c in r) for r in self.coeffs), self.backend
-        )
-
-    def __sub__(self, other):
-        if isinstance(other, TruncatedSeries2):
-            self._check(other)
-            return TruncatedSeries2(
-                (
-                    tuple(a - b for a, b in zip(ra, rb))
-                    for ra, rb in zip(self.coeffs, other.coeffs)
-                ),
-                self.backend,
-            )
-        return self + (-_coerce(other, self.backend))
-
-    def __mul__(self, other):
-        if not isinstance(other, TruncatedSeries2):
-            s = _coerce(other, self.backend)
-            return TruncatedSeries2(
-                (tuple(c * s for c in r) for r in self.coeffs), self.backend
-            )
-        self._check(other)
-        N, P = self.orders
-        zero = self._zero()
-        out = [[zero] * (P + 1) for _ in range(N + 1)]
-        for a, row_a in enumerate(self.coeffs):
-            for q, ca in enumerate(row_a):
-                if ca == 0:
-                    continue
-                for b in range(N + 1 - a):
-                    row_b = other.coeffs[b]
-                    orow = out[a + b]
-                    for r in range(P + 1 - q):
-                        cb = row_b[r]
-                        if cb != 0:
-                            orow[q + r] += ca * cb
-        return TruncatedSeries2(out, self.backend)
-
-    __rmul__ = __mul__
-
-    def times_x(self):
-        """Multiply by x; the top x-row falls off the truncation."""
-        N, P = self.orders
-        zero = self._zero()
-        rows = [tuple([zero] * (P + 1))]
-        rows.extend(self.coeffs[:N])
-        return TruncatedSeries2(rows, self.backend)
-
-    def y_constant_slice(self):
-        """Keep only the y^0 column (the series evaluated at y = 0)."""
-        zero = self._zero()
-        N, P = self.orders
-        return TruncatedSeries2(
-            (tuple([r[0]] + [zero] * P) for r in self.coeffs), self.backend
-        )
-
-    def truncate(self, new_N, new_P):
-        N, P = self.orders
-        if new_N > N or new_P > P:
-            raise OrderMismatch("cannot extend a truncated series")
-        return TruncatedSeries2(
-            (r[: new_P + 1] for r in self.coeffs[: new_N + 1]), self.backend
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedSeries2)
-            and self.backend == other.backend
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        N, P = self.orders
-        return f"TruncatedSeries2(orders=({N}, {P}), backend={self.backend!r})"
-
-
-def from_y_series(series, N):
-    """Embed a univariate series in y as a bivariate series constant in x."""
-    zero = Fraction(0) if series.backend == RATIONAL else 0.0
-    width = series.order + 1
-    rows = [series.coeffs]
-    rows.extend(tuple([zero] * width) for _ in range(N))
-    return TruncatedSeries2(rows, series.backend)
-
-
-# --- series operations as free functions --------------------------------------
-
-def add(a, b):
-    return a + b
-
-
-def sub(a, b):
-    return a - b
-
-
-def mul(a, b):
-    return a * b
-
-
-def divide_by_y(a):
-    """Exact division by y; the constant-in-y part must vanish."""
-    if isinstance(a, TruncatedSeries1):
-        c0 = a.coeffs[0]
-        if a.backend == RATIONAL:
-            if c0 != 0:
-                raise NonzeroConstantTerm(f"constant term {c0} != 0")
-        elif abs(c0) > FLOAT_ZERO_TOL:
-            raise NonzeroConstantTerm(f"constant term {c0!r} exceeds {FLOAT_ZERO_TOL}")
-        if a.order == 0:
-            raise OrderMismatch("cannot divide an order-0 series by y")
-        return TruncatedSeries1(a.coeffs[1:], a.backend)
-    if isinstance(a, TruncatedSeries2):
-        for n, row in enumerate(a.coeffs):
-            c0 = row[0]
-            bad = (c0 != 0) if a.backend == RATIONAL else abs(c0) > FLOAT_ZERO_TOL
-            if bad:
-                raise NonzeroConstantTerm(f"y^0 coefficient at x^{n} is {c0!r}")
-        N, P = a.orders
-        if P == 0:
-            raise OrderMismatch("cannot divide a y-order-0 series by y")
-        return TruncatedSeries2((r[1:] for r in a.coeffs), a.backend)
-    raise TypeError(f"divide_by_y expects a truncated series, got {type(a).__name__}")
-
-
-def _exact_sqrt_fraction(q):
-    if q <= 0:
-        raise NonpositiveConstantTerm(f"constant term {q} <= 0")
-    n, d = q.numerator, q.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn != n or rd * rd != d:
-        raise IrrationalConstantTerm(f"{q} is not a rational square")
-    return Fraction(rn, rd)
-
-
-def sqrt_series(a):
-    """Principal square root by Newton iteration; needs a positive constant."""
-    if not isinstance(a, TruncatedSeries1):
-        raise TypeError("sqrt_series expects a univariate truncated series")
-    c0 = a.coeffs[0]
-    if a.backend == RATIONAL:
-        root0 = _exact_sqrt_fraction(c0)
-        half = Fraction(1, 2)
-    else:
-        if c0 <= 0:
-            raise NonpositiveConstantTerm(f"constant term {c0!r} <= 0")
-        root0 = math.sqrt(c0)
-        half = 0.5
-    b = constant_series(root0, a.order, a.backend)
-    # each Newton step doubles the number of correct coefficients
-    steps = max(1, math.ceil(math.log2(a.order + 1)) + 1)
-    for _ in range(steps):
-        b = (b + a * reciprocal(b)) * half
-    return b
+def product(a, b):
+    """Truncated product: c_n = sum_{j=0..n} a_j b_{n-j}."""
+    return [_dot(a[: n + 1], b[n::-1]) for n in range(min(len(a), len(b)))]
 
 
 def reciprocal(a):
-    """Multiplicative inverse; needs a nonzero constant term."""
-    if not isinstance(a, TruncatedSeries1):
-        raise TypeError("reciprocal expects a univariate truncated series")
-    c0 = a.coeffs[0]
-    if c0 == 0:
+    """1/a by b_n = -(sum_{j=1..n} a_j b_{n-j}) / a_0; needs a_0 != 0."""
+    a0 = a[0]
+    if a0 == 0:
         raise ZeroConstantTerm("constant term is zero")
-    K = a.order
-    if a.backend == RATIONAL:
-        inv0 = Fraction(1) / c0
-    else:
-        inv0 = 1.0 / c0
-    out = [inv0]
-    for n in range(1, K + 1):
-        acc = None
-        for j in range(1, n + 1):
-            aj = a.coeffs[j]
-            if aj == 0:
-                continue
-            term = aj * out[n - j]
-            acc = term if acc is None else acc + term
-        if acc is None:
-            out.append(inv0 * 0)
-        else:
-            out.append(-acc * inv0)
-    return TruncatedSeries1(out, a.backend)
+    b = [1.0 / a0]
+    for n in range(1, len(a)):
+        b.append(-_dot(a[1 : n + 1], b[::-1]) / a0)
+    return b
+
+
+def sqrt_series(a):
+    """sqrt(a) by b_n = (a_n - sum_{j=1..n-1} b_j b_{n-j}) / (2 b_0); needs a_0 > 0."""
+    a0 = a[0]
+    if a0 <= 0:
+        raise NonpositiveConstantTerm(f"constant term {a0!r} <= 0")
+    b = [math.sqrt(a0)]
+    for n in range(1, len(a)):
+        b.append((a[n] - _dot(b[1:n], b[n - 1 : 0 : -1])) / (2.0 * b[0]))
+    return b

@@ -126,24 +126,48 @@ def _sample_rng(seed, index):
     return np.random.Generator(np.random.Philox(key=(seed << 64) + index))
 
 
+def _draw_levels(draw, seed, index, depth):
+    """Arrival counts of one sample, level by level from the root down."""
+    rng = _sample_rng(seed, index)
+    return [draw(rng, 1 << lvl) for lvl in range(depth + 1)]
+
+
+def _settle(levels):
+    """Loads per level, deepest first; each array is reused once the next is asked for."""
+    x = levels[-1]
+    yield x
+    for arrivals in reversed(levels[:-1]):
+        np.subtract(x, 1, out=x)
+        np.maximum(x, 0, out=x)
+        x = x[0::2] + x[1::2]
+        np.add(x, arrivals, out=x)
+        yield x
+
+
 def _root_load_chunk(draw, depth, seed, start, stop):
     out = np.empty(stop - start, dtype=np.int64)
-    for i in range(start, stop):
-        rng = _sample_rng(seed, i)
-        levels = [draw(rng, 1 << lvl) for lvl in range(depth + 1)]
-        x = levels[depth]
-        for lvl in range(depth - 1, -1, -1):
-            np.subtract(x, 1, out=x)
-            np.maximum(x, 0, out=x)
-            x = x[0::2] + x[1::2]
-            np.add(x, levels[lvl], out=x)
-        out[i - start] = int(x[0])
+    for j, i in enumerate(range(start, stop)):
+        # levels stays bound until the next sample is drawn: freeing the big
+        # arrays before that draw made depth-18 binary0k runs 1.5x slower
+        # (glibc malloc, 2-core x86-64)
+        levels = _draw_levels(draw, seed, i, depth)
+        for x in _settle(levels):
+            pass
+        out[j] = int(x[0])
     return out
 
 
-def _chunk_bounds(samples, threads):
+def _run_chunks(chunk, draw, depth, seed, samples, threads):
+    """chunk(draw, depth, seed, start, stop) per thread's range, in sample order."""
+    if threads == 1 or samples < 2 * threads:
+        return [chunk(draw, depth, seed, 0, samples)]
     step = -(-samples // threads)
-    return [(a, min(a + step, samples)) for a in range(0, samples, step)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futs = [
+            pool.submit(chunk, draw, depth, seed, a, min(a + step, samples))
+            for a in range(0, samples, step)
+        ]
+        return [f.result() for f in futs]
 
 
 def sample_root_load(law, depth, samples, seed=0, threads=None, budget=NODE_BUDGET):
@@ -151,12 +175,8 @@ def sample_root_load(law, depth, samples, seed=0, threads=None, budget=NODE_BUDG
     threads = _resolve_threads(threads)
     _check_run(depth, samples, seed, budget)
     draw = make_sampler(law)
-    if threads == 1 or samples < 2 * threads:
-        return _root_load_chunk(draw, depth, seed, 0, samples)
-    parts = _chunk_bounds(samples, threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futs = [pool.submit(_root_load_chunk, draw, depth, seed, a, b) for a, b in parts]
-        return np.concatenate([f.result() for f in futs])
+    parts = _run_chunks(_root_load_chunk, draw, depth, seed, samples, threads)
+    return np.concatenate(parts)
 
 
 @dataclass(frozen=True)
@@ -224,33 +244,18 @@ class ClusterStats:
 def _cluster_chunk(draw, depth, seed, start, stop):
     sizes = np.zeros(stop - start, dtype=np.int64)
     censored = np.zeros(stop - start, dtype=bool)
-    for i in range(start, stop):
-        rng = _sample_rng(seed, i)
-        levels = [draw(rng, 1 << lvl) for lvl in range(depth + 1)]
-        occupied = [None] * (depth + 1)
-        x = levels[depth].copy()
-        occupied[depth] = x > 0
-        for lvl in range(depth - 1, -1, -1):
-            np.subtract(x, 1, out=x)
-            np.maximum(x, 0, out=x)
-            x = x[0::2] + x[1::2]
-            np.add(x, levels[lvl], out=x)
-            occupied[lvl] = x > 0
-        j = i - start
-        if not occupied[0][0]:
-            continue
-        mask = occupied[0][:1]
-        size = 1
-        lvl = 0
-        while lvl < depth:
-            lvl += 1
-            mask = np.repeat(mask, 2) & occupied[lvl]
+    for j, i in enumerate(range(start, stop)):
+        levels = _draw_levels(draw, seed, i, depth)
+        occupied = [x > 0 for x in _settle(levels)][::-1]
+        mask = occupied[0]  # the cluster's vertices on the current level
+        for level in occupied[1:]:
             hits = int(mask.sum())
-            if hits == 0:
+            if not hits:
                 break
-            size += hits
-        sizes[j] = size
-        censored[j] = lvl == depth and bool(mask.any())
+            sizes[j] += hits
+            mask = np.repeat(mask, 2) & level
+        sizes[j] += mask.sum()
+        censored[j] = mask.any()
     return sizes, censored
 
 
@@ -267,16 +272,7 @@ def root_cluster_stats(law, depth, samples, seed=0, threads=None, budget=NODE_BU
     _check_run(depth, samples, seed, budget)
     draw = make_sampler(law)
     t0 = time.perf_counter()
-    if threads == 1 or samples < 2 * threads:
-        parts = [(0, samples)]
-        results = [_cluster_chunk(draw, depth, seed, 0, samples)]
-    else:
-        parts = _chunk_bounds(samples, threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = [
-                pool.submit(_cluster_chunk, draw, depth, seed, a, b) for a, b in parts
-            ]
-            results = [f.result() for f in futs]
+    results = _run_chunks(_cluster_chunk, draw, depth, seed, samples, threads)
     sizes = np.concatenate([r[0] for r in results])
     censored = np.concatenate([r[1] for r in results])
     return ClusterStats(

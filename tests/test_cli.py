@@ -91,6 +91,22 @@ def test_degenerate_law_rejected(tmp_path, capsys):
     assert "Mu01IsOne" in err
 
 
+@pytest.mark.parametrize(
+    "family",
+    [
+        {"name": "binary0k", "alpha": "1/14", "k": 2, "mix": 1},
+        {"name": "nongeneric_example", "mix": "1/2", "alpha": "1/2"},
+        {"name": "poisson", "alpha": "1/10", "k": 2},
+    ],
+)
+def test_law_file_with_unexpected_family_keys(tmp_path, capsys, family):
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps({"family": family}))
+    code, _, err = run_cli(capsys, "analyze", "--law", str(path))
+    assert code == 2
+    assert "unexpected family keys" in err
+
+
 def test_law_file_with_unknown_keys(tmp_path, capsys):
     path = tmp_path / "law.json"
     path.write_text(json.dumps({"finite": ["1"], "extra": 1}))
@@ -244,3 +260,4 @@ def test_floats_are_json_clean(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["law"]["radius"] == "inf"
+

@@ -13,6 +13,7 @@ from parkcrit.enumeration import (
     _shapes,
     brute_force_table,
     check_against_oracle,
+    first_mismatch,
     flux_via_table,
     tutte_series,
 )
@@ -98,6 +99,16 @@ def test_brute_force_agrees_with_series():
     brute = brute_force_table(B02, 4, 2)
     assert table.rows == brute.rows
     check_against_oracle(B02, 4, 2)
+
+
+def test_first_mismatch_reports_the_first_differing_cell():
+    table = tutte_series(B02, vertex_order=3, flux_order=2)
+    assert first_mismatch(table, brute_force_table(B02, 3, 2)) is None
+    rows = [list(r) for r in table.rows]
+    rows[2][1] += 1
+    rows[3][0] += 1
+    bad = FptTable(table.law_desc, 3, 2, tuple(tuple(r) for r in rows), "edited")
+    assert first_mismatch(table, bad) == (2, 1, table.rows[2][1], table.rows[2][1] + 1)
 
 
 def test_brute_force_with_dense_support():

@@ -85,9 +85,10 @@ def test_binary0k_parameter_checks():
 
 def test_binary0k_series_matches_coefficients():
     law = binary0k(Fraction(1, 20), k=3)
-    g = law.g_series(5, "rational")
+    g = law.exact_coefficients(5)
     for j in range(6):
-        assert g.coeff(j) == law.coefficient(j)
+        assert g[j] == law.coefficient(j)
+    assert g == [Fraction(59, 60), 0, 0, Fraction(1, 60), 0, 0]
 
 
 def test_poisson_values():

@@ -1,177 +1,90 @@
-"""Truncated power series arithmetic."""
+"""Truncated power series: the float coefficient recurrences."""
 
-from fractions import Fraction
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parkcrit.errors import (
-    BackendMismatch,
-    IrrationalConstantTerm,
-    NonpositiveConstantTerm,
-    NonzeroConstantTerm,
-    OrderMismatch,
-    ZeroConstantTerm,
-)
-from parkcrit.series import (
-    FLOAT,
-    RATIONAL,
-    TruncatedSeries1,
-    TruncatedSeries2,
-    constant_series,
-    divide_by_y,
-    from_y_series,
-    monomial_y,
-    mul,
-    reciprocal,
-    sqrt_series,
-)
+from parkcrit.errors import NonpositiveConstantTerm, ZeroConstantTerm
+from parkcrit.series import product, reciprocal, sqrt_series
 
 
-def poly(*coeffs):
-    return TruncatedSeries1(tuple(Fraction(c) for c in coeffs), RATIONAL)
-
-
-def test_monomial_and_constant():
-    y = monomial_y(3, RATIONAL)
-    assert y.order == 3
-    assert y.coeff(1) == 1
-    assert y.coeff(0) == 0 and y.coeff(3) == 0
-    c = constant_series(Fraction(5, 2), 3, RATIONAL)
-    assert c.coeff(0) == Fraction(5, 2)
-    y2 = monomial_y(3, RATIONAL, power=2, scale=7)
-    assert y2.coeff(2) == 7 and y2.coeff(1) == 0
+def assert_close(got, want, a, b):
+    """got == want coefficientwise, up to the rounding of the product a * b."""
+    assert len(got) == len(want)
+    for n, (g, w) in enumerate(zip(got, want)):
+        scale = math.fsum(abs(a[j] * b[n - j]) for j in range(n + 1))
+        assert abs(g - w) <= 1e-13 * scale, (n, g, w)
 
 
 def test_ring_operations():
-    a = poly(1, 2, 0, 3)
-    b = poly(0, 1, 1, 0)
-    assert (a + b).coeffs == poly(1, 3, 1, 3).coeffs
-    assert (a - b).coeffs == poly(1, 1, -1, 3).coeffs
     # (1 + 2y + 3y^3)(y + y^2) truncated at order 3
-    assert (a * b).coeffs == poly(0, 1, 3, 2).coeffs
-    assert (a * 2).coeffs == poly(2, 4, 0, 6).coeffs
-    assert (a + Fraction(1)).coeff(0) == 2
+    assert product([1.0, 2.0, 0.0, 3.0], [0.0, 1.0, 1.0, 0.0]) == [0.0, 1.0, 3.0, 2.0]
 
 
 def test_truncate():
-    a = poly(1, 2, 3, 4)
-    t = a.truncate(1)
-    assert t.order == 1 and t.coeffs == (1, 2)
-
-
-def test_order_mismatch_and_backend_mismatch():
-    with pytest.raises(OrderMismatch):
-        poly(1, 2) + poly(1, 2, 3)
-    f = TruncatedSeries1((1.0, 2.0), FLOAT)
-    with pytest.raises(BackendMismatch):
-        poly(1, 2) + f
+    # the product keeps the orders both factors know
+    assert product([1.0, 2.0, 3.0, 4.0], [1.0, 1.0]) == [1.0, 3.0]
+    assert product([1.0], [5.0, 1.0, 1.0]) == [5.0]
 
 
 def test_reciprocal_geometric():
     # 1/(1-y) = sum of y^k
-    r = reciprocal(poly(1, -1, 0, 0, 0))
-    assert r.coeffs == (1, 1, 1, 1, 1)
+    assert reciprocal([1.0, -1.0, 0.0, 0.0, 0.0]) == [1.0] * 5
     with pytest.raises(ZeroConstantTerm):
-        reciprocal(poly(0, 1, 0))
+        reciprocal([0.0, 1.0, 0.0])
 
 
 def test_reciprocal_inverts():
-    a = poly(3, 1, -2, 5)
-    prod = a * reciprocal(a)
-    assert prod.coeffs == (1, 0, 0, 0)
+    a = [4.0, 1.0, -2.0, 5.0]
+    assert product(a, reciprocal(a)) == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_sqrt_exact():
-    a = poly(1, 2, 1, 0, 0)  # (1+y)^2
-    assert sqrt_series(a).coeffs == (1, 1, 0, 0, 0)
-    b = poly(4, 4, 1)  # (2+y)^2
-    assert sqrt_series(b).coeffs == (2, 1, 0)
+    assert sqrt_series([1.0, 2.0, 1.0, 0.0, 0.0]) == [1.0, 1.0, 0.0, 0.0, 0.0]  # (1+y)^2
+    assert sqrt_series([4.0, 4.0, 1.0]) == [2.0, 1.0, 0.0]  # (2+y)^2
+
+
+def test_sqrt_catalan():
+    # sqrt(1 - 4y) = 1 - sum over n >= 1 of 2 Catalan(n-1) y^n; every
+    # intermediate is an integer below 2^53 through n = 30
+    b = sqrt_series([1.0, -4.0] + [0.0] * 29)
+    catalan = [math.comb(2 * m, m) // (m + 1) for m in range(30)]
+    assert b == [1.0] + [-2.0 * c for c in catalan]
 
 
 def test_sqrt_rejects_bad_constants():
-    with pytest.raises(IrrationalConstantTerm):
-        sqrt_series(poly(2, 1))
     with pytest.raises(NonpositiveConstantTerm):
-        sqrt_series(poly(0, 1))
+        sqrt_series([0.0, 1.0])
     with pytest.raises(NonpositiveConstantTerm):
-        sqrt_series(poly(-1, 1))
+        sqrt_series([-1.0, 1.0])
 
 
 def test_sqrt_float_backend():
-    a = TruncatedSeries1((2.0, 1.0, -0.5, 0.25), FLOAT)
+    a = [2.0, 1.0, -0.5, 0.25]
     s = sqrt_series(a)
-    back = s * s
+    back = product(s, s)
     for k in range(4):
-        assert back.coeff(k) == pytest.approx(a.coeff(k), abs=1e-14)
+        assert back[k] == pytest.approx(a[k], abs=1e-14)
 
 
-def test_divide_by_y():
-    a = poly(0, 3, 5, 7)
-    q = divide_by_y(a)
-    assert q.order == 2 and q.coeffs == (3, 5, 7)
-    with pytest.raises(NonzeroConstantTerm):
-        divide_by_y(poly(1, 1))
-
-
-def test_divide_by_y_float_tolerance():
-    a = TruncatedSeries1((1e-15, 2.0, 0.0), FLOAT)
-    assert divide_by_y(a).coeff(0) == 2.0
+coefficient_lists = st.lists(
+    st.floats(min_value=-4.0, max_value=4.0, allow_nan=False), min_size=3, max_size=8
+)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.fractions(max_denominator=20, min_value=-4, max_value=4),
-        min_size=3,
-        max_size=6,
-    )
-)
-def test_reciprocal_round_trip(coeffs):
-    if coeffs[0] == 0:
-        coeffs[0] = Fraction(1)
-    a = TruncatedSeries1(tuple(coeffs), RATIONAL)
-    prod = mul(a, reciprocal(a))
-    assert prod.coeff(0) == 1
-    assert all(prod.coeff(k) == 0 for k in range(1, prod.order + 1))
+@given(st.floats(min_value=0.25, max_value=4.0), coefficient_lists)
+def test_reciprocal_round_trip(a0, rest):
+    a = [a0] + rest
+    b = reciprocal(a)
+    assert_close(product(a, b), [1.0] + [0.0] * len(rest), a, b)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.fractions(max_denominator=12, min_value=-3, max_value=3),
-        min_size=2,
-        max_size=5,
-    )
-)
-def test_sqrt_of_square_round_trip(coeffs):
-    if coeffs[0] <= 0:
-        coeffs[0] = Fraction(2)
-    a = TruncatedSeries1(tuple(coeffs), RATIONAL)
-    assert sqrt_series(mul(a, a)).coeffs == a.coeffs
-
-
-def test_bivariate_product():
-    # rows index powers of x, columns powers of y
-    a = TruncatedSeries2(((Fraction(1), Fraction(1)), (Fraction(1), Fraction(0))))
-    b = a * a
-    # (1 + y + x)^2 = 1 + 2y + y^2 + 2x + 2xy + x^2, truncated at (1, 1)
-    assert b.coeffs[0] == (Fraction(1), Fraction(2))
-    assert b.coeffs[1] == (Fraction(2), Fraction(2))
-
-
-def test_bivariate_times_x_and_slice():
-    a = TruncatedSeries2(((Fraction(2), Fraction(3)), (Fraction(5), Fraction(7))))
-    shifted = a.times_x()
-    assert shifted.coeffs[0] == (Fraction(0), Fraction(0))
-    assert shifted.coeffs[1] == (Fraction(2), Fraction(3))
-    col = a.y_constant_slice()
-    assert col.coeffs == ((Fraction(2), Fraction(0)), (Fraction(5), Fraction(0)))
-
-
-def test_from_y_series():
-    g = poly(1, 0, 2)
-    b = from_y_series(g, 2)
-    assert b.coeffs[0] == g.coeffs
-    assert all(c == 0 for c in b.coeffs[1])
+@given(st.floats(min_value=0.25, max_value=4.0), coefficient_lists)
+def test_sqrt_of_square_round_trip(a0, rest):
+    a = [a0] + rest
+    s = sqrt_series(a)
+    assert_close(product(s, s), a, s, s)

@@ -5,6 +5,7 @@ reruns; exact reproducibility assertions use fixed seeds.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -58,6 +59,84 @@ def test_sample_prefix_stable_in_sample_count():
     short = sample_root_load(B02, depth=4, samples=50, seed=3)
     long = sample_root_load(B02, depth=4, samples=120, seed=3)
     assert np.array_equal(short, long[:50])
+
+
+def test_cluster_stats_thread_count_does_not_change_the_stream():
+    one = root_cluster_stats(B02, depth=8, samples=300, seed=9, threads=1)
+    several = root_cluster_stats(B02, depth=8, samples=300, seed=9, threads=4)
+    assert (one.size_counts, one.censored) == (several.size_counts, several.censored)
+
+
+def test_cluster_stats_prefix_stable_in_sample_count():
+    # sample i only depends on (seed, i), so a longer run only adds samples
+    def sizes(samples):
+        stats = root_cluster_stats(B02, depth=8, samples=samples, seed=3)
+        return Counter(dict(enumerate(stats.size_counts)))
+
+    short = sizes(50)
+    assert not short - sizes(120)
+    assert sum((sizes(51) - short).values()) == 1
+
+
+# Streams recorded before the draw-and-settle kernel was shared between
+# sample_root_load and root_cluster_stats: seed 2026, depth 12, 40 samples.
+# binary0k(1/5, k=3) draws its big levels densely, binary0k(1/20) sparsely.
+PINNED_STREAMS = {
+    "binary0k-dense": (
+        binary0k(Fraction(1, 5), k=3),
+        [51, 75, 83, 53, 60, 57, 61, 78, 75, 59, 89, 97, 73, 63, 41, 89, 109, 72,
+         94, 83, 38, 68, 102, 65, 61, 66, 73, 42, 82, 100, 53, 45, 82, 61, 107,
+         100, 83, 89, 52, 77],
+        {n: 1 for n in (
+            457, 463, 505, 510, 529, 536, 542, 553, 563, 574, 578, 604, 629, 639,
+            641, 644, 655, 660, 665, 667, 668, 672, 682, 696, 699, 711, 723, 725,
+            731, 740, 741, 750, 764, 772, 782, 783, 784, 792, 794, 801)},
+        40,
+    ),
+    "binary0k-sparse": (
+        binary0k(Fraction(1, 20)),
+        [0] * 8 + [1] + [0] * 16 + [1, 0, 0, 0, 2] + [0] * 10,
+        {0: 37, 1: 1, 2: 1, 14: 1},
+        0,
+    ),
+    "poisson": (
+        poisson(0.1),
+        [1, 0, 0, 0, 0, 0, 1] + [0] * 17 + [1] + [0] * 15,
+        {0: 37, 1: 3},
+        0,
+    ),
+    "geometric": (
+        geometric(Fraction(1, 10)),
+        [1, 0, 0, 0, 0, 0, 1, 0, 0, 1] + [0] * 14 + [1] + [0] * 13 + [1, 0],
+        {0: 35, 1: 3, 2: 2},
+        0,
+    ),
+    "finite": (
+        make_finite_law(
+            [Fraction(49, 50), Fraction(1, 100), Fraction(1, 200), Fraction(1, 200)]
+        ),
+        [0, 0, 1] + [0] * 6 + [1] + [0] * 6 + [2] + [0] * 21 + [1, 0],
+        {0: 36, 1: 1, 3: 2, 12: 1},
+        0,
+    ),
+    "nongeneric": (
+        nongeneric_example(Fraction(1, 2)),
+        [0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1] + [0] * 19,
+        {0: 35, 1: 3, 2: 1, 3: 1},
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_STREAMS))
+@pytest.mark.parametrize("threads", [1, 2])
+def test_pinned_streams(name, threads):
+    law, loads, clusters, censored = PINNED_STREAMS[name]
+    got = sample_root_load(law, depth=12, samples=40, seed=2026, threads=threads)
+    assert got.tolist() == loads
+    stats = root_cluster_stats(law, depth=12, samples=40, seed=2026, threads=threads)
+    assert {n: c for n, c in enumerate(stats.size_counts) if c} == clusters
+    assert stats.censored == censored
 
 
 def test_input_validation():
