@@ -74,14 +74,18 @@ def _law_from_spec(spec):
             raise LawError("'finite' must be a list of masses")
         return make_finite_law([_exact_number(p, "mass") for p in probs])
     if "family" in spec:
+        if not isinstance(spec["family"], dict):
+            raise LawError("'family' must be a JSON object")
         fam = dict(spec["family"])
         name = fam.pop("name", None)
         if name not in FAMILIES:
             raise LawError(f"unknown family {name!r}; choose from {sorted(FAMILIES)}")
         if name == "nongeneric_example":
             params = [_exact_number(fam.pop("mix", 1), "mix")]
-        else:
+        elif "alpha" in fam:
             params = [_exact_number(fam.pop("alpha"), "alpha")]
+        else:
+            raise LawError(f"family {name} needs 'alpha'")
         if name == "binary0k":
             params.append(int(fam.pop("k", 2)))
         if fam:
@@ -317,6 +321,7 @@ def _cmd_simulate(args):
             "censored": st.censored,
             "size_counts": list(st.size_counts),
             "elapsed_seconds": st.elapsed_seconds,
+            "mnodes_per_s": st.mnodes_per_s,
         }
         rows = [["size", "count"]]
         rows.extend([n, c] for n, c in enumerate(st.size_counts) if c or n == 0)
@@ -337,6 +342,7 @@ def _cmd_simulate(args):
         "root_load_counts": list(st.root_load_counts),
         "flux_probs": list(st.flux_probs),
         "elapsed_seconds": st.elapsed_seconds,
+        "mnodes_per_s": st.mnodes_per_s,
     }
     rows = [["key", "value"]]
     rows.append(["empty_prob_hat", st.empty_prob_hat])

@@ -10,6 +10,12 @@ level starting from the root.  Two consequences, both load-bearing:
   draws of the smaller depth and extends them, so estimates are
   monotone-coupled across depths sample by sample.
 
+Levels of at least 2048 nodes are drawn sparsely when few nodes get a
+car: for binary0k when P(A > 0) <= 1/16, for every other law when
+P(A > 0) <= 1/4.  Arrival sites are placed by iid geometric gaps, then
+one value per site is drawn from A | A > 0.  Smaller levels and denser
+laws draw one value per node.
+
 Loads are settled bottom up: load(v) = arrivals(v) + surplus of both
 children, surplus(u) = max(load(u) - 1, 0).  The truncation treats the
 nodes below the deepest level as absent, which only loses the flux they
@@ -29,16 +35,30 @@ from .errors import BudgetExceeded, OutOfDomain, UnsampleableLaw
 
 NODE_BUDGET = 1e10
 CLUSTER_DEPTH_CAP = 22
-_UNIFORM_DTYPE = np.float32  # 24 uniform bits per node; thresholds are far coarser
+# Levels this big whose q = P(A > 0) is at most the cut-off are drawn by gaps.
+# At level size 2^16 (x86-64) gaps beat the dense draw for poisson and
+# geometric up to q ~ 0.3; binary0k's dense draw is a single float32
+# compare, so its crossover is lower.
+_SPARSE_MIN_SIZE = 2048
+_SPARSE_MAX_Q = 0.25
+_BINARY0K_SPARSE_MAX_Q = 0.0625
+_TABLE_TAIL = 2.0**-53  # mass of A | A > 0 left beyond a value table's end
 
 
-def _threshold_sampler(cdf_values, values):
-    cdf = np.asarray(cdf_values, dtype=np.float64)
+def _uniform_dtype(smallest_mass):
+    """float32 uniforms resolve a mass only to 2^-24; below that use float64."""
+    return np.float32 if smallest_mass >= 2.0**-24 else np.float64
+
+
+def _threshold_sampler(masses, values):
+    masses = np.asarray(masses, dtype=np.float64)
+    cdf = np.cumsum(masses)
     vals = np.asarray(values, dtype=np.int32)
     top = len(vals) - 1
+    dtype = _uniform_dtype(masses[masses > 0].min())
 
     def draw(rng, size):
-        u = rng.random(size, dtype=_UNIFORM_DTYPE)
+        u = rng.random(size, dtype=dtype)
         idx = np.searchsorted(cdf, u, side="right")
         np.minimum(idx, top, out=idx)
         return vals[idx]
@@ -46,57 +66,114 @@ def _threshold_sampler(cdf_values, values):
     return draw
 
 
+def _positive_masses(law):
+    """(P(A = k) for k = 1..K, P(A > 0) as the sum of all positive masses).
+
+    K is the first cut leaving less than _TABLE_TAIL of P(A > 0) beyond it.
+    Unbounded laws are expanded until a term falls below 2^-64 of the first;
+    the laws sampled here decay geometrically, so what lies past that is
+    negligible.
+    """
+    top = law.finite_support()
+    if top is not None:
+        masses = [float(law.coefficient(k)) for k in range(1, top + 1)]
+    else:
+        masses = [float(law.coefficient(1))]
+        while masses[-1] > 2.0**-64 * masses[0]:
+            masses.append(float(law.coefficient(len(masses) + 1)))
+    beyond = np.append(np.cumsum(masses[::-1])[::-1], 0.0)  # beyond[j]: mass of k > j
+    q = math.fsum(masses)
+    return masses[: int(np.argmax(beyond < _TABLE_TAIL * q))], q
+
+
+def _conditional_sampler(law):
+    """(draw of A | A > 0 by an inverse-CDF table, P(A > 0))."""
+    masses, q = _positive_masses(law)
+    return _threshold_sampler(np.divide(masses, q), range(1, len(masses) + 1)), q
+
+
+def _sparse(dense, q, values):
+    """Draw levels of at least _SPARSE_MIN_SIZE nodes by gaps, smaller ones densely.
+
+    The gaps between arrival sites are iid Geometric(q), so a level costs
+    about size * q draws instead of size.  All gaps of a level are drawn
+    first, then values(rng, n) gives A | A > 0 at its n sites.
+    """
+
+    def draw(rng, size):
+        if size < _SPARSE_MIN_SIZE:
+            return dense(rng, size)
+        out = np.zeros(size, dtype=np.int32)
+        lam = size * q
+        budget = int(lam + 6.0 * math.sqrt(lam) + 16.0)
+        # a gap past the level ends it; capping gaps there keeps cumsum from
+        # overflowing when q is tiny, and moves no site inside the level
+        pos = np.cumsum(np.minimum(rng.geometric(q, budget), size + 1))
+        while pos[-1] < size:
+            more = np.cumsum(np.minimum(rng.geometric(q, budget), size + 1)) + pos[-1]
+            pos = np.concatenate([pos, more])
+        sites = pos[pos <= size] - 1
+        out[sites] = values(rng, len(sites))
+        return out
+
+    return draw
+
+
 def make_sampler(law):
-    """draw(rng, size) -> int32 arrival counts, or raise UnsampleableLaw."""
+    """draw(rng, size) -> int32 arrival counts, or raise UnsampleableLaw.
+
+    Each family has a dense draw, one value per node.  When q = P(A > 0) is
+    at most the cut-off, _sparse draws the big levels by gaps instead.
+    """
     kind = law.kind
+    max_q = _SPARSE_MAX_Q
     if kind == "binary0k":
-        pk = float(law.alpha) / law.k
-        k = law.k
+        pk, k = float(law.alpha) / law.k, law.k
+        dtype = _uniform_dtype(pk)
 
-        def draw(rng, size):
-            if size < 2048 or pk > 0.0625:
-                return (rng.random(size, dtype=_UNIFORM_DTYPE) < pk).astype(np.int32) * k
-            # sparse path: gaps between arrival sites are iid geometric, so
-            # a level costs about size * pk draws instead of size
-            out = np.zeros(size, dtype=np.int32)
-            lam = size * pk
-            budget = int(lam + 6.0 * math.sqrt(lam) + 16.0)
-            pos = np.cumsum(rng.geometric(pk, budget))
-            while pos[-1] < size:
-                more = np.cumsum(rng.geometric(pk, budget)) + pos[-1]
-                pos = np.concatenate([pos, more])
-            out[pos[pos <= size] - 1] = k
-            return out
+        def dense(rng, size):
+            return (rng.random(size, dtype=dtype) < pk).astype(np.int32) * k
 
-        return draw
-    if kind == "finite":
-        probs = [float(p) for p in law.probs]
-        cdf = np.cumsum(probs)
-        return _threshold_sampler(cdf, range(len(probs)))
-    if kind == "poisson":
+        def values(rng, n):
+            return k
+
+        q, max_q = pk, _BINARY0K_SPARSE_MAX_Q
+    elif kind == "poisson":
         a = law.alpha
 
-        def draw(rng, size):
+        def dense(rng, size):
             return rng.poisson(a, size).astype(np.int32)
 
-        return draw
-    if kind == "geometric":
+        q = -math.expm1(-a)
+        if q <= max_q:  # a big mean would need a long table
+            values = _conditional_sampler(law)[0]
+    elif kind == "geometric":
         p = 1.0 / (1.0 + float(law.alpha))
 
-        def draw(rng, size):
+        def dense(rng, size):
             return (rng.geometric(p, size) - 1).astype(np.int32)
 
-        return draw
-    if kind == "nongeneric_example":
-        acc, k, cum = 0.0, 0, []
+        def values(rng, n):
+            # memoryless: A | A > 0 is Geometric(p) on 1, 2, ...
+            return rng.geometric(p, n)
+
+        q = float(law.alpha / (1 + law.alpha))
+    elif kind == "finite":
+        dense = _threshold_sampler([float(p) for p in law.probs], range(len(law.probs)))
+        values, q = _conditional_sampler(law)
+    elif kind == "nongeneric_example":
+        acc, k, masses = 0.0, 0, []
         while acc < 1.0 - 1e-15:
-            acc += law.coefficient(k)
-            cum.append(acc)
+            masses.append(law.coefficient(k))
+            acc += masses[-1]
             k += 1
             if k > 500:
                 break
-        return _threshold_sampler(cum, range(len(cum)))
-    raise UnsampleableLaw(f"no sampler for {law.describe()}")
+        dense = _threshold_sampler(masses, range(len(masses)))
+        values, q = _conditional_sampler(law)
+    else:
+        raise UnsampleableLaw(f"no sampler for {law.describe()}")
+    return dense if q > max_q else _sparse(dense, q, values)
 
 
 def _resolve_threads(threads):
@@ -179,6 +256,12 @@ def sample_root_load(law, depth, samples, seed=0, threads=None, budget=NODE_BUDG
     return np.concatenate(parts)
 
 
+def _mnodes_per_s(stats):
+    """Millions of tree nodes simulated per second of elapsed_seconds."""
+    nodes = stats.samples * ((2 << stats.depth) - 1)
+    return nodes / stats.elapsed_seconds / 1e6 if stats.elapsed_seconds > 0 else math.inf
+
+
 @dataclass(frozen=True)
 class SimulationStats:
     law_desc: str
@@ -192,6 +275,10 @@ class SimulationStats:
     mean_load: float
     flux_probs: tuple  # estimated P(root flux = k)
     elapsed_seconds: float
+
+    @property
+    def mnodes_per_s(self):
+        return _mnodes_per_s(self)
 
     def flux_standard_error(self, k):
         p = self.flux_probs[k] if k < len(self.flux_probs) else 0.0
@@ -234,6 +321,10 @@ class ClusterStats:
     size_counts: tuple  # histogram over root-cluster sizes, index = size
     censored: int  # clusters that touch the deepest simulated level
     elapsed_seconds: float
+
+    @property
+    def mnodes_per_s(self):
+        return _mnodes_per_s(self)
 
     def size_prob(self, n):
         if n < len(self.size_counts):

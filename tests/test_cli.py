@@ -107,6 +107,18 @@ def test_law_file_with_unexpected_family_keys(tmp_path, capsys, family):
     assert "unexpected family keys" in err
 
 
+@pytest.mark.parametrize(
+    "family", [{"name": "poisson"}, {"name": "binary0k", "k": 3}, "poisson", 5, None]
+)
+def test_law_file_with_malformed_family(tmp_path, capsys, family):
+    # a missing alpha or a family that is no JSON object is an input error
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps({"family": family}))
+    code, _, err = run_cli(capsys, "analyze", "--law", str(path))
+    assert code == 2
+    assert "LawError" in err
+
+
 def test_law_file_with_unknown_keys(tmp_path, capsys):
     path = tmp_path / "law.json"
     path.write_text(json.dumps({"finite": ["1"], "extra": 1}))
@@ -189,6 +201,9 @@ def test_simulate_json(capsys):
     assert doc["samples"] == 400
     assert 0.5 < doc["empty_prob_hat"] < 1.0
     assert sum(doc["root_load_counts"]) == 400
+    assert doc["mnodes_per_s"] == pytest.approx(
+        400 * 127 / doc["elapsed_seconds"] / 1e6, rel=1e-12
+    )
 
 
 def test_simulate_cluster(capsys):
@@ -200,6 +215,7 @@ def test_simulate_cluster(capsys):
     assert code == 0
     doc = json.loads(out)
     assert "size_counts" in doc and "censored" in doc
+    assert doc["mnodes_per_s"] > 0
 
 
 def test_simulate_budget(capsys):

@@ -4,6 +4,7 @@ Statistical assertions use wide (5 sigma) bands so they stay quiet on
 reruns; exact reproducibility assertions use fixed seeds.
 """
 
+import hashlib
 import math
 from collections import Counter
 from fractions import Fraction
@@ -22,6 +23,8 @@ from parkcrit.laws import (
     poisson,
 )
 from parkcrit.simulate import (
+    _draw_levels,
+    _positive_masses,
     estimate_root_law,
     make_sampler,
     root_cluster_stats,
@@ -78,9 +81,14 @@ def test_cluster_stats_prefix_stable_in_sample_count():
     assert sum((sizes(51) - short).values()) == 1
 
 
-# Streams recorded before the draw-and-settle kernel was shared between
-# sample_root_load and root_cluster_stats: seed 2026, depth 12, 40 samples.
-# binary0k(1/5, k=3) draws its big levels densely, binary0k(1/20) sparsely.
+# Seed 2026, depth 12, 40 samples.  The binary0k entries were recorded
+# before the draw-and-settle kernel was shared between sample_root_load and
+# root_cluster_stats: binary0k(1/5, k=3) draws its big levels densely,
+# binary0k(1/20) sparsely.  The other four were re-recorded when every law
+# with P(A > 0) <= 1/4 began to draw its levels of 2048 nodes or more by
+# gaps, and when nongeneric_example began to draw float64 uniforms.  Root
+# loads and clusters of these subcritical laws rarely reach levels 11 and
+# 12, so PINNED_LEVEL_DIGESTS below pins every drawn level as well.
 PINNED_STREAMS = {
     "binary0k-dense": (
         binary0k(Fraction(1, 5), k=3),
@@ -121,8 +129,8 @@ PINNED_STREAMS = {
     ),
     "nongeneric": (
         nongeneric_example(Fraction(1, 2)),
-        [0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1] + [0] * 19,
-        {0: 35, 1: 3, 2: 1, 3: 1},
+        [1, 0, 0, 0, 0, 0, 1, 0, 0, 1] + [0] * 14 + [1] + [0] * 13 + [1, 0],
+        {0: 35, 1: 3, 2: 2},
         0,
     ),
 }
@@ -137,6 +145,28 @@ def test_pinned_streams(name, threads):
     stats = root_cluster_stats(law, depth=12, samples=40, seed=2026, threads=threads)
     assert {n: c for n, c in enumerate(stats.size_counts) if c} == clusters
     assert stats.censored == censored
+
+
+# sha256 of all 13 levels of the 40 samples above, as little-endian int32,
+# first 16 hex digits.  The binary0k digests are those of the parent sampler.
+PINNED_LEVEL_DIGESTS = {
+    "binary0k-dense": "8e4cbe8092eefaa0",
+    "binary0k-sparse": "e7cb60f324b79148",
+    "poisson": "e6d076745d660abf",
+    "geometric": "aa2c0b03be00238b",
+    "finite": "ea02f4fe10569e72",
+    "nongeneric": "f77aa2c232d3d4f2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LEVEL_DIGESTS))
+def test_pinned_level_digests(name):
+    draw = make_sampler(PINNED_STREAMS[name][0])
+    digest = hashlib.sha256()
+    for i in range(40):
+        for x in _draw_levels(draw, 2026, i, 12):
+            digest.update(x.astype("<i4").tobytes())
+    assert digest.hexdigest()[:16] == PINNED_LEVEL_DIGESTS[name]
 
 
 def test_input_validation():
@@ -162,6 +192,16 @@ def test_estimate_matches_analytic_empty_prob():
     assert stats.mean_load == pytest.approx(
         sum(k * c for k, c in enumerate(stats.root_load_counts)) / 3000
     )
+
+
+def test_throughput_matches_elapsed_seconds():
+    nodes = 50 * (2**11 - 1)
+    for stats in (
+        estimate_root_law(B02, depth=10, samples=50, seed=4),
+        root_cluster_stats(B02, depth=10, samples=50, seed=4),
+    ):
+        assert stats.mnodes_per_s > 0
+        assert stats.mnodes_per_s * stats.elapsed_seconds * 1e6 == pytest.approx(nodes)
 
 
 def test_estimate_flux_against_analytic():
@@ -197,6 +237,105 @@ def test_nongeneric_sampler_mean():
     rng = np.random.default_rng(2)
     vals = draw(rng, 40000)
     assert np.mean(vals) == pytest.approx(1 / 6, abs=0.02)
+
+
+class RecordingRng:
+    """A generator that records (method, size) of each draw."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        def call(*args, **kwargs):
+            self.calls.append((name, args[-1]))
+            return getattr(self.rng, name)(*args, **kwargs)
+
+        return call
+
+
+class OnesRng(RecordingRng):
+    """Every geometric gap is 1, so every site is an arrival site."""
+
+    def geometric(self, p, size):
+        self.calls.append(("geometric", size))
+        return np.ones(size, dtype=np.int64)
+
+
+SPARSE_LAWS = {
+    "poisson": poisson(0.1),
+    "geometric": geometric(Fraction(1, 10)),
+    "finite": PINNED_STREAMS["finite"][0],
+    "nongeneric": nongeneric_example(Fraction(1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPARSE_LAWS))
+def test_sparse_level_has_the_arrival_law(name):
+    law, size = SPARSE_LAWS[name], 1 << 16
+    rng = RecordingRng(np.random.default_rng(31))
+    counts = np.bincount(make_sampler(law)(rng, size), minlength=12)
+    # gaps first, far fewer than one per node, then the values at the sites
+    assert rng.calls[0][0] == "geometric" and rng.calls[0][1] < size // 4
+    for k, hits in enumerate(counts):
+        p = float(law.coefficient(k))
+        # each standard error floored at that of a bin expecting 25 hits
+        se = math.sqrt(max(p * (1.0 - p), 25.0 / size) / size)
+        assert abs(hits / size - p) < 5 * se, (k, hits, p)
+
+
+def test_sparse_level_extends_its_gaps():
+    # gaps of 1 use up the first budget of gaps long before the level ends
+    for law, support in ((binary0k(Fraction(1, 20)), {2}), (poisson(0.1), None)):
+        rng = OnesRng(np.random.default_rng(5))
+        vals = make_sampler(law)(rng, 4096)
+        assert sum(name == "geometric" for name, _ in rng.calls) > 1
+        assert vals.min() >= 1
+        if support:
+            assert set(np.unique(vals)) == support
+
+
+def test_sparse_level_with_vanishing_arrival_probability():
+    # gaps near 2^63 must not overflow into sites inside the level
+    for law in (binary0k(Fraction(1, 10**18)), poisson(1e-19), geometric(1e-19)):
+        assert not make_sampler(law)(np.random.default_rng(3), 1 << 16).any()
+
+
+def test_dense_level_when_arrivals_are_common():
+    # P(A > 0) = 1 - exp(-2) is above the cut-off, so no gaps are drawn
+    rng = RecordingRng(np.random.default_rng(5))
+    make_sampler(poisson(2))(rng, 1 << 16)
+    assert rng.calls == [("poisson", 1 << 16)]
+    # and small levels of sparse laws are drawn densely too
+    rng = RecordingRng(np.random.default_rng(5))
+    make_sampler(poisson(0.1))(rng, 1024)
+    assert rng.calls == [("poisson", 1024)]
+
+
+@pytest.mark.parametrize(
+    "law",
+    [poisson(0.1), poisson(0.25), poisson(1e-6), nongeneric_example(Fraction(1, 2)),
+     nongeneric_example(1), PINNED_STREAMS["finite"][0]],
+    ids=str,
+)
+def test_conditional_table_misses_almost_no_mass(law):
+    masses, q = _positive_masses(law)
+    top = len(masses)
+    assert masses == [float(law.coefficient(k)) for k in range(1, top + 1)]
+    missing = math.fsum(float(law.coefficient(k)) for k in range(top + 1, top + 400))
+    assert missing / q < 2.0**-52
+    assert q == pytest.approx(1.0 - float(law.coefficient(0)), rel=1e-12)
+
+
+def test_uniforms_resolve_masses_below_2_to_the_minus_24():
+    # the largest uniform below 1 lands in a top atom of mass 3e-8 only if
+    # it is drawn in float64: float32 stops 2^-24 short of 1
+    class TopRng:
+        def random(self, size, dtype):
+            return np.full(size, np.nextafter(dtype(1), dtype(0)), dtype=dtype)
+
+    tiny = Fraction(3, 10**8)
+    law = make_finite_law([Fraction(1, 2), Fraction(1, 2) - tiny, tiny])
+    assert make_sampler(law)(TopRng(), 16).tolist() == [2] * 16
 
 
 def test_unsampleable_law():
