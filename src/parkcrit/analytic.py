@@ -84,10 +84,14 @@ def _gf_from_time(law, t):
     return 2.0 * g0 * math.sqrt(radicand) / ((2.0 * g0 - t * g1) * math.sqrt(law.mu0))
 
 
-def _bisect_decreasing(f, a, b, rel=REL_ROOT_TOL, cap=ITER_CAP):
-    """Root of f on [a, b] given f(a) > 0 > f(b); relative tolerance on t."""
-    for _ in range(cap):
-        if b - a <= rel * max(abs(a), abs(b), 1e-300):
+def _bisect_decreasing(f, a, b, rel=REL_ROOT_TOL, width=0.0):
+    """Root of f on [a, b] given f(a) > 0 > f(b).
+
+    Stops once b - a is at most width, or at most rel times the larger
+    end of the bracket.
+    """
+    for _ in range(ITER_CAP):
+        if b - a <= max(width, rel * max(abs(a), abs(b), 1e-300)):
             return 0.5 * (a + b)
         mid = 0.5 * (a + b)
         fm = f(mid)
@@ -97,7 +101,7 @@ def _bisect_decreasing(f, a, b, rel=REL_ROOT_TOL, cap=ITER_CAP):
             a = mid
         else:
             b = mid
-    raise IterationCapExceeded(f"root not located to {rel} within {cap} bisections")
+    raise IterationCapExceeded(f"bracket ({a!r}, {b!r}) open after {ITER_CAP} bisections")
 
 
 @dataclass(frozen=True)
@@ -451,7 +455,6 @@ def _regime_gap(law):
 _DEFAULT_BRACKETS = {
     "poisson": (1e-4, 50.0),
     "geometric": (1e-6, 50.0),
-    "nongeneric_example": (1e-3, 1.0),
 }
 
 
@@ -462,18 +465,19 @@ def find_alpha_c(family, k=None, lo=None, hi=None, tol=1e-9, want_trace=False):
     signed criticality gap is bisected until the bracket is narrower
     than tol.  Returns the midpoint, or (midpoint, trace) with the list
     of (alpha, gap) pairs evaluated when want_trace is set.
+    nongeneric_example is refused: no mix in (0, 1] is supercritical.
     """
-    if family not in FAMILIES:
-        raise BracketFailure(f"unknown family {family!r}")
-    maker = FAMILIES[family]
     if family == "binary0k":
         if k is None:
             k = 2
-        make = lambda a: maker(a, k)  # noqa: E731
+        make = lambda a: FAMILIES[family](a, k)  # noqa: E731
         default = (1e-6, k * (1 - 1e-9))
+    elif family in _DEFAULT_BRACKETS:
+        make, default = FAMILIES[family], _DEFAULT_BRACKETS[family]
+    elif family in FAMILIES:
+        raise BracketFailure(f"{family} has no supercritical member to bracket")
     else:
-        make = maker
-        default = _DEFAULT_BRACKETS[family]
+        raise BracketFailure(f"unknown family {family!r}")
     a = default[0] if lo is None else float(lo)
     b = default[1] if hi is None else float(hi)
     if not a < b:
@@ -491,21 +495,9 @@ def find_alpha_c(family, k=None, lo=None, hi=None, tol=1e-9, want_trace=False):
         raise BracketFailure(f"{family} at alpha = {a!r} is not subcritical")
     if gb >= 0.0:
         raise BracketFailure(f"{family} at alpha = {b!r} is not supercritical")
-    for _ in range(ITER_CAP):
-        if b - a <= tol:
-            break
-        mid = 0.5 * (a + b)
-        gm = gap_at(mid)
-        if gm == 0.0:
-            a = b = mid
-            break
-        if gm > 0.0:
-            a = mid
-        else:
-            b = mid
-    else:
-        raise IterationCapExceeded(f"bracket still wider than {tol} after {ITER_CAP}")
-    alpha_c = 0.5 * (a + b)
+    # rel = 0: the ends keep gaps of opposite signs and never meet, so only
+    # tol, an exact zero of the gap or ITER_CAP ends the bisection
+    alpha_c = _bisect_decreasing(gap_at, a, b, rel=0.0, width=tol)
     if want_trace:
         return alpha_c, trace
     return alpha_c

@@ -24,6 +24,8 @@ from .analytic import (
     mean_identities,
     occupancy_self_consistency,
 )
+# brute_force_table and flux_via_table are unused here, but perfbench/tracing.py
+# patches both names on parkcrit.cli: removing them breaks every traced run
 from .enumeration import (
     FptTable,
     brute_force_table,
@@ -87,7 +89,10 @@ def _law_from_spec(spec):
         else:
             raise LawError(f"family {name} needs 'alpha'")
         if name == "binary0k":
-            params.append(int(fam.pop("k", 2)))
+            k = _exact_number(fam.pop("k", 2), "k")
+            if k.denominator != 1:
+                raise LawError(f"binary0k's k must be an integer, got {k}")
+            params.append(int(k))
         if fam:
             raise LawError(f"unexpected family keys {sorted(fam)}")
         return FAMILIES[name](*params)
@@ -164,6 +169,10 @@ def _emit(args, payload, csv_rows):
         text = json.dumps(body, indent=2) + "\n"
     else:
         text = "\n".join(",".join(_csv_cell(c) for c in row) for row in csv_rows) + "\n"
+    _write(args, text)
+
+
+def _write(args, text):
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -262,15 +271,7 @@ def _cmd_enumerate(args):
     else:
         table = tutte_series(law, args.vertex_order, args.flux_order)
     if args.format == "csv":
-        if args.out:
-            table.write_csv(args.out)
-        else:
-            rows = [["n", "p", "numerator", "denominator"]]
-            for n in range(1, table.vertex_order + 1):
-                for p in range(table.flux_order + 1):
-                    c = table.rows[n][p]
-                    rows.append([n, p, c.numerator, c.denominator])
-            _emit(args, {}, rows)
+        _write(args, table.csv_text())
         return 0
     entries = []
     for n in range(1, table.vertex_order + 1):
@@ -475,8 +476,7 @@ def build_parser():
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads; default PARKCRIT_THREADS or 1")
+    p.add_argument("--threads", type=int, default=1, help="worker threads")
     p.add_argument("--budget", type=float, default=NODE_BUDGET,
                    help="cap on samples * 2^depth")
     p.add_argument("--cluster", action="store_true",

@@ -185,7 +185,8 @@ class FptTable:
     def coefficient(self, n, p):
         return self.rows[n][p]
 
-    def write_csv(self, path):
+    def csv_text(self):
+        """The table as CSV: '#' metadata lines, a header, one row per cell."""
         lines = [
             "# fully parked tree weight table",
             f"# law: {self.law_desc}",
@@ -198,8 +199,11 @@ class FptTable:
             for p in range(self.flux_order + 1):
                 c = self.rows[n][p]
                 lines.append(f"{n},{p},{c.numerator},{c.denominator}")
+        return "\n".join(lines) + "\n"
+
+    def write_csv(self, path):
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(self.csv_text())
 
     @classmethod
     def read_csv(cls, path):

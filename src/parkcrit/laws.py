@@ -85,7 +85,9 @@ class ArrivalLaw:
 
     def exact_coefficients(self, K):
         """Coefficients 0..K as Fractions; only exact laws can comply."""
-        raise NonExactLaw(f"{self.describe()} has no exact coefficients")
+        if not self.is_exact:
+            raise NonExactLaw(f"{self.describe()} has no exact coefficients")
+        return [Fraction(self.coefficient(k)) for k in range(K + 1)]
 
     def mean(self):
         ds = self.derivatives(1, order=1)
@@ -167,9 +169,6 @@ class FiniteSupportLaw(ArrivalLaw):
             return self.probs[k]
         return Fraction(0)
 
-    def exact_coefficients(self, K):
-        return [self.coefficient(k) for k in range(K + 1)]
-
     def mean(self):
         return sum(k * p for k, p in enumerate(self.probs))
 
@@ -228,11 +227,6 @@ class Binary0kLaw(ArrivalLaw):
         if k == self.k:
             return self._pk
         return Fraction(0) if self.is_exact else 0.0
-
-    def exact_coefficients(self, K):
-        if not self.is_exact:
-            raise NonExactLaw("binary0k with a float mean has no exact coefficients")
-        return [Fraction(self.coefficient(k)) for k in range(K + 1)]
 
     def mean(self):
         return self.alpha
@@ -320,16 +314,6 @@ class GeometricLaw(ArrivalLaw):
         a = self.alpha
         base = 1 / (1 + a) if isinstance(a, Fraction) else 1.0 / (1 + a)
         return base * (a / (1 + a)) ** k
-
-    def exact_coefficients(self, K):
-        if not self.is_exact:
-            raise NonExactLaw("geometric with a float mean has no exact coefficients")
-        a = self.alpha
-        r = a / (1 + a)
-        out = [Fraction(1, 1) / (1 + a)]
-        for _ in range(K):
-            out.append(out[-1] * r)
-        return out
 
     def mean(self):
         return self.alpha

@@ -24,7 +24,6 @@ would push up; root-level estimates converge from below as depth grows.
 from __future__ import annotations
 
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -86,10 +85,9 @@ def _positive_masses(law):
     return masses[: int(np.argmax(beyond < _TABLE_TAIL * q))], q
 
 
-def _conditional_sampler(law):
-    """(draw of A | A > 0 by an inverse-CDF table, P(A > 0))."""
-    masses, q = _positive_masses(law)
-    return _threshold_sampler(np.divide(masses, q), range(1, len(masses) + 1)), q
+def _conditional_sampler(masses, q):
+    """Draw of A | A > 0 by an inverse-CDF table, from _positive_masses."""
+    return _threshold_sampler(np.divide(masses, q), range(1, len(masses) + 1))
 
 
 def _sparse(dense, q, values):
@@ -146,7 +144,7 @@ def make_sampler(law):
 
         q = -math.expm1(-a)
         if q <= max_q:  # a big mean would need a long table
-            values = _conditional_sampler(law)[0]
+            values = _conditional_sampler(*_positive_masses(law))
     elif kind == "geometric":
         p = 1.0 / (1.0 + float(law.alpha))
 
@@ -158,28 +156,18 @@ def make_sampler(law):
             return rng.geometric(p, n)
 
         q = float(law.alpha / (1 + law.alpha))
-    elif kind == "finite":
-        dense = _threshold_sampler([float(p) for p in law.probs], range(len(law.probs)))
-        values, q = _conditional_sampler(law)
-    elif kind == "nongeneric_example":
-        acc, k, masses = 0.0, 0, []
-        while acc < 1.0 - 1e-15:
-            masses.append(law.coefficient(k))
-            acc += masses[-1]
-            k += 1
-            if k > 500:
-                break
-        dense = _threshold_sampler(masses, range(len(masses)))
-        values, q = _conditional_sampler(law)
+    elif kind in ("finite", "nongeneric_example"):
+        masses, q = _positive_masses(law)
+        table = [float(law.coefficient(0))] + masses
+        dense = _threshold_sampler(table, range(len(table)))
+        values = _conditional_sampler(masses, q)
     else:
         raise UnsampleableLaw(f"no sampler for {law.describe()}")
     return dense if q > max_q else _sparse(dense, q, values)
 
 
 def _resolve_threads(threads):
-    if threads is None:
-        threads = int(os.environ.get("PARKCRIT_THREADS", "1"))
-    threads = int(threads)
+    threads = 1 if threads is None else int(threads)
     if threads < 1:
         raise OutOfDomain(f"thread count must be positive, got {threads}")
     return threads

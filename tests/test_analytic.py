@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from parkcrit import analytic
 from parkcrit.analytic import (
     classify,
     critical_quantities,
@@ -27,6 +28,7 @@ from parkcrit.analytic import (
 )
 from parkcrit.errors import (
     BracketFailure,
+    IterationCapExceeded,
     NoRootWithinBudget,
     NoSolution,
     NotCritical,
@@ -201,6 +203,44 @@ def test_alpha_c_known_values():
 def test_alpha_c_bracket_failure():
     with pytest.raises(BracketFailure):
         find_alpha_c("binary0k", k=2, lo=0.2, hi=0.5)
+
+
+# (float.hex of alpha_c, gap evaluations in the trace) per (family, k, tol),
+# recorded while find_alpha_c still ran its own bisection loop
+PINNED_ALPHA_C = {
+    ("binary0k", 2, 1e-9): ("0x1.249249345598fp-4", 33),
+    ("binary0k", 2, 1e-11): ("0x1.2492492495998p-4", 40),
+    ("binary0k", 3, 1e-9): ("0x1.8c69c06e71d7ep-6", 34),
+    ("binary0k", 3, 1e-11): ("0x1.8c69c03931d92p-6", 41),
+    ("poisson", None, 1e-9): ("0x1.5f61997ec9776p-3", 38),
+    ("poisson", None, 1e-11): ("0x1.5f619980d6772p-3", 45),
+    ("geometric", None, 1e-9): ("0x1.ffffffecadee1p-4", 38),
+    ("geometric", None, 1e-11): ("0x1.0000000001f70p-3", 45),
+}
+
+
+@pytest.mark.parametrize("family, k, tol", list(PINNED_ALPHA_C))
+def test_alpha_c_pinned(family, k, tol):
+    alpha_c, trace = find_alpha_c(family, k=k, tol=tol, want_trace=True)
+    assert (alpha_c.hex(), len(trace)) == PINNED_ALPHA_C[family, k, tol]
+
+
+def test_alpha_c_negative_tol_exhausts_the_cap(monkeypatch):
+    # the real gaps reach exactly 0 near alpha_c; a sign alone never does
+    monkeypatch.setattr(analytic, "_regime_gap", lambda law: 0.1 - law.mean() or 1.0)
+    assert find_alpha_c("poisson", tol=1e-12) == pytest.approx(0.1, abs=1e-12)
+    with pytest.raises(IterationCapExceeded):
+        find_alpha_c("poisson", tol=-1.0)
+
+
+@pytest.mark.parametrize(
+    "family, why",
+    [("nongeneric_example", "no supercritical member"), ("zeta", "unknown family")],
+)
+def test_alpha_c_refuses_families_it_cannot_bracket(family, why):
+    # every mix in (0, 1] of nongeneric_example is subcritical or critical
+    with pytest.raises(BracketFailure, match=why):
+        find_alpha_c(family)
 
 
 def test_nongeneric_margin_vanishes_at_radius():

@@ -119,6 +119,18 @@ def test_law_file_with_malformed_family(tmp_path, capsys, family):
     assert "LawError" in err
 
 
+@pytest.mark.parametrize("k, code", [(3, 0), ("3", 0), (2.7, 2), ("5/2", 2), (True, 2)])
+def test_law_file_binary0k_k_must_be_an_integer(tmp_path, capsys, k, code):
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps({"family": {"name": "binary0k", "alpha": "1/20", "k": k}}))
+    got, out, err = run_cli(capsys, "analyze", "--law", str(path))
+    assert got == code
+    if code:
+        assert "LawError" in err
+    else:
+        assert json.loads(out)["law"]["params"]["k"] == 3
+
+
 def test_law_file_with_unknown_keys(tmp_path, capsys):
     path = tmp_path / "law.json"
     path.write_text(json.dumps({"finite": ["1"], "extra": 1}))
@@ -135,6 +147,12 @@ def test_sweep(capsys):
     vals = {row["family"]: row["critical_mean"] for row in doc["results"]}
     assert vals["binary0k"] == pytest.approx(1 / 14, abs=1e-6)
     assert vals["geometric"] == pytest.approx(1 / 8, abs=1e-6)
+
+
+def test_sweep_refuses_nongeneric_example(capsys):
+    code, _, err = run_cli(capsys, "sweep", "--families", "nongeneric_example")
+    assert code == 3
+    assert "BracketFailure" in err and "no supercritical member" in err
 
 
 def test_flux_json(capsys):
@@ -154,17 +172,25 @@ def test_flux_supercritical_fails(capsys):
 
 
 def test_enumerate_csv_round_trips(tmp_path, capsys):
-    out_path = tmp_path / "table.csv"
-    code, _, _ = run_cli(
-        capsys,
+    # stdout and --out carry the same text, which read_csv and verify accept
+    argv = [
         "enumerate", "--family", "binary0k", "--alpha", "1/14",
-        "--vertex-order", "4", "--flux-order", "2",
-        "--format", "csv", "--out", str(out_path),
-    )
+        "--vertex-order", "4", "--flux-order", "2", "--format", "csv",
+    ]
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    table = FptTable.read_csv(out_path)
+    out_path, stdout_path = tmp_path / "table.csv", tmp_path / "stdout.csv"
+    assert run_cli(capsys, *argv, "--out", str(out_path))[0] == 0
+    stdout_path.write_text(out, encoding="utf-8")
+    assert stdout_path.read_bytes() == out_path.read_bytes()
+    table = FptTable.read_csv(stdout_path)
     direct = tutte_series(binary0k(Fraction(1, 14)), 4, 2)
     assert table.rows == direct.rows
+    code, _, err = run_cli(
+        capsys, "verify", "--family", "binary0k", "--alpha", "1/14",
+        "--table", str(stdout_path),
+    )
+    assert code == 0, err
 
 
 def test_enumerate_oracle_flag(capsys):

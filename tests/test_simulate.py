@@ -57,6 +57,11 @@ def test_thread_count_does_not_change_the_stream():
     assert np.array_equal(one, several)
 
 
+def test_threads_default_to_one_whatever_the_environment(monkeypatch):
+    monkeypatch.setenv("PARKCRIT_THREADS", "0")
+    assert estimate_root_law(B02, depth=3, samples=20, seed=9).threads == 1
+
+
 def test_sample_prefix_stable_in_sample_count():
     # sample i only depends on (seed, i), so prefixes agree
     short = sample_root_load(B02, depth=4, samples=50, seed=3)
