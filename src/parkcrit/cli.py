@@ -426,6 +426,27 @@ def _cmd_verify(args):
 
 # --- wiring ---------------------------------------------------------------------
 
+def _checked(convert, ok, bound):
+    """argparse type: convert, then refuse a value outside its range with exit 2."""
+
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse says "invalid int value" by this name
+    return parse
+
+
+def _at_least(lo):
+    return _checked(int, lambda v: v >= lo, f"at least {lo}")
+
+
+_POSITIVE_FLOAT = _checked(float, lambda v: v > 0.0, "positive")
+_SEED = _checked(int, lambda v: 0 <= v < 2**64, "in [0, 2^64)")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="parkcrit",
@@ -440,7 +461,7 @@ def build_parser():
             _add_law_flags(sub)
         sub.add_argument("--format", choices=["json", "csv"], default="json")
         sub.add_argument("--out", help="write output to this path instead of stdout")
-        sub.add_argument("--tol", type=float, default=1e-9,
+        sub.add_argument("--tol", type=_POSITIVE_FLOAT, default=1e-9,
                          help="criticality decision band")
 
     p = subs.add_parser("analyze", help="decide the regime and report quantities")
@@ -460,23 +481,23 @@ def build_parser():
 
     p = subs.add_parser("enumerate", help="exact fully parked tree weight table")
     common(p)
-    p.add_argument("--vertex-order", type=int, required=True, metavar="N")
-    p.add_argument("--flux-order", type=int, required=True, metavar="P")
+    p.add_argument("--vertex-order", type=_at_least(1), required=True, metavar="N")
+    p.add_argument("--flux-order", type=_at_least(0), required=True, metavar="P")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against brute-force enumeration")
     p.set_defaults(handler=_cmd_enumerate)
 
     p = subs.add_parser("flux", help="flux distribution at the root")
     common(p)
-    p.add_argument("--order", type=int, default=40, help="largest flux value")
+    p.add_argument("--order", type=_at_least(2), default=40, help="largest flux value")
     p.set_defaults(handler=_cmd_flux)
 
     p = subs.add_parser("simulate", help="Monte Carlo on a depth-truncated tree")
     common(p)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1, help="worker threads")
+    p.add_argument("--depth", type=_at_least(0), required=True)
+    p.add_argument("--samples", type=_at_least(1), required=True)
+    p.add_argument("--seed", type=_SEED, default=0)
+    p.add_argument("--threads", type=_at_least(1), default=1, help="worker threads")
     p.add_argument("--budget", type=float, default=NODE_BUDGET,
                    help="cap on samples * 2^depth")
     p.add_argument("--cluster", action="store_true",

@@ -56,9 +56,17 @@ def _as_param(value, what):
     return _as_exact(value, what)
 
 
+# Highest order that a float t gets from the float constants each law computes
+# once in __init__; the critical-time scan and the bisections ask for at most
+# G''. Each constant is the float that the exact path's mixed Fraction-float
+# expression rounds to at the same step, so both paths give the same bits.
+FLOAT_ORDERS = 2
+
+
 class ArrivalLaw:
     """Interface shared by all arrival laws."""
 
+    __slots__ = ()  # each law lists its fields: caches keep thousands of laws alive
     kind = "abstract"
 
     @property
@@ -123,6 +131,7 @@ class ArrivalLaw:
 class FiniteSupportLaw(ArrivalLaw):
     """Arrival law with finitely many atoms and exact rational masses."""
 
+    __slots__ = ("probs", "_float_rows")
     kind = "finite"
 
     def __init__(self, probs):
@@ -143,6 +152,11 @@ class FiniteSupportLaw(ArrivalLaw):
                 "process is trivially subcritical"
             )
         self.probs = tuple(probs)
+        # row j: float(falling(k, j) * p_k) at index k - j, None where p_k = 0
+        self._float_rows = tuple(
+            tuple(float(_falling(k, j) * p) if p else None for k, p in enumerate(probs[j:], j))
+            for j in range(FLOAT_ORDERS + 1)
+        )
 
     @property
     def radius(self):
@@ -154,6 +168,15 @@ class FiniteSupportLaw(ArrivalLaw):
 
     def derivatives(self, t, order=2):
         self._check_t(t)
+        if type(t) is float and 0 <= order <= FLOAT_ORDERS:
+            out = []
+            for row in self._float_rows[: order + 1]:
+                acc = 0.0
+                for e, c in enumerate(row):
+                    if c is not None:
+                        acc += c * t**e
+                out.append(acc)
+            return tuple(out)
         out = []
         for j in range(order + 1):
             acc = 0
@@ -186,6 +209,7 @@ class FiniteSupportLaw(ArrivalLaw):
 class Binary0kLaw(ArrivalLaw):
     """Mass at 0 and at k only, parametrized by the mean alpha = k * P(A=k)."""
 
+    __slots__ = ("alpha", "k", "_float_consts")
     kind = "binary0k"
 
     def __init__(self, alpha, k):
@@ -198,7 +222,11 @@ class Binary0kLaw(ArrivalLaw):
             )
         self.alpha = alpha
         self.k = k
-        self._pk = alpha / k
+        pk = alpha / k
+        # float(1 - pk), then float(falling(k, j) * pk) for j = 0, 1, 2
+        self._float_consts = (float(1 - pk),) + tuple(
+            float(_falling(k, j) * pk) for j in range(FLOAT_ORDERS + 1)
+        )
 
     @property
     def radius(self):
@@ -210,7 +238,11 @@ class Binary0kLaw(ArrivalLaw):
 
     def derivatives(self, t, order=2):
         self._check_t(t)
-        pk = self._pk
+        if type(t) is float and 0 <= order <= FLOAT_ORDERS:
+            c, p0, p1, p2 = self._float_consts
+            k = self.k
+            return (c + p0 * t**k, p1 * t ** (k - 1), p2 * t ** (k - 2))[: order + 1]
+        pk = self.alpha / self.k
         out = []
         for j in range(order + 1):
             if j == 0:
@@ -223,9 +255,9 @@ class Binary0kLaw(ArrivalLaw):
 
     def coefficient(self, k):
         if k == 0:
-            return 1 - self._pk
+            return 1 - self.alpha / self.k
         if k == self.k:
-            return self._pk
+            return self.alpha / self.k
         return Fraction(0) if self.is_exact else 0.0
 
     def mean(self):
@@ -244,6 +276,7 @@ class Binary0kLaw(ArrivalLaw):
 class PoissonLaw(ArrivalLaw):
     """Poisson arrivals with mean alpha; G(t) = exp(alpha (t - 1))."""
 
+    __slots__ = ("alpha", "_alpha_repr", "_powers")
     kind = "poisson"
 
     def __init__(self, alpha):
@@ -252,6 +285,7 @@ class PoissonLaw(ArrivalLaw):
             raise BadFamilyParameter(f"poisson mean must be positive, got {alpha!r}")
         self.alpha = float(alpha)
         self._alpha_repr = alpha
+        self._powers = tuple(self.alpha**j for j in range(1, FLOAT_ORDERS + 1))
 
     @property
     def radius(self):
@@ -260,6 +294,9 @@ class PoissonLaw(ArrivalLaw):
     def derivatives(self, t, order=2):
         self._check_t(t)
         g = math.exp(self.alpha * (float(t) - 1.0))
+        if 0 <= order <= FLOAT_ORDERS:
+            a1, a2 = self._powers
+            return (g, g * a1, g * a2)[: order + 1]
         return tuple(g * self.alpha**j for j in range(order + 1))
 
     def coefficient(self, k):
@@ -280,6 +317,7 @@ class GeometricLaw(ArrivalLaw):
     """Geometric arrivals with mean alpha: P(A=k) = r^k / (1+alpha) where
     r = alpha/(1+alpha).  G(t) = 1 / (1 + alpha - alpha t), radius (1+alpha)/alpha."""
 
+    __slots__ = ("alpha", "_float_consts")
     kind = "geometric"
 
     def __init__(self, alpha):
@@ -287,6 +325,8 @@ class GeometricLaw(ArrivalLaw):
         if alpha <= 0:
             raise BadFamilyParameter(f"geometric mean must be positive, got {alpha!r}")
         self.alpha = alpha
+        # float(1 + a), then float(j * a) for j = 1, 2
+        self._float_consts = (float(1 + alpha), float(alpha), float(2 * alpha))
 
     @property
     def radius(self):
@@ -298,6 +338,13 @@ class GeometricLaw(ArrivalLaw):
 
     def derivatives(self, t, order=2):
         self._check_t(t)
+        if type(t) is float and 0 <= order <= FLOAT_ORDERS:
+            one_plus_a, a, two_a = self._float_consts
+            denom = one_plus_a - a * t
+            if denom > 0.0:  # else the exact path below raises
+                g = 1.0 / denom
+                g1 = g * a * g
+                return (g, g1, g1 * two_a * g)[: order + 1]
         a = self.alpha
         denom = 1 + a - a * t
         if denom <= 0:
@@ -339,6 +386,7 @@ class NongenericExampleLaw(ArrivalLaw):
     the mixture (1 - mix) * delta_0 + mix * base, so its mean is mix/6.
     """
 
+    __slots__ = ("mix", "_mix_f")
     kind = "nongeneric_example"
 
     def __init__(self, mix=1):
@@ -346,6 +394,7 @@ class NongenericExampleLaw(ArrivalLaw):
         if not 0 < mix <= 1:
             raise BadFamilyParameter(f"mix must lie in (0, 1], got {mix!r}")
         self.mix = mix
+        self._mix_f = float(mix)
 
     @property
     def radius(self):
@@ -357,7 +406,7 @@ class NongenericExampleLaw(ArrivalLaw):
         if t > 3.0:
             raise EvaluationBeyondRadius(f"argument {t!r} exceeds the radius 3")
         u = (3.0 - t) / 2.0
-        m = float(self.mix)
+        m = self._mix_f
         out = [1.0 - m + m * (1.0 + (1.0 + t * t) / 26.0 - (u ** (7.0 / 3.0)) / 13.0)]
         if order >= 1:
             out.append(m * (t / 13.0 + (7.0 / 78.0) * u ** (4.0 / 3.0)))
@@ -374,7 +423,7 @@ class NongenericExampleLaw(ArrivalLaw):
         return tuple(out)
 
     def coefficient(self, k):
-        m = float(self.mix)
+        m = self._mix_f
         base = self._base_coefficient(k)
         if k == 0:
             return 1.0 - m + m * base
@@ -394,7 +443,7 @@ class NongenericExampleLaw(ArrivalLaw):
         return out
 
     def mean(self):
-        return float(self.mix) / 6.0
+        return self._mix_f / 6.0
 
     def params(self):
         return {"mix": str(self.mix)}
@@ -410,6 +459,7 @@ class CustomAnalyticLaw(ArrivalLaw):
     reaches.  Not exact, not samplable, no coefficient access beyond mu0.
     """
 
+    __slots__ = ("_derivs", "_radius", "_mu0", "_mean", "_name")
     kind = "custom"
 
     def __init__(self, derivs, radius, mu_zero, mean, name="custom"):

@@ -5,6 +5,7 @@ The numeric targets here were computed independently with exact algebra
 shows up as a drift from these constants.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -33,7 +34,14 @@ from parkcrit.errors import (
     NoSolution,
     NotCritical,
 )
-from parkcrit.laws import CustomAnalyticLaw, binary0k, geometric, nongeneric_example, poisson
+from parkcrit.laws import (
+    CustomAnalyticLaw,
+    binary0k,
+    geometric,
+    make_finite_law,
+    nongeneric_example,
+    poisson,
+)
 
 B02_CRIT = binary0k(Fraction(1, 14))
 B02_SUB = binary0k(0.05)
@@ -231,6 +239,132 @@ def test_alpha_c_negative_tol_exhausts_the_cap(monkeypatch):
     assert find_alpha_c("poisson", tol=1e-12) == pytest.approx(0.1, abs=1e-12)
     with pytest.raises(IterationCapExceeded):
         find_alpha_c("poisson", tol=-1.0)
+
+
+# (regime, float.hex of the RegimeReport fields below, first 16 hex digits of
+# the sha256 of the float.hex strings of flux_distribution(law, 60).probs) per
+# exact law, recorded while every float t still went through the mixed
+# Fraction-float expressions of the exact path
+PINNED_FIELDS = (
+    "critical_time", "crit_density", "gf_at_crit", "lhs", "rhs", "gap",
+    "empty_prob", "occupied_no_flux_prob",
+)
+PINNED_EXACT_LAWS = {
+    ("binary0k", ("1/20", 2)): (
+        "subcritical",
+        (
+            "0x1.cd82b44615a60p+1", "0x1.0a418f6382a0dp+0",
+            "0x1.16b28f55d72d5p+0", "0x1.0b29ea5b1c269p+1",
+            "0x1.b19050c18297dp+0", "0x1.930e0fd2d6d54p-2",
+            "0x1.d664b5600446cp-1", "0x1.a9d4f6385b990p-5",
+        ),
+        "93da00dd3f84c298",
+    ),
+    ("binary0k", ("1/14", 2)): (
+        "critical",
+        (
+            "0x1.7ffffffffff9fp+1", "0x1.c000000000000p-1",
+            "0x1.16b28f55d72d4p+0", "0x1.4924924924802p+0",
+            "0x1.4924924924802p+0", "0x0.0p+0",
+            "0x1.c000000000000p-1", "0x1.3dc3d6b1c4798p-4",
+        ),
+        "5108c8a286de3901",
+    ),
+    ("binary0k", ("0.013", 3)): (
+        "subcritical",
+        (
+            "0x1.9cb8b2f213c80p+1", "0x1.24a77a44f1693p+0",
+            "0x1.0a4b47dcb3f42p+0", "0x1.659e045247225p+0",
+            "0x1.f052d4732ec39p-1", "0x1.b5d26862bf022p-2",
+            "0x1.ef4fe34d01f3cp-1", "0x1.2bd30a3197620p-6",
+        ),
+        "47c0d53861c92818",
+    ),
+    ("binary0k", ("0.3", 30)): (
+        "supercritical",
+        (
+            "0x1.e559402fd390fp-1", "0x1.da605175df165p-2",
+            "0x1.0022423d48170p+0", "-0x1.0b2c964c7f8aep+0",
+            "-0x1.9bb6edbf3cd4ap-9", "-0x1.0a5ebad59fec7p+0",
+            None, None,
+        ),
+        None,
+    ),
+    ("finite", ("0.98", "0.01", "0.006", "0.004")): (
+        "subcritical",
+        (
+            "0x1.892221793b220p+1", "0x1.073d49cae1a72p+0",
+            "0x1.0f732cdd881eap+0", "0x1.44836a893a77bp+0",
+            "0x1.04abd231f2acfp+0", "0x1.febcc2ba3e560p-3",
+            "0x1.e0b10a8dfd62ap-1", "0x1.471a78028f590p-5",
+        ),
+        "7fa10ffadf42253b",
+    ),
+    ("finite", ("0.985", "0.005", "0", "0.006", "0.004")): (
+        "supercritical",
+        (
+            "0x1.f27a3482bbf8dp+0", "0x1.795a1768de32ap-1",
+            "0x1.0862cf72759e8p+0", "-0x1.da7f3b9ec72b5p-5",
+            "0x1.696b6a20076b2p-2", "-0x1.a4bb5193e0509p-2",
+            None, None,
+        ),
+        None,
+    ),
+    ("geometric", ("1/8",)): (
+        "critical",
+        (
+            "0x1.7ffffffffff9fp+1", "0x1.afffffffffffep-1",
+            "0x1.279a74590331cp+0", "0x1.5555555555428p+0",
+            "0x1.555555555542ap+0", "-0x1.0000000000000p-51",
+            "0x1.afffffffffffep-1", "0x1.0b529158d5904p-3",
+        ),
+        "b79a440bba28bb4a",
+    ),
+    ("geometric", ("1/10",)): (
+        "subcritical",
+        (
+            "0x1.d555555555403p+1", "0x1.0222222222223p+0",
+            "0x1.279a74590331bp+0", "0x1.22e8ba2e8b7f8p+1",
+            "0x1.d1745d17458a9p+0", "0x1.d1745d1745d1cp-2",
+            "0x1.c4e3a050533d0p-1", "0x1.a13882e6cff78p-4",
+        ),
+        "c1f8383dd5d932ce",
+    ),
+    ("nongeneric_example", ("1/10",)): (
+        "subcritical",
+        (
+            "0x1.8000000000000p+1", "0x1.6573ac901e572p+0",
+            "0x1.06d3ff06f5062p+0", "0x1.72c234f72c236p+0",
+            "0x1.0000000000000p+0", "0x1.cb08d3dcb08d8p-2",
+            "0x1.f6e92d352e882p-1", "0x1.13fa3cc6cbd00p-6",
+        ),
+        "2efbcff9aa5f1b5d",
+    ),
+}
+
+
+def _pinned_law(kind, args):
+    if kind == "finite":
+        return make_finite_law([Fraction(a) for a in args])
+    if kind == "binary0k":
+        return binary0k(Fraction(args[0]), args[1])
+    return {"geometric": geometric, "nongeneric_example": nongeneric_example}[kind](
+        Fraction(args[0])
+    )
+
+
+@pytest.mark.parametrize("kind, args", list(PINNED_EXACT_LAWS))
+def test_exact_law_answers_pinned(kind, args):
+    law = _pinned_law(kind, args)
+    rep = classify(law)
+    fields = tuple(
+        None if getattr(rep, f) is None else getattr(rep, f).hex() for f in PINNED_FIELDS
+    )
+    digest = None
+    if rep.empty_prob is not None:
+        probs = flux_distribution(law, 60).probs
+        digest = hashlib.sha256(" ".join(p.hex() for p in probs).encode()).hexdigest()[:16]
+    assert (rep.regime, fields, digest) == PINNED_EXACT_LAWS[kind, args]
 
 
 @pytest.mark.parametrize(

@@ -254,6 +254,34 @@ def test_simulate_budget(capsys):
     assert "Budget" in err
 
 
+SIMULATE = ("simulate", "--family", "poisson", "--alpha", "0.1")
+ENUMERATE = ("enumerate", "--family", "binary0k", "--alpha", "1/14")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (SIMULATE + ("--depth", "4", "--samples", "10", "--threads", "0"), "--threads"),
+        (SIMULATE + ("--depth", "-1", "--samples", "10"), "--depth"),
+        (SIMULATE + ("--depth", "4", "--samples", "0"), "--samples"),
+        (SIMULATE + ("--depth", "4", "--samples", "10", "--seed", "-1"), "--seed"),
+        (ENUMERATE + ("--vertex-order", "0", "--flux-order", "2"), "--vertex-order"),
+        (ENUMERATE + ("--vertex-order", "3", "--flux-order", "-1"), "--flux-order"),
+        (("flux", "--family", "binary0k", "--alpha", "1/20", "--order", "1"), "--order"),
+        (("sweep", "--families", "binary0k", "--tol", "-1"), "--tol"),
+        (("sweep", "--families", "poisson", "--tol", "0"), "--tol"),
+        (("analyze", "--family", "poisson", "--alpha", "0.1", "--tol", "nan"), "--tol"),
+        (("verify", "--tol=-1e-9"), "--tol"),
+    ],
+)
+def test_out_of_range_flags_are_input_errors(capsys, argv, flag):
+    # refused while parsing, before any numerical work can report exit 3
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag}: must be" in err
+
+
 def test_verify_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--family", "binary0k", "--alpha", "1/14")
     assert code == 0

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from parkcrit.analytic import GRID_START, TIME_BUDGET
 from parkcrit.errors import (
     BadFamilyParameter,
     EvaluationBeyondRadius,
@@ -194,3 +195,91 @@ def test_equality_and_hashing():
 def test_describe_mentions_parameters():
     assert "1/14" in binary0k(Fraction(1, 14)).describe()
     assert "poisson" in poisson(0.3).describe()
+
+
+def _reference_derivatives(law, t, order):
+    """G, G', ... at t by the mixed Fraction-float expressions of the exact path.
+
+    A float t used to go through these for every law; the float constants a
+    law now computes once must reproduce them bit for bit.
+    """
+    if law.kind == "finite":
+        out = []
+        for j in range(order + 1):
+            acc = 0
+            for k, p in enumerate(law.probs):
+                if p and k >= j:
+                    acc += math.perm(k, j) * p * t ** (k - j)
+            out.append(acc)
+        return tuple(out)
+    if law.kind == "binary0k":
+        k = law.k
+        pk = law.alpha / k
+        return (1 - pk + pk * t**k,) + tuple(
+            math.perm(k, j) * pk * t ** (k - j) for j in range(1, order + 1)
+        )
+    if law.kind == "geometric":
+        a = law.alpha
+        g = 1 / (1 + a - a * t)
+        out = [g]
+        for j in range(1, order + 1):
+            out.append(out[-1] * (j * a) * g)
+        return tuple(out)
+    if law.kind == "poisson":
+        g = math.exp(law.alpha * (t - 1.0))
+        return tuple(g * law.alpha**j for j in range(order + 1))
+    m = float(law.mix)
+    u = (3.0 - t) / 2.0
+    return (
+        1.0 - m + m * (1.0 + (1.0 + t * t) / 26.0 - (u ** (7.0 / 3.0)) / 13.0),
+        m * (t / 13.0 + (7.0 / 78.0) * u ** (4.0 / 3.0)),
+        m * (1.0 / 13.0 - (7.0 / 117.0) * u ** (1.0 / 3.0)),
+    )[: order + 1]
+
+
+FLOAT_PATH_LAWS = [
+    # at 0.3, k = 3 and 1/14, k = 30, float(falling(k, j) * p_k) is not
+    # falling(k, j) * float(p_k)
+    binary0k(Fraction("0.013"), k=2),
+    binary0k(Fraction("0.3"), k=3),
+    binary0k(Fraction(1, 14), k=30),
+    binary0k(0.013, k=2),
+    binary0k(0.3, k=3),
+    binary0k(2.718, k=30),
+    make_finite_law([Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)]),
+    make_finite_law(["0.985", "0.005", "0", "0.006", "0.004"]),
+    # float(12 * p_4) is not 12 * float(p_4) here
+    make_finite_law(["0.9", "0.03", "0.01", "0.007", "0.003", "0.05"]),
+    geometric(Fraction(1, 8)),
+    geometric(Fraction("0.0371")),
+    poisson(0.37),
+    nongeneric_example(Fraction(1, 10)),
+    nongeneric_example(Fraction(2, 3)),
+]
+
+
+@pytest.mark.parametrize("law", FLOAT_PATH_LAWS, ids=repr)
+def test_float_path_matches_mixed_expressions_bit_for_bit(law):
+    # the critical-time scan's range: a log grid up to the radius or the budget
+    cap = min(TIME_BUDGET, law.radius * (1 - 1e-12))
+    ts = [GRID_START * 1.1**i for i in range(int(math.log(cap / GRID_START, 1.1)) + 1)]
+    for t in ts + [cap]:
+        for order in range(3):
+            try:
+                want = _reference_derivatives(law, t, order)
+            except OverflowError:  # exp overflows far out for poisson
+                with pytest.raises(OverflowError):
+                    law.derivatives(t, order)
+                continue
+            got = law.derivatives(t, order)
+            assert all(type(v) is float for v in got)
+            # float.hex tells 0.0 from -0.0, which == does not
+            assert [v.hex() for v in got] == [v.hex() for v in want], (t, order)
+
+
+@pytest.mark.parametrize("law", [law for law in FLOAT_PATH_LAWS if law.is_exact], ids=repr)
+def test_exact_laws_stay_exact_at_exact_t(law):
+    for t in (Fraction(1, 3), 2, Fraction(7, 2)):
+        got = law.derivatives(t)
+        assert all(type(v) is Fraction for v in got)
+        assert got == _reference_derivatives(law, t, 2)
