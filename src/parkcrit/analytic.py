@@ -77,7 +77,7 @@ def _gf_from_time(law, t):
     This form stays well conditioned at the critical time, where the
     density variable itself is singular.
     """
-    g0, g1 = (float(v) for v in law.derivatives(t, 1))
+    g0, g1 = law.derivatives(t, 1)
     radicand = g0 - t * g1
     if radicand < 0:
         raise NegativeRadicand(f"G - t G' = {radicand!r} at t = {t!r}")
@@ -133,15 +133,14 @@ def find_critical_time(law):
         cap = radius * (1 - 1e-12)
         radius_within_budget = True
 
+    # the grid GRID_START * GRID_RATIO^i below cap, then cap; a NaN cap is
+    # the whole grid, hence "not t < cap" rather than "t >= cap"
     prev_t = 0.0
     t = GRID_START
-    grid = []
-    while t < cap:
-        grid.append(t)
-        t *= GRID_RATIO
-    grid.append(cap)
-
-    for t in grid:
+    while True:
+        last = not t < cap
+        if last:
+            t = cap
         m = kernel_margin(law, t)
         if m == 0.0:
             return CriticalTime(t, True, False, True)
@@ -151,6 +150,9 @@ def find_critical_time(law):
             )
             return CriticalTime(root, True, False, True)
         prev_t = t
+        if last:
+            break
+        t *= GRID_RATIO
 
     if not radius_within_budget:
         raise NoRootWithinBudget(
@@ -245,9 +247,9 @@ def _boundary(law, ct):
     """(test, lhs, rhs) at an evaluable critical time; lhs > rhs is subcritical."""
     t = ct.t
     if ct.margin_vanishes:
-        g0, g1 = (float(v) for v in law.derivatives(t, 1))
+        g0, g1 = law.derivatives(t, 1)
         return "kernel", (t - 2.0) * g0, t * (t - 1.0) * g1
-    return "radius", float(_fixed_point_value(law, t)), 1.0
+    return "radius", _fixed_point_value(law, t), 1.0
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -269,7 +271,7 @@ def classify(law, tol=MARGIN_TOL):
             regime, "none", False, t, None, None, None, None, None, None, None
         )
 
-    x = float(density_from_time(law, t))
+    x = density_from_time(law, t)
     gf = _gf_from_time(law, t)
     test, lhs, rhs = _boundary(law, ct)
     gap = lhs - rhs
@@ -326,7 +328,7 @@ def critical_quantities(law, tol=MARGIN_TOL):
     if report.regime != "critical":
         raise NotCritical(f"{law.describe()} is {report.regime}")
     t = report.critical_time
-    g0 = float(law.derivatives(t, 0)[0])
+    g0 = law.derivatives(t, 0)[0]
     p_empty = t * t / (4.0 * (t - 1.0) * g0)
     p_occ = _occupied_no_flux(law, p_empty)
     return CriticalQuantities(

@@ -6,6 +6,12 @@ derivatives, its convergence radius, its mean, and its coefficients.
 Families are parametrized by the mean arrival count alpha, so sweeps
 across different families compare like for like.
 
+Each law writes G, G' and G'' once.  The finite, binary0k and geometric
+laws state the constants of that expression exactly in ``_consts``; a law
+keeps only their floats, and a float t is evaluated from those.  Each is
+the float that the mixed Fraction-float expression rounds to, so a float
+t gets the same bits either way, and an exact t still gets Fractions.
+
 Laws whose coefficients are exact rationals additionally support exact
 coefficient extraction, which the enumeration code requires.
 """
@@ -50,17 +56,12 @@ def _as_exact(value, what):
 
 
 def _as_param(value, what):
-    """Families accept exact rationals or floats; floats forfeit exactness."""
+    """Families accept exact rationals or finite floats; floats forfeit exactness."""
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise BadFamilyParameter(f"{what} must be finite, got {value!r}")
         return value
     return _as_exact(value, what)
-
-
-# Highest order that a float t gets from the float constants each law computes
-# once in __init__; the critical-time scan and the bisections ask for at most
-# G''. Each constant is the float that the exact path's mixed Fraction-float
-# expression rounds to at the same step, so both paths give the same bits.
-FLOAT_ORDERS = 2
 
 
 class ArrivalLaw:
@@ -68,6 +69,7 @@ class ArrivalLaw:
 
     __slots__ = ()  # each law lists its fields: caches keep thousands of laws alive
     kind = "abstract"
+    max_order = 2  # G, G', G'': all that the regime decision asks for
 
     @property
     def radius(self):
@@ -84,7 +86,10 @@ class ArrivalLaw:
         return float(self.coefficient(0))
 
     def derivatives(self, t, order=2):
-        """(G(t), G'(t), ..., G^(order)(t)); exact when t and the law are."""
+        """(G(t), G'(t), ..., G^(order)(t)) for order in 0..max_order.
+
+        Exact when t and the law are.
+        """
         raise NotImplementedError
 
     def coefficient(self, k):
@@ -123,7 +128,11 @@ class ArrivalLaw:
     def __repr__(self):
         return self.describe()
 
-    def _check_t(self, t):
+    def _check(self, t, order):
+        if not 0 <= order <= self.max_order:
+            raise OutOfDomain(
+                f"derivative order {order!r} is outside 0..{self.max_order}"
+            )
         if t < 0:
             raise OutOfDomain(f"generating function argument {t!r} is negative")
 
@@ -131,7 +140,7 @@ class ArrivalLaw:
 class FiniteSupportLaw(ArrivalLaw):
     """Arrival law with finitely many atoms and exact rational masses."""
 
-    __slots__ = ("probs", "_float_rows")
+    __slots__ = ("probs", "_float_consts")
     kind = "finite"
 
     def __init__(self, probs):
@@ -152,10 +161,15 @@ class FiniteSupportLaw(ArrivalLaw):
                 "process is trivially subcritical"
             )
         self.probs = tuple(probs)
-        # row j: float(falling(k, j) * p_k) at index k - j, None where p_k = 0
-        self._float_rows = tuple(
-            tuple(float(_falling(k, j) * p) if p else None for k, p in enumerate(probs[j:], j))
-            for j in range(FLOAT_ORDERS + 1)
+        self._float_consts = tuple(
+            tuple(c if c is None else float(c) for c in row) for row in self._consts()
+        )
+
+    def _consts(self):
+        """Row j: falling(k, j) * p_k at index k - j, None where p_k = 0."""
+        return tuple(
+            tuple(_falling(k, j) * p if p else None for k, p in enumerate(self.probs[j:], j))
+            for j in range(self.max_order + 1)
         )
 
     @property
@@ -167,23 +181,13 @@ class FiniteSupportLaw(ArrivalLaw):
         return True
 
     def derivatives(self, t, order=2):
-        self._check_t(t)
-        if type(t) is float and 0 <= order <= FLOAT_ORDERS:
-            out = []
-            for row in self._float_rows[: order + 1]:
-                acc = 0.0
-                for e, c in enumerate(row):
-                    if c is not None:
-                        acc += c * t**e
-                out.append(acc)
-            return tuple(out)
+        self._check(t, order)
         out = []
-        for j in range(order + 1):
+        for row in (self._float_consts if type(t) is float else self._consts())[: order + 1]:
             acc = 0
-            for k in range(j, len(self.probs)):
-                p = self.probs[k]
-                if p:
-                    acc += _falling(k, j) * p * t ** (k - j)
+            for e, c in enumerate(row):
+                if c is not None:
+                    acc += c * t**e
             out.append(acc)
         return tuple(out)
 
@@ -222,11 +226,12 @@ class Binary0kLaw(ArrivalLaw):
             )
         self.alpha = alpha
         self.k = k
-        pk = alpha / k
-        # float(1 - pk), then float(falling(k, j) * pk) for j = 0, 1, 2
-        self._float_consts = (float(1 - pk),) + tuple(
-            float(_falling(k, j) * pk) for j in range(FLOAT_ORDERS + 1)
-        )
+        self._float_consts = tuple(float(c) for c in self._consts())
+
+    def _consts(self):
+        """1 - p_k, then falling(k, j) * p_k for j = 0, 1, 2."""
+        pk = self.alpha / self.k
+        return (1 - pk,) + tuple(_falling(self.k, j) * pk for j in range(self.max_order + 1))
 
     @property
     def radius(self):
@@ -237,21 +242,10 @@ class Binary0kLaw(ArrivalLaw):
         return isinstance(self.alpha, Fraction)
 
     def derivatives(self, t, order=2):
-        self._check_t(t)
-        if type(t) is float and 0 <= order <= FLOAT_ORDERS:
-            c, p0, p1, p2 = self._float_consts
-            k = self.k
-            return (c + p0 * t**k, p1 * t ** (k - 1), p2 * t ** (k - 2))[: order + 1]
-        pk = self.alpha / self.k
-        out = []
-        for j in range(order + 1):
-            if j == 0:
-                out.append(1 - pk + pk * t**self.k)
-            elif j <= self.k:
-                out.append(_falling(self.k, j) * pk * t ** (self.k - j))
-            else:
-                out.append(0 * pk)
-        return tuple(out)
+        self._check(t, order)
+        c, p0, p1, p2 = self._float_consts if type(t) is float else self._consts()
+        k = self.k
+        return (c + p0 * t**k, p1 * t ** (k - 1), p2 * t ** (k - 2))[: order + 1]
 
     def coefficient(self, k):
         if k == 0:
@@ -276,7 +270,7 @@ class Binary0kLaw(ArrivalLaw):
 class PoissonLaw(ArrivalLaw):
     """Poisson arrivals with mean alpha; G(t) = exp(alpha (t - 1))."""
 
-    __slots__ = ("alpha", "_alpha_repr", "_powers")
+    __slots__ = ("alpha", "_alpha_repr", "_alpha_sq")
     kind = "poisson"
 
     def __init__(self, alpha):
@@ -285,19 +279,16 @@ class PoissonLaw(ArrivalLaw):
             raise BadFamilyParameter(f"poisson mean must be positive, got {alpha!r}")
         self.alpha = float(alpha)
         self._alpha_repr = alpha
-        self._powers = tuple(self.alpha**j for j in range(1, FLOAT_ORDERS + 1))
+        self._alpha_sq = self.alpha**2
 
     @property
     def radius(self):
         return math.inf
 
     def derivatives(self, t, order=2):
-        self._check_t(t)
+        self._check(t, order)
         g = math.exp(self.alpha * (float(t) - 1.0))
-        if 0 <= order <= FLOAT_ORDERS:
-            a1, a2 = self._powers
-            return (g, g * a1, g * a2)[: order + 1]
-        return tuple(g * self.alpha**j for j in range(order + 1))
+        return (g, g * self.alpha, g * self._alpha_sq)[: order + 1]
 
     def coefficient(self, k):
         a = self.alpha
@@ -325,8 +316,12 @@ class GeometricLaw(ArrivalLaw):
         if alpha <= 0:
             raise BadFamilyParameter(f"geometric mean must be positive, got {alpha!r}")
         self.alpha = alpha
-        # float(1 + a), then float(j * a) for j = 1, 2
-        self._float_consts = (float(1 + alpha), float(alpha), float(2 * alpha))
+        self._float_consts = tuple(float(c) for c in self._consts())
+
+    def _consts(self):
+        """1 + a, a and 2a: G = 1/(1 + a - a t), G' = G a G, G'' = G' 2a G."""
+        a = self.alpha
+        return (1 + a, a, 2 * a)
 
     @property
     def radius(self):
@@ -337,25 +332,17 @@ class GeometricLaw(ArrivalLaw):
         return isinstance(self.alpha, Fraction)
 
     def derivatives(self, t, order=2):
-        self._check_t(t)
-        if type(t) is float and 0 <= order <= FLOAT_ORDERS:
-            one_plus_a, a, two_a = self._float_consts
-            denom = one_plus_a - a * t
-            if denom > 0.0:  # else the exact path below raises
-                g = 1.0 / denom
-                g1 = g * a * g
-                return (g, g1, g1 * two_a * g)[: order + 1]
-        a = self.alpha
-        denom = 1 + a - a * t
+        self._check(t, order)
+        one_plus_a, a, two_a = self._float_consts if type(t) is float else self._consts()
+        denom = one_plus_a - a * t
         if denom <= 0:
             raise EvaluationBeyondRadius(
-                f"argument {t!r} is at or beyond the radius {(1 + a) / a}"
+                f"argument {t!r} is at or beyond the radius "
+                f"{(1 + self.alpha) / self.alpha}"
             )
-        g = 1 / denom if isinstance(denom, Fraction) else 1.0 / denom
-        out = [g]
-        for j in range(1, order + 1):
-            out.append(out[-1] * (j * a) * g)
-        return tuple(out)
+        g = 1 / denom
+        g1 = g * a * g
+        return (g, g1, g1 * two_a * g)[: order + 1]
 
     def coefficient(self, k):
         a = self.alpha
@@ -388,6 +375,7 @@ class NongenericExampleLaw(ArrivalLaw):
 
     __slots__ = ("mix", "_mix_f")
     kind = "nongeneric_example"
+    max_order = 3
 
     def __init__(self, mix=1):
         mix = _as_param(mix, "mix")
@@ -401,7 +389,7 @@ class NongenericExampleLaw(ArrivalLaw):
         return 3.0
 
     def derivatives(self, t, order=2):
-        self._check_t(t)
+        self._check(t, order)
         t = float(t)
         if t > 3.0:
             raise EvaluationBeyondRadius(f"argument {t!r} exceeds the radius 3")
@@ -418,8 +406,6 @@ class NongenericExampleLaw(ArrivalLaw):
                     "third derivative diverges at the radius"
                 )
             out.append(m * (7.0 / 702.0) * u ** (-2.0 / 3.0))
-        if order >= 4:
-            raise OutOfDomain("derivatives beyond order 3 are not implemented")
         return tuple(out)
 
     def coefficient(self, k):
@@ -478,7 +464,7 @@ class CustomAnalyticLaw(ArrivalLaw):
         return self._mu0
 
     def derivatives(self, t, order=2):
-        self._check_t(t)
+        self._check(t, order)
         out = self._derivs(float(t), order)
         return tuple(float(v) for v in out)
 

@@ -37,6 +37,7 @@ estimates converge from below as depth grows.
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -266,12 +267,22 @@ def _root_load_chunk(draw, depth, seed, start, stop):
     return out
 
 
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_chunks(chunk, draw, depth, seed, samples, threads):
-    """chunk(draw, depth, seed, start, stop) per thread's range, in sample order."""
+    """chunk(draw, depth, seed, start, stop) over `threads` ranges, in sample order.
+
+    At most one worker per usable CPU runs them: a thread beyond the cores
+    only adds GIL hand-overs.
+    """
     if threads == 1 or samples < 2 * threads:
         return [chunk(draw, depth, seed, 0, samples)]
     step = -(-samples // threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=min(threads, _usable_cpus())) as pool:
         futs = [
             pool.submit(chunk, draw, depth, seed, a, min(a + step, samples))
             for a in range(0, samples, step)

@@ -340,17 +340,82 @@ PINNED_EXACT_LAWS = {
         ),
         "2efbcff9aa5f1b5d",
     ),
+    # float parameters, recorded while a float t still had its own expression
+    # beside the exact one; binary0k(0.05) gives what binary0k(1/20) gives
+    ("binary0k", (0.05, 2)): (
+        "subcritical",
+        (
+            "0x1.cd82b44615a60p+1", "0x1.0a418f6382a0dp+0",
+            "0x1.16b28f55d72d5p+0", "0x1.0b29ea5b1c269p+1",
+            "0x1.b19050c18297dp+0", "0x1.930e0fd2d6d54p-2",
+            "0x1.d664b5600446cp-1", "0x1.a9d4f6385b990p-5",
+        ),
+        "93da00dd3f84c298",
+    ),
+    ("binary0k", (0.3, 3)): (
+        "supercritical",
+        (
+            "0x1.1854a6c7ba292p+0", "0x1.b7d0923618affp-2",
+            "0x1.0a4b47dcb3f44p+0", "-0x1.ddd85033cb3c7p-1",
+            "0x1.32b3d3dd6056fp-5", "-0x1.f1038d71a141ep-1",
+            None, None,
+        ),
+        None,
+    ),
+    ("poisson", (0.1,)): (
+        "subcritical",
+        (
+            "0x1.76e73ffc1e9e2p+2", "0x1.462e93ccc18dbp+0",
+            "0x1.384c418a0355fp+0", "0x1.9154672398a5ep+2",
+            "0x1.2808423ab7cffp+2", "0x1.a53093a38357cp+0",
+            "0x1.c95db352c0c9ep-1", "0x1.9adbc47052310p-4",
+        ),
+        "22e7703847ec240b",
+    ),
+    ("poisson", (3 - 2 * math.sqrt(2),)): (
+        "critical",
+        (
+            "0x1.b504f333f9de6p+1", "0x1.986fd998db4a9p-1",
+            "0x1.384c418a03561p+0", "0x1.11ea35da10ec2p+1",
+            "0x1.11ea35da10ebcp+1", "0x1.8000000000000p-49",
+            "0x1.986fd998db4a9p-1", "0x1.6748857a84dacp-3",
+        ),
+        "5bce8b3239d19038",
+    ),
+    ("geometric", (0.05,)): (
+        "subcritical",
+        (
+            "0x1.bfffffffffeb6p+2", "0x1.d666666666665p+0",
+            "0x1.279a74590331cp+0", "0x1.c9249249246a6p+2",
+            "0x1.1249249248fcbp+2", "0x1.6db6db6db6db6p+1",
+            "0x1.e4e09fe01ceaap-1", "0x1.9ae624ba93540p-5",
+        ),
+        "28f4cea25947f82a",
+    ),
+    ("geometric", (0.125,)): (
+        "critical",
+        (
+            "0x1.7ffffffffff9fp+1", "0x1.afffffffffffep-1",
+            "0x1.279a74590331cp+0", "0x1.5555555555428p+0",
+            "0x1.555555555542ap+0", "-0x1.0000000000000p-51",
+            "0x1.afffffffffffep-1", "0x1.0b529158d5904p-3",
+        ),
+        "2d17abb6e923ae91",
+    ),
 }
 
 
 def _pinned_law(kind, args):
+    # floats pass through as floats; strings become Fractions
+    args = [a if isinstance(a, (float, int)) else Fraction(a) for a in args]
     if kind == "finite":
-        return make_finite_law([Fraction(a) for a in args])
-    if kind == "binary0k":
-        return binary0k(Fraction(args[0]), args[1])
-    return {"geometric": geometric, "nongeneric_example": nongeneric_example}[kind](
-        Fraction(args[0])
-    )
+        return make_finite_law(args)
+    return {
+        "binary0k": binary0k,
+        "poisson": poisson,
+        "geometric": geometric,
+        "nongeneric_example": nongeneric_example,
+    }[kind](*args)
 
 
 @pytest.mark.parametrize("kind, args", list(PINNED_EXACT_LAWS))
@@ -405,6 +470,39 @@ def test_margin_positive_forever_exhausts_budget():
     )
     with pytest.raises(NoRootWithinBudget):
         find_critical_time(law)
+
+
+def _flat_law(radius, visited):
+    """G = 1 everywhere: the margin is 2 at every t the scan visits."""
+
+    def derivs(t, order):
+        visited.append(t)
+        return (1.0,) + (0.0,) * order
+
+    return CustomAnalyticLaw(derivs, radius, 0.5, 0.4, f"flat to {radius}")
+
+
+def test_scan_visits_the_geometric_grid_then_the_cap():
+    visited = []
+    assert find_critical_time(_flat_law(10.0, visited)) == analytic.CriticalTime(
+        10.0, False, True, True
+    )
+    cap = 10.0 * (1 - 1e-12)
+    grid = [analytic.GRID_START]
+    while grid[-1] * analytic.GRID_RATIO < cap:
+        grid.append(grid[-1] * analytic.GRID_RATIO)
+    # the grid and the cap, then the probe at the radius
+    assert visited == grid + [cap, 10.0]
+    assert len(visited) == 333
+
+
+def test_scan_with_a_nan_cap_visits_only_the_cap():
+    visited = []
+    ct = find_critical_time(_flat_law(math.nan, visited))
+    assert math.isnan(ct.t)
+    assert (ct.margin_vanishes, ct.at_radius, ct.evaluable) == (False, True, True)
+    # the cap, then the probe at the radius, both NaN
+    assert len(visited) == 2 and all(math.isnan(t) for t in visited)
 
 
 def _unevaluable_at(radius):

@@ -283,3 +283,50 @@ def test_exact_laws_stay_exact_at_exact_t(law):
         got = law.derivatives(t)
         assert all(type(v) is Fraction for v in got)
         assert got == _reference_derivatives(law, t, 2)
+
+
+FLOAT_PARAMETER_LAWS = [law for law in FLOAT_PATH_LAWS if not law.is_exact] + [
+    geometric(0.05),
+    geometric(0.125),
+]
+
+
+@pytest.mark.parametrize("law", FLOAT_PARAMETER_LAWS, ids=repr)
+def test_float_laws_at_int_t_match_mixed_expressions_bit_for_bit(law):
+    # an int t goes through the exact constants, which are floats here
+    for t in (t for t in (0, 1, 2, 3, 7) if t < law.radius):
+        for order in range(3):
+            got = law.derivatives(t, order)
+            want = _reference_derivatives(law, t, order)
+            assert [v.hex() for v in got] == [v.hex() for v in want], (t, order)
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        make_finite_law([Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)]),
+        binary0k(Fraction(1, 14)),
+        binary0k(0.3, k=3),
+        poisson(0.37),
+        geometric(Fraction(1, 8)),
+        geometric(0.05),
+    ],
+    ids=repr,
+)
+def test_orders_beyond_two_are_refused(law):
+    for t in (0.5, Fraction(1, 2)):
+        with pytest.raises(OutOfDomain):
+            law.derivatives(t, order=3)
+        with pytest.raises(OutOfDomain):
+            law.derivatives(t, order=-1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "make",
+    [binary0k, lambda a: binary0k(a, k=3), poisson, geometric, nongeneric_example],
+    ids=["binary0k", "binary0k-k3", "poisson", "geometric", "nongeneric_example"],
+)
+def test_non_finite_float_parameters_are_refused(make, bad):
+    with pytest.raises(BadFamilyParameter):
+        make(bad)

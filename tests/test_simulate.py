@@ -8,6 +8,7 @@ import hashlib
 import math
 import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -98,6 +99,33 @@ def test_thread_count_does_not_change_the_stream_at_batch_edges(law, depth):
         for threads in (2, 3, 4):
             several = sample_root_load(law, depth, samples, seed=9, threads=threads)
             assert np.array_equal(one, several), (samples, threads)
+
+
+def test_workers_never_outnumber_the_cpus(monkeypatch):
+    # threads = 4 still runs 4 chunks, so the same chunk edges, but on the
+    # one worker that a single usable CPU allows
+    one = sample_root_load(B02, depth=5, samples=130, seed=9, threads=1)
+    chunks, pools = [], []
+    root_load_chunk = simulate._root_load_chunk
+
+    def chunk(draw, depth, seed, start, stop):
+        chunks.append((start, stop))
+        return root_load_chunk(draw, depth, seed, start, stop)
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(simulate, "_root_load_chunk", chunk)
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", Pool)
+    assert np.array_equal(one, sample_root_load(B02, depth=5, samples=130, seed=9, threads=4))
+    assert chunks == [(0, 33), (33, 66), (66, 99), (99, 130)]
+    assert pools == [1]
+    assert estimate_root_law(B02, depth=5, samples=130, seed=9, threads=4).threads == 4
+    assert root_cluster_stats(B02, depth=5, samples=130, seed=9, threads=4).threads == 4
+    assert pools == [1, 1, 1]
 
 
 def test_threads_default_to_one_whatever_the_environment(monkeypatch):
