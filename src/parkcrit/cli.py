@@ -8,6 +8,7 @@ failed verification check.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -99,36 +100,30 @@ def _law_from_spec(spec):
     raise LawError("law spec needs a 'finite' or a 'family' entry")
 
 
-def _load_law(args):
-    given = [
-        args.law is not None,
-        args.family is not None,
-        bool(getattr(args, "finite", None)),
-    ]
+def _load_law(args, default=None):
+    """The law of --law, --finite or the family flags, through one spec path.
+
+    The family flags form the {"family": {...}} object a law file holds,
+    with only the flags given, so they are refused the same way.
+    """
+    flags = {"name": args.family, "alpha": args.alpha, "k": args.k, "mix": args.mix}
+    family = {key: value for key, value in flags.items() if value is not None}
+    given = [args.law is not None, bool(family), bool(args.finite)]
+    if not any(given) and default is not None:
+        return default
     if sum(given) != 1:
         raise LawError("specify the law exactly one way: --law, --family, or --finite")
     if args.law is not None:
         with open(args.law, "r", encoding="utf-8") as fh:
             return _law_from_spec(json.load(fh))
-    if getattr(args, "finite", None):
-        return make_finite_law([_exact_number(p, "mass") for p in args.finite])
-    spec = {"family": {"name": args.family}}
-    if args.family == "nongeneric_example":
-        spec["family"]["mix"] = args.mix if args.mix is not None else 1
-    else:
-        if args.alpha is None:
-            raise LawError(f"family {args.family} needs --alpha")
-        spec["family"]["alpha"] = args.alpha
-        if args.family == "binary0k":
-            spec["family"]["k"] = args.k
-    return _law_from_spec(spec)
+    return _law_from_spec({"finite": args.finite} if args.finite else {"family": family})
 
 
 def _add_law_flags(sub):
     sub.add_argument("--law", help="path to a JSON law spec")
     sub.add_argument("--family", choices=sorted(FAMILIES), help="family name")
     sub.add_argument("--alpha", help="family mean, exact string like 1/14 or 0.05")
-    sub.add_argument("--k", type=int, default=2, help="support point for binary0k")
+    sub.add_argument("--k", help="support point for binary0k, an integer (default 2)")
     sub.add_argument("--mix", help="mixing weight for nongeneric_example")
     sub.add_argument(
         "--finite", nargs="+", metavar="MASS",
@@ -180,6 +175,15 @@ def _write(args, text):
         sys.stdout.write(text)
 
 
+def _record(rec, **rename):
+    """A result record's fields in declaration order, law_desc left out."""
+    return {
+        rename.get(f.name, f.name): getattr(rec, f.name)
+        for f in dataclasses.fields(rec)
+        if f.name != "law_desc"
+    }
+
+
 def _law_payload(law):
     return {
         "kind": law.kind,
@@ -195,26 +199,11 @@ def _law_payload(law):
 def _cmd_analyze(args):
     law = _load_law(args)
     rep = classify(law, args.tol)
-    payload = {
-        "law": _law_payload(law),
-        "regime": rep.regime,
-        "boundary_test": rep.test,
-        "margin_vanishes": rep.margin_vanishes,
-        "critical_time": rep.critical_time,
-        "crit_density": rep.crit_density,
-        "gf_at_crit": rep.gf_at_crit,
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-        "gap": rep.gap,
-        "empty_prob": rep.empty_prob,
-        "occupied_no_flux_prob": rep.occupied_no_flux_prob,
-    }
+    payload = {"law": _law_payload(law), **_record(rep, test="boundary_test")}
     if rep.empty_prob is not None:
         payload["moments"] = mean_identities(law, args.tol)
         off = empty_vertex_offspring(rep.empty_prob, rep.occupied_no_flux_prob)
-        payload["empty_vertex_offspring"] = {
-            "p0": off.p0, "p1": off.p1, "p2": off.p2, "mean": off.mean,
-        }
+        payload["empty_vertex_offspring"] = _record(off)
     if rep.regime == "critical":
         cq = critical_quantities(law, args.tol)
         payload["critical_closed_form"] = {
@@ -241,6 +230,8 @@ def _cmd_analyze(args):
 
 def _cmd_sweep(args):
     families = [f.strip() for f in args.families.split(",") if f.strip()]
+    if not families:
+        raise LawError("--families names no family")
     results = []
     for fam in families:
         if fam not in FAMILIES:
@@ -257,9 +248,8 @@ def _cmd_sweep(args):
                 "tol": args.tol,
             }
         )
-    rows = [["family", "k", "critical_mean", "tol"]]
-    for r in results:
-        rows.append([r["family"], r["k"], r["critical_mean"], r["tol"]])
+    rows = [list(results[0])]
+    rows.extend(list(r.values()) for r in results)
     _emit(args, {"results": results}, rows)
     return 0
 
@@ -292,16 +282,7 @@ def _cmd_enumerate(args):
 def _cmd_flux(args):
     law = _load_law(args)
     fd = flux_distribution(law, order=args.order, tol=args.tol)
-    payload = {
-        "law": _law_payload(law),
-        "order": args.order,
-        "empty_prob": fd.empty_prob,
-        "occupied_no_flux_prob": fd.occupied_no_flux_prob,
-        "mean_flux": fd.mean_flux,
-        "mean_occupancy": fd.mean_occupancy,
-        "tail_mass": fd.tail_mass,
-        "probs": list(fd.probs),
-    }
+    payload = {"law": _law_payload(law), "order": args.order, **_record(fd)}
     rows = [["k", "probability"]]
     rows.extend([k, p] for k, p in enumerate(fd.probs))
     _emit(args, payload, rows)
@@ -310,56 +291,24 @@ def _cmd_flux(args):
 
 def _cmd_simulate(args):
     law = _load_law(args)
+    measure = root_cluster_stats if args.cluster else estimate_root_law
+    st = measure(law, args.depth, args.samples, args.seed, args.threads, args.budget)
     if args.cluster:
-        st = root_cluster_stats(
-            law, args.depth, args.samples, args.seed, args.threads, args.budget
-        )
-        payload = {
-            "law": _law_payload(law),
-            "depth": st.depth,
-            "samples": st.samples,
-            "seed": st.seed,
-            "threads": st.threads,
-            "censored": st.censored,
-            "size_counts": list(st.size_counts),
-            "elapsed_seconds": st.elapsed_seconds,
-            "mnodes_per_s": st.mnodes_per_s,
-        }
         rows = [["size", "count"]]
         rows.extend([n, c] for n, c in enumerate(st.size_counts) if c or n == 0)
-        _emit(args, payload, rows)
-        return 0
-    st = estimate_root_law(
-        law, args.depth, args.samples, args.seed, args.threads, args.budget
-    )
-    payload = {
-        "law": _law_payload(law),
-        "depth": st.depth,
-        "samples": st.samples,
-        "seed": st.seed,
-        "threads": st.threads,
-        "empty_prob_hat": st.empty_prob_hat,
-        "empty_prob_ci": st.empty_prob_ci,
-        "mean_load": st.mean_load,
-        "root_load_counts": list(st.root_load_counts),
-        "flux_probs": list(st.flux_probs),
-        "elapsed_seconds": st.elapsed_seconds,
-        "mnodes_per_s": st.mnodes_per_s,
-    }
-    rows = [["key", "value"]]
-    rows.append(["empty_prob_hat", st.empty_prob_hat])
-    rows.append(["empty_prob_ci", st.empty_prob_ci])
-    rows.append(["mean_load", st.mean_load])
-    rows.extend([f"flux_{k}", p] for k, p in enumerate(st.flux_probs))
+    else:
+        rows = [["key", "value"]]
+        rows.append(["empty_prob_hat", st.empty_prob_hat])
+        rows.append(["empty_prob_ci", st.empty_prob_ci])
+        rows.append(["mean_load", st.mean_load])
+        rows.extend([f"flux_{k}", p] for k, p in enumerate(st.flux_probs))
+    payload = {"law": _law_payload(law), **_record(st), "mnodes_per_s": st.mnodes_per_s}
     _emit(args, payload, rows)
     return 0
 
 
 def _cmd_verify(args):
-    if args.law or args.family or getattr(args, "finite", None):
-        law = _load_law(args)
-    else:
-        law = FAMILIES["binary0k"](Fraction(1, 14), 2)
+    law = _load_law(args, default=FAMILIES["binary0k"](Fraction(1, 14), 2))
     checks = []
 
     def record(name, passed, detail):
@@ -499,7 +448,7 @@ def build_parser():
     p.add_argument("--samples", type=_at_least(1), required=True)
     p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--threads", type=_at_least(1), default=1, help="worker threads")
-    p.add_argument("--budget", type=float, default=NODE_BUDGET,
+    p.add_argument("--budget", type=_POSITIVE_FLOAT, default=NODE_BUDGET,
                    help="cap on samples * 2^depth")
     p.add_argument("--cluster", action="store_true",
                    help="measure root cluster sizes instead of the root load")
@@ -535,3 +484,7 @@ def main(argv=None):
 
 def run():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -200,7 +200,7 @@ def _check_run(depth, samples, seed, budget):
     if not 0 <= seed < 2**64:
         raise OutOfDomain("seed must fit in 64 bits")
     cost = samples * 2**depth
-    if cost > budget:
+    if not cost <= budget:  # a NaN budget caps nothing, so it is refused too
         raise BudgetExceeded(
             f"samples * 2^depth = {cost:.3g} exceeds the budget {budget:.3g}"
         )
@@ -299,29 +299,31 @@ def sample_root_load(law, depth, samples, seed=0, threads=None, budget=NODE_BUDG
     return np.concatenate(parts)
 
 
-def _mnodes_per_s(stats):
-    """Millions of tree nodes simulated per second of elapsed_seconds."""
-    nodes = stats.samples * ((2 << stats.depth) - 1)
-    return nodes / stats.elapsed_seconds / 1e6 if stats.elapsed_seconds > 0 else math.inf
-
-
 @dataclass(frozen=True)
-class SimulationStats:
+class RunStats:
+    """What every Monte Carlo summary records about its run."""
+
     law_desc: str
     depth: int
     samples: int
     seed: int
     threads: int
+    elapsed_seconds: float  # checks, sampler and chunks
+
+    @property
+    def mnodes_per_s(self):
+        """Millions of tree nodes simulated per second of elapsed_seconds."""
+        nodes = self.samples * ((2 << self.depth) - 1)
+        return nodes / self.elapsed_seconds / 1e6 if self.elapsed_seconds > 0 else math.inf
+
+
+@dataclass(frozen=True)
+class SimulationStats(RunStats):
     root_load_counts: tuple  # histogram over the root load, index = load
     empty_prob_hat: float
     empty_prob_ci: float  # normal-approximation 95 percent half width
     mean_load: float
     flux_probs: tuple  # estimated P(root flux = k)
-    elapsed_seconds: float
-
-    @property
-    def mnodes_per_s(self):
-        return _mnodes_per_s(self)
 
     def flux_standard_error(self, k):
         p = self.flux_probs[k] if k < len(self.flux_probs) else 0.0
@@ -356,19 +358,9 @@ def estimate_root_law(law, depth, samples, seed=0, threads=None, budget=NODE_BUD
 
 
 @dataclass(frozen=True)
-class ClusterStats:
-    law_desc: str
-    depth: int
-    samples: int
-    seed: int
-    threads: int
+class ClusterStats(RunStats):
     size_counts: tuple  # histogram over root-cluster sizes, index = size
     censored: int  # clusters that touch the deepest simulated level
-    elapsed_seconds: float
-
-    @property
-    def mnodes_per_s(self):
-        return _mnodes_per_s(self)
 
     def size_prob(self, n):
         if n < len(self.size_counts):

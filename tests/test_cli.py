@@ -1,10 +1,15 @@
 """Command line interface: argument handling, output formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import parkcrit
 from parkcrit.cli import main
 from parkcrit.enumeration import FptTable, tutte_series
 from parkcrit.laws import binary0k
@@ -35,6 +40,7 @@ def test_analyze_accepts_decimal_alpha_exactly(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["law"]["params"]["alpha"] == "1/20"
+    assert doc["law"]["params"]["k"] == 2  # binary0k's default k
     assert doc["regime"] == "subcritical"
 
 
@@ -66,11 +72,15 @@ def test_finite_law_flag(capsys):
 
 
 def test_conflicting_law_flags_rejected(capsys):
-    code, _, err = run_cli(
-        capsys, "analyze", "--family", "poisson", "--alpha", "0.1", "--finite", "1"
-    )
-    assert code == 2
-    assert err
+    for argv in [
+        ("analyze", "--family", "poisson", "--alpha", "0.1", "--finite", "1"),
+        # family flags without --family still form a family spec
+        ("analyze", "--finite", "1/2", "1/4", "1/4", "--alpha", "0.1"),
+        ("verify", "--k", "3"),
+    ]:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert "LawError" in err
 
 
 def test_missing_law_rejected(capsys):
@@ -91,20 +101,31 @@ def test_degenerate_law_rejected(tmp_path, capsys):
     assert "Mu01IsOne" in err
 
 
+def law_argvs(tmp_path, family):
+    """The law as a --law file, then as the family flags holding the same keys."""
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps({"family": family}))
+    flags = [f"--{'family' if key == 'name' else key}={v}" for key, v in family.items()]
+    return [["--law", str(path)], flags]
+
+
 @pytest.mark.parametrize(
     "family",
     [
         {"name": "binary0k", "alpha": "1/14", "k": 2, "mix": 1},
         {"name": "nongeneric_example", "mix": "1/2", "alpha": "1/2"},
+        {"name": "nongeneric_example", "alpha": "1/2"},
         {"name": "poisson", "alpha": "1/10", "k": 2},
+        {"name": "poisson", "alpha": "0.1", "mix": "1/2"},
+        {"name": "geometric", "alpha": "1/8", "k": 3},
     ],
 )
 def test_law_file_with_unexpected_family_keys(tmp_path, capsys, family):
-    path = tmp_path / "law.json"
-    path.write_text(json.dumps({"family": family}))
-    code, _, err = run_cli(capsys, "analyze", "--law", str(path))
-    assert code == 2
-    assert "unexpected family keys" in err
+    # flags and law files share one spec path, so both refuse the same keys
+    for law in law_argvs(tmp_path, family):
+        code, _, err = run_cli(capsys, "analyze", *law)
+        assert code == 2, law
+        assert "unexpected family keys" in err
 
 
 @pytest.mark.parametrize(
@@ -121,14 +142,13 @@ def test_law_file_with_malformed_family(tmp_path, capsys, family):
 
 @pytest.mark.parametrize("k, code", [(3, 0), ("3", 0), (2.7, 2), ("5/2", 2), (True, 2)])
 def test_law_file_binary0k_k_must_be_an_integer(tmp_path, capsys, k, code):
-    path = tmp_path / "law.json"
-    path.write_text(json.dumps({"family": {"name": "binary0k", "alpha": "1/20", "k": k}}))
-    got, out, err = run_cli(capsys, "analyze", "--law", str(path))
-    assert got == code
-    if code:
-        assert "LawError" in err
-    else:
-        assert json.loads(out)["law"]["params"]["k"] == 3
+    for law in law_argvs(tmp_path, {"name": "binary0k", "alpha": "1/20", "k": k}):
+        got, out, err = run_cli(capsys, "analyze", *law)
+        assert got == code, law
+        if code:
+            assert "LawError" in err
+        else:
+            assert json.loads(out)["law"]["params"]["k"] == 3
 
 
 def test_law_file_with_unknown_keys(tmp_path, capsys):
@@ -147,6 +167,14 @@ def test_sweep(capsys):
     vals = {row["family"]: row["critical_mean"] for row in doc["results"]}
     assert vals["binary0k"] == pytest.approx(1 / 14, abs=1e-6)
     assert vals["geometric"] == pytest.approx(1 / 8, abs=1e-6)
+
+
+@pytest.mark.parametrize("families", [",", "", " , "])
+def test_sweep_refuses_an_empty_family_list(capsys, families):
+    code, out, err = run_cli(capsys, "sweep", "--families", families)
+    assert code == 2
+    assert out == ""
+    assert "LawError" in err
 
 
 def test_sweep_refuses_nongeneric_example(capsys):
@@ -273,6 +301,8 @@ ENUMERATE = ("enumerate", "--family", "binary0k", "--alpha", "1/14")
         (("sweep", "--families", "poisson", "--tol", "0"), "--tol"),
         (("analyze", "--family", "poisson", "--alpha", "0.1", "--tol", "nan"), "--tol"),
         (("verify", "--tol=-1e-9"), "--tol"),
+        (SIMULATE + ("--depth", "4", "--samples", "10", "--budget", "nan"), "--budget"),
+        (SIMULATE + ("--depth", "4", "--samples", "10", "--budget", "0"), "--budget"),
     ],
 )
 def test_out_of_range_flags_are_input_errors(capsys, argv, flag):
@@ -332,3 +362,100 @@ def test_floats_are_json_clean(capsys):
     doc = json.loads(out)
     assert doc["law"]["radius"] == "inf"
 
+
+def test_module_entry_point_runs_the_cli():
+    # python -m parkcrit.cli must run main, not import the module and exit 0
+    src = str(Path(parkcrit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "parkcrit.cli", "analyze", "--family", "nope"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "argument --family: invalid choice: 'nope'" in proc.stderr
+
+
+LAW_KEYS = [
+    "law", "law.kind", "law.params", "law.params.alpha", "law.params.k",
+    "law.mean", "law.mass_at_zero", "law.radius",
+]
+REGIME_KEYS = [
+    "regime", "boundary_test", "margin_vanishes", "critical_time", "crit_density",
+    "gf_at_crit", "lhs", "rhs", "gap", "empty_prob", "occupied_no_flux_prob",
+]
+SOLVED_KEYS = [
+    "moments", "moments.empty_prob", "moments.mean_arrivals", "moments.mean_occupancy",
+    "moments.mean_flux", "empty_vertex_offspring", "empty_vertex_offspring.p0",
+    "empty_vertex_offspring.p1", "empty_vertex_offspring.p2", "empty_vertex_offspring.mean",
+]
+RUN_KEYS = ["depth", "samples", "seed", "threads", "elapsed_seconds"]
+B0K = ("--family", "binary0k", "--alpha")
+MC = ("--depth", "3", "--samples", "10")
+
+
+def key_paths(obj, prefix=""):
+    """Every key of a payload as a dotted path; a list of objects shows its first."""
+    paths = []
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            path = f"{prefix}.{key}" if prefix else key
+            paths.append(path)
+            paths.extend(key_paths(value, path))
+    elif isinstance(obj, list) and obj and isinstance(obj[0], dict):
+        paths.extend(key_paths(obj[0], prefix + "[]"))
+    return paths
+
+
+# The key sets are those of the payloads before they were built from the
+# result records; only the order of the flux and simulate keys moved.  A
+# new key, such as a diagnostics block, changes this table on purpose.
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (("analyze",) + B0K + ("1/20",), LAW_KEYS + REGIME_KEYS + SOLVED_KEYS),
+        (
+            ("analyze",) + B0K + ("1/14",),
+            LAW_KEYS + REGIME_KEYS + SOLVED_KEYS + [
+                "critical_closed_form", "critical_closed_form.empty_prob",
+                "critical_closed_form.occupied_no_flux_prob",
+            ],
+        ),
+        (("analyze",) + B0K + ("3/10",), LAW_KEYS + REGIME_KEYS),
+        (
+            ("sweep", "--families", "binary0k"),
+            ["results", "results[].family", "results[].k", "results[].critical_mean",
+             "results[].tol"],
+        ),
+        (
+            ("enumerate",) + B0K + ("1/14", "--vertex-order", "2", "--flux-order", "1"),
+            LAW_KEYS + ["vertex_order", "flux_order", "source", "oracle_checked", "entries",
+                        "entries[].n", "entries[].p", "entries[].weight"],
+        ),
+        (
+            ("flux",) + B0K + ("1/20", "--order", "4"),
+            LAW_KEYS + ["order", "probs", "empty_prob", "occupied_no_flux_prob", "mean_flux",
+                        "mean_occupancy", "tail_mass"],
+        ),
+        (
+            ("simulate",) + B0K + ("1/20",) + MC,
+            LAW_KEYS + RUN_KEYS + ["root_load_counts", "empty_prob_hat", "empty_prob_ci",
+                                   "mean_load", "flux_probs", "mnodes_per_s"],
+        ),
+        (
+            ("simulate",) + B0K + ("1/20", "--cluster") + MC,
+            LAW_KEYS + RUN_KEYS + ["size_counts", "censored", "mnodes_per_s"],
+        ),
+        (
+            ("verify",),
+            LAW_KEYS + ["checks", "checks[].name", "checks[].passed", "checks[].detail",
+                        "passed"],
+        ),
+    ],
+    ids=["analyze-sub", "analyze-crit", "analyze-super", "sweep", "enumerate", "flux",
+         "simulate", "simulate-cluster", "verify"],
+)
+def test_json_payload_keys_are_pinned(capsys, argv, keys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert key_paths(json.loads(out)) == ["schema", "command"] + keys

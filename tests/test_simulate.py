@@ -300,6 +300,19 @@ def test_input_validation():
         sample_root_load(B02, depth=40, samples=10**6)
 
 
+@pytest.mark.parametrize("run, depth", [(estimate_root_law, 40), (root_cluster_stats, 22)])
+@pytest.mark.parametrize("budget", [math.nan, 0.0])
+def test_budget_that_caps_nothing_is_refused_before_sampling(monkeypatch, run, depth, budget):
+    # a NaN budget compares false with every cost; were it let through, a
+    # 2^40-node run would start, so building the sampler fails the test at once
+    def refuse(law):
+        raise AssertionError("the budget check let the run through")
+
+    monkeypatch.setattr(simulate, "make_sampler", refuse)
+    with pytest.raises(BudgetExceeded):
+        run(B02, depth=depth, samples=10**6, budget=budget)
+
+
 def test_estimate_matches_analytic_empty_prob():
     law = binary0k(0.05)
     stats = estimate_root_law(law, depth=12, samples=3000, seed=11)
