@@ -12,6 +12,7 @@ boundary functional against its critical value there.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,9 +36,37 @@ GRID_START = 1e-6
 GRID_RATIO = 1.05
 TIME_BUDGET = 1e6
 MARGIN_TOL = 1e-9
+CERTIFY_TOL = 1e-9  # margin over scale that certifies a grid point, see find_critical_time
 REL_ROOT_TOL = 1e-13
 ITER_CAP = 200
 CACHE_SIZE = 1024  # laws remembered by classify and find_critical_time
+
+
+def _geometric_grid(start, ratio, stop):
+    """start * ratio^i below stop, each point the previous one times ratio."""
+    out = []
+    t = start
+    while t < stop:
+        out.append(t)
+        t *= ratio
+    return tuple(out)
+
+
+# the scan's grid below any cap it can have, since the cap is at most TIME_BUDGET
+_GRID = _geometric_grid(GRID_START, GRID_RATIO, TIME_BUDGET)
+
+
+def _margin_terms(law, t):
+    """(G - t G', the margin, its scale 2 (G + t G')^2 + t^2 G G'') at t.
+
+    The scale bounds the terms the margin is computed from, so it sizes
+    the margin's rounding error.
+    """
+    g0, g1, g2 = law.derivatives(t, 2)
+    a = g0 - t * g1
+    s = g0 + t * g1
+    q = t * t * g0 * g2
+    return a, 2 * a * a - q, 2 * s * s + q
 
 
 def kernel_margin(law, t):
@@ -47,9 +76,40 @@ def kernel_margin(law, t):
     zero is the critical time: beyond it the time-to-density change of
     variables stops being monotone.  Exact when the law and t are exact.
     """
-    g0, g1, g2 = law.derivatives(t, 2)
-    a = g0 - t * g1
-    return 2 * a * a - t * t * g0 * g2
+    return _margin_terms(law, t)[1]
+
+
+def _certified(law, t):
+    """Whether t is certified, as find_critical_time describes: then the
+    float margin is positive at every t' <= t.  A probe that raises is not.
+    """
+    try:
+        a, m, scale = _margin_terms(law, t)
+    except (ParkingModelError, ArithmeticError, ValueError):
+        return False
+    # inf and NaN fail one of these comparisons
+    return a > 0.0 and CERTIFY_TOL * scale < m < math.inf
+
+
+def _last_certified(law, n):
+    """A certified index below n, by doubling the step then halving it; -1 if none.
+
+    Certified points form a prefix of the grid: the last of that prefix
+    is found up to rounding at its end, which costs only a step or two of
+    the walk that follows.
+    """
+    lo, step = -1, 1
+    while lo + step < n and _certified(law, _GRID[lo + step]):
+        lo += step
+        step *= 2
+    hi = min(lo + step, n)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _certified(law, _GRID[mid]):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def density_from_time(law, t):
@@ -118,10 +178,21 @@ class CriticalTime:
 def find_critical_time(law):
     """Locate the end of the monotone time range.
 
-    Scans a geometric grid for a sign change of the margin and bisects
-    it; if the margin stays positive up to a finite radius, the margin
-    is probed at the radius itself, where it may vanish (nongeneric
-    criticality), stay positive, or be impossible to evaluate.
+    Scans the grid GRID_START * GRID_RATIO^i below the cap, then the cap,
+    for the first point where the margin is not positive, and bisects
+    between it and the point before; if the margin stays positive up to a
+    finite radius, the margin is probed at the radius itself, where it
+    may vanish (nongeneric criticality), stay positive, or be impossible
+    to evaluate.
+
+    When G has non-negative coefficients the scan first gallops to a grid
+    point T that is certified: G - T G' > 0 and a margin above
+    CERTIFY_TOL times 2 (G + T G')^2 + T^2 G G''.  There G - t G' falls
+    while G and G'' rise, so the margin at every t <= T is at least the
+    margin at T, and the band outweighs the rounding of every earlier
+    float margin.  The walk then resumes after T and meets the same first
+    non-positive point, with the same point before it, as a walk from the
+    start: the bracket and the result are the same bits.
     """
     mu0 = law.mu0
     band = MARGIN_TOL * max(1.0, 2.0 * mu0 * mu0)
@@ -133,14 +204,11 @@ def find_critical_time(law):
         cap = radius * (1 - 1e-12)
         radius_within_budget = True
 
-    # the grid GRID_START * GRID_RATIO^i below cap, then cap; a NaN cap is
-    # the whole grid, hence "not t < cap" rather than "t >= cap"
-    prev_t = 0.0
-    t = GRID_START
-    while True:
-        last = not t < cap
-        if last:
-            t = cap
+    # grid points below cap; none when cap is NaN, so then only cap is visited
+    n = bisect_left(_GRID, cap)
+    start = _last_certified(law, n) + 1 if law.nonnegative_coefficients else 0
+    prev_t = _GRID[start - 1] if start else 0.0
+    for t in (*_GRID[start:n], cap):
         m = kernel_margin(law, t)
         if m == 0.0:
             return CriticalTime(t, True, False, True)
@@ -150,9 +218,6 @@ def find_critical_time(law):
             )
             return CriticalTime(root, True, False, True)
         prev_t = t
-        if last:
-            break
-        t *= GRID_RATIO
 
     if not radius_within_budget:
         raise NoRootWithinBudget(

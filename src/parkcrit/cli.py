@@ -71,33 +71,35 @@ def _exact_number(value, what):
 def _law_from_spec(spec):
     if not isinstance(spec, dict):
         raise LawError("law spec must be a JSON object")
+    if len(spec) != 1 or not spec.keys() <= {"finite", "family"}:
+        raise LawError(
+            f"law spec needs exactly one entry, 'finite' or 'family'; got keys {sorted(spec)}"
+        )
     if "finite" in spec:
         probs = spec["finite"]
         if not isinstance(probs, list):
             raise LawError("'finite' must be a list of masses")
         return make_finite_law([_exact_number(p, "mass") for p in probs])
-    if "family" in spec:
-        if not isinstance(spec["family"], dict):
-            raise LawError("'family' must be a JSON object")
-        fam = dict(spec["family"])
-        name = fam.pop("name", None)
-        if name not in FAMILIES:
-            raise LawError(f"unknown family {name!r}; choose from {sorted(FAMILIES)}")
-        if name == "nongeneric_example":
-            params = [_exact_number(fam.pop("mix", 1), "mix")]
-        elif "alpha" in fam:
-            params = [_exact_number(fam.pop("alpha"), "alpha")]
-        else:
-            raise LawError(f"family {name} needs 'alpha'")
-        if name == "binary0k":
-            k = _exact_number(fam.pop("k", 2), "k")
-            if k.denominator != 1:
-                raise LawError(f"binary0k's k must be an integer, got {k}")
-            params.append(int(k))
-        if fam:
-            raise LawError(f"unexpected family keys {sorted(fam)}")
-        return FAMILIES[name](*params)
-    raise LawError("law spec needs a 'finite' or a 'family' entry")
+    if not isinstance(spec["family"], dict):
+        raise LawError("'family' must be a JSON object")
+    fam = dict(spec["family"])
+    name = fam.pop("name", None)
+    if name not in FAMILIES:
+        raise LawError(f"unknown family {name!r}; choose from {sorted(FAMILIES)}")
+    if name == "nongeneric_example":
+        params = [_exact_number(fam.pop("mix", 1), "mix")]
+    elif "alpha" in fam:
+        params = [_exact_number(fam.pop("alpha"), "alpha")]
+    else:
+        raise LawError(f"family {name} needs 'alpha'")
+    if name == "binary0k":
+        k = _exact_number(fam.pop("k", 2), "k")
+        if k.denominator != 1:
+            raise LawError(f"binary0k's k must be an integer, got {k}")
+        params.append(int(k))
+    if fam:
+        raise LawError(f"unexpected family keys {sorted(fam)}")
+    return FAMILIES[name](*params)
 
 
 def _load_law(args, default=None):

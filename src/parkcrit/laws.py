@@ -18,6 +18,7 @@ coefficient extraction, which the enumeration code requires.
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
 
 from .errors import (
@@ -70,6 +71,9 @@ class ArrivalLaw:
     __slots__ = ()  # each law lists its fields: caches keep thousands of laws alive
     kind = "abstract"
     max_order = 2  # G, G', G'': all that the regime decision asks for
+    # G's series has no negative coefficient, so G, G' and G'' do not decrease
+    # on [0, radius): find_critical_time relies on it to skip ahead
+    nonnegative_coefficients = True
 
     @property
     def radius(self):
@@ -361,6 +365,19 @@ class GeometricLaw(ArrivalLaw):
 
 # base-law constant (3/2)^(7/3) / 13 for the nongeneric example below
 _NONGEN_C = (1.5 ** (7.0 / 3.0)) / 13.0
+# t^k coefficients of (1 - t/3)^(7/3) for k = 0, 1, ..., extended on demand
+_NONGEN_BINOMIAL = [1.0]
+_NONGEN_LOCK = threading.Lock()  # one thread at a time extends the table
+
+
+def _nongen_binomial(k):
+    """t^k coefficient of (1 - t/3)^(7/3) for k >= 0, by the binomial recurrence."""
+    table = _NONGEN_BINOMIAL
+    if k >= len(table):
+        with _NONGEN_LOCK:
+            for j in range(len(table), k + 1):
+                table.append(table[-1] * ((7.0 / 3.0 - (j - 1)) / j * (-1.0 / 3.0)))
+    return table[k]
 
 
 class NongenericExampleLaw(ArrivalLaw):
@@ -417,11 +434,7 @@ class NongenericExampleLaw(ArrivalLaw):
 
     @staticmethod
     def _base_coefficient(k):
-        # t^k coefficient of (1 - t/3)^(7/3) via the binomial recurrence
-        d = 1.0
-        for j in range(1, k + 1):
-            d *= (7.0 / 3.0 - (j - 1)) / j * (-1.0 / 3.0)
-        out = -_NONGEN_C * d
+        out = -_NONGEN_C * (_nongen_binomial(k) if k > 0 else 1.0)
         if k == 0:
             out += 27.0 / 26.0
         elif k == 2:
@@ -447,6 +460,7 @@ class CustomAnalyticLaw(ArrivalLaw):
 
     __slots__ = ("_derivs", "_radius", "_mu0", "_mean", "_name")
     kind = "custom"
+    nonnegative_coefficients = False  # an evaluator for G promises nothing of its series
 
     def __init__(self, derivs, radius, mu_zero, mean, name="custom"):
         self._derivs = derivs

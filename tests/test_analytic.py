@@ -10,6 +10,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parkcrit import analytic
 from parkcrit.analytic import (
@@ -33,9 +35,11 @@ from parkcrit.errors import (
     NoRootWithinBudget,
     NoSolution,
     NotCritical,
+    ParkingModelError,
 )
 from parkcrit.laws import (
     CustomAnalyticLaw,
+    PoissonLaw,
     binary0k,
     geometric,
     make_finite_law,
@@ -503,6 +507,95 @@ def test_scan_with_a_nan_cap_visits_only_the_cap():
     assert (ct.margin_vanishes, ct.at_radius, ct.evaluable) == (False, True, True)
     # the cap, then the probe at the radius, both NaN
     assert len(visited) == 2 and all(math.isnan(t) for t in visited)
+
+
+def _scan_outcome(law):
+    """find_critical_time's result as float.hex and flags, or the exception's type."""
+    try:
+        ct = find_critical_time(law)
+    except (ParkingModelError, ArithmeticError, ValueError) as exc:
+        return type(exc).__name__
+    return ct.t.hex(), ct.margin_vanishes, ct.at_radius, ct.evaluable
+
+
+def _full_walk(law):
+    """The same G behind a custom law, which promises nothing of G's series
+    and so walks the grid point by point."""
+    return CustomAnalyticLaw(law.derivatives, law.radius, law.mu0, float(law.mean()))
+
+
+def _decades(lo, hi):
+    return st.floats(min_value=lo, max_value=hi).map(lambda e: 10.0**e)
+
+
+_UNIT_OPEN = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+GALLOP_LAWS = {
+    "poisson": _decades(-9, 9).map(poisson),
+    "geometric": _decades(-9, 9).map(geometric),
+    # k >= 3 includes supercritical laws whose margin turns positive again
+    # past its first zero, where only G - t G' > 0 stops the certificate
+    "binary0k": st.tuples(st.integers(2, 30), _UNIT_OPEN)
+    .filter(lambda ku: 0.0 < ku[0] * ku[1] < ku[0])
+    .map(lambda ku: binary0k(ku[0] * ku[1], ku[0])),
+    "nongeneric_example": _decades(-9, 0).map(nongeneric_example),
+    "finite": st.lists(st.integers(0, 100), min_size=3, max_size=7)
+    .filter(lambda w: w[0] > 0 and sum(w[2:]) > 0)
+    .map(lambda w: make_finite_law([Fraction(x, sum(w)) for x in w])),
+}
+
+
+@pytest.mark.parametrize("family", list(GALLOP_LAWS))
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_gallop_matches_the_full_walk(family, data):
+    law = data.draw(GALLOP_LAWS[family])
+    assert _scan_outcome(law) == _scan_outcome(_full_walk(law)), law
+
+
+# (float.hex of t, margin_vanishes, at_radius, evaluable) per law, recorded
+# while the scan walked every grid point; the laws of ROADMAP item 1, whose
+# answers are wrong, are left to test_gallop_matches_the_full_walk
+PINNED_CRITICAL_TIMES = {
+    ("binary0k", ("1/14", 2)): ("0x1.7ffffffffff9fp+1", True, False, True),
+    ("binary0k", (0.05, 2)): ("0x1.cd82b44615a60p+1", True, False, True),
+    ("binary0k", (0.3, 3)): ("0x1.1854a6c7ba292p+0", True, False, True),
+    ("binary0k", (2.5, 5)): ("0x1.205134e3e644ep-1", True, False, True),
+    ("binary0k", (29.9, 30)): ("0x1.585baa93afb77p-1", True, False, True),
+    ("poisson", (0.1,)): ("0x1.76e73ffc1e9e2p+2", True, False, True),
+    ("poisson", (20.0,)): ("0x1.dfe051e68d902p-6", True, False, True),
+    ("geometric", (0.05,)): ("0x1.bfffffffffeb6p+2", True, False, True),
+    ("geometric", ("1/8",)): ("0x1.7ffffffffff9fp+1", True, False, True),
+    ("nongeneric_example", (1,)): ("0x1.8000000000000p+1", True, True, True),
+    ("nongeneric_example", (0.1,)): ("0x1.8000000000000p+1", False, True, True),
+    ("finite", ("1/2", "1/4", "1/8", "1/8")): ("0x1.5ad77e8d662a9p-1", True, False, True),
+    ("finite", ("9/10", "0", "0", "1/20", "1/20")): ("0x1.fb36f4560c3d5p-1", True, False, True),
+}
+
+
+@pytest.mark.parametrize("kind, args", list(PINNED_CRITICAL_TIMES))
+def test_critical_time_pinned(kind, args):
+    assert _scan_outcome(_pinned_law(kind, args)) == PINNED_CRITICAL_TIMES[kind, args]
+
+
+def test_scan_gallops_to_the_first_sign_change(monkeypatch):
+    # the margin of poisson(0.1) first vanishes near t = 5.86, about 320 grid
+    # points up; a walk from the start evaluates G there 321 times
+    evaluated, at_bisection = [], []
+    derivatives, bisect = PoissonLaw.derivatives, analytic._bisect_decreasing
+
+    def counted(self, t, order=2):
+        evaluated.append(t)
+        return derivatives(self, t, order)
+
+    def bisect_once(f, a, b, **kw):
+        at_bisection.append(len(evaluated))
+        return bisect(f, a, b, **kw)
+
+    monkeypatch.setattr(PoissonLaw, "derivatives", counted)
+    monkeypatch.setattr(analytic, "_bisect_decreasing", bisect_once)
+    ct = find_critical_time.__wrapped__(poisson(0.1))
+    assert ct.t.hex() == PINNED_CRITICAL_TIMES["poisson", (0.1,)][0]
+    assert len(at_bisection) == 1 and at_bisection[0] <= 40
 
 
 def _unevaluable_at(radius):

@@ -158,6 +158,26 @@ def test_law_file_with_unknown_keys(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"finite": ["1/2", "1/4", "1/4"], "extra": 1},
+        {"finite": ["1/2", "1/4", "1/4"], "family": {"name": "poisson", "alpha": "1/10"}},
+        {"family": {"name": "poisson", "alpha": "1/10"}, "finite": ["1/2", "1/4", "1/4"]},
+        {},
+    ],
+)
+def test_law_file_needs_exactly_one_law_entry(tmp_path, capsys, spec):
+    # the finite law alone is valid, so only the entry beside it is refused
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps({"finite": ["1/2", "1/4", "1/4"]}))
+    assert run_cli(capsys, "analyze", "--law", str(path))[0] == 0
+    path.write_text(json.dumps(spec))
+    code, _, err = run_cli(capsys, "analyze", "--law", str(path))
+    assert code == 2
+    assert "LawError" in err and "exactly one entry" in err
+
+
 def test_sweep(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--families", "binary0k,poisson,geometric", "--k", "2"

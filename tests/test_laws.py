@@ -154,6 +154,25 @@ def test_nongeneric_example_mixture():
         nongeneric_example(1.5)
 
 
+def _nongeneric_base_coefficient(k):
+    # t^k coefficient of the base law, by the O(k) product of the recurrence
+    d = 1.0
+    for j in range(1, k + 1):
+        d *= (7.0 / 3.0 - (j - 1)) / j * (-1.0 / 3.0)
+    return -(1.5 ** (7.0 / 3.0)) / 13.0 * d + {0: 27.0 / 26.0, 2: 1.0 / 26.0}.get(k, 0.0)
+
+
+def test_nongeneric_coefficients_keep_the_bits_of_the_recurrence():
+    # the recurrence is tabled once; indices asked for out of order, past the
+    # table's end and again read the same bits
+    base = nongeneric_example(1)
+    law = nongeneric_example(0.3)
+    for k in (7, 0, 1, 2, 3, 410, 250, 411, 7):
+        want = _nongeneric_base_coefficient(k)
+        assert base.coefficient(k).hex() == want.hex(), k
+        assert law.coefficient(k) == (1.0 - 0.3 if k == 0 else 0.0) + 0.3 * want, k
+
+
 def test_nongeneric_example_third_derivative_blows_up_at_radius():
     law = nongeneric_example(1)
     # order 3 exists inside the disk but not at the boundary point
