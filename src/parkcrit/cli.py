@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -39,7 +40,6 @@ from .errors import (
     BudgetExceeded,
     LawError,
     NonExactLaw,
-    OracleMismatch,
     ParkingModelError,
     UnsampleableLaw,
 )
@@ -311,53 +311,57 @@ def _cmd_simulate(args):
 
 def _cmd_verify(args):
     law = _load_law(args, default=FAMILIES["binary0k"](Fraction(1, 14), 2))
+    report = functools.partial(classify, law, args.tol)
+    flux_law = functools.cache(functools.partial(flux_distribution, law, order=60, tol=args.tol))
     checks = []
 
-    def record(name, passed, detail):
-        checks.append({"name": name, "passed": bool(passed), "detail": detail})
-
-    rep = classify(law, args.tol)
-    record("classify", True, f"regime={rep.regime}")
-
-    if rep.empty_prob is not None:
-        q = flux_zero_gf(law, rep.empty_prob)
-        resid = abs(law.mu0 * rep.empty_prob * q * q - 1.0)
-        record("fixed-point-identity", resid <= 1e-8, f"residual={resid:.3e}")
-
-        fd = flux_distribution(law, order=60, tol=args.tol)
-        total = math.fsum(fd.probs)
-        ok = total <= 1.0 + 1e-12
-        detail = f"sum={total:.15g}"
-        if rep.regime == "subcritical":
-            ok = ok and total >= 1.0 - 1e-6
-        record("flux-total-mass", ok, detail)
-        record(
-            "flux-nonnegative",
-            all(p >= 0.0 for p in fd.probs),
-            f"min={min(fd.probs):.3e}",
-        )
-        resids = occupancy_self_consistency(law, fd, 20)
-        worst = max(abs(r) for r in resids)
-        record("load-recursion", worst <= 1e-8, f"max residual={worst:.3e}")
-
-    if law.is_exact and law.finite_support() is not None:
+    def check(name, run):
+        """Record run()'s (passed, detail); a coded error fails this check alone."""
         try:
-            check_against_oracle(law, 4, 2)
-            record("enumeration-oracle", True, "orders (4, 2) agree exactly")
-        except OracleMismatch as exc:
-            record("enumeration-oracle", False, str(exc))
-
-    if args.table:
-        try:
-            table = FptTable.read_csv(args.table)
-            fresh = tutte_series(law, table.vertex_order, table.flux_order)
-            bad = first_mismatch(table, fresh)
-            detail = "all entries agree"
-            if bad:
-                detail = "entry (%s, %s) is %s, recomputed %s" % bad
-            record("table-match", not bad, detail)
+            passed, detail = run()
         except ParkingModelError as exc:
-            record("table-match", False, f"{exc.code}: {exc}")
+            passed, detail = False, f"{exc.code}: {exc}"
+        checks.append({"name": name, "passed": bool(passed), "detail": detail})
+        return passed
+
+    def fixed_point():
+        p = report().empty_prob
+        q = flux_zero_gf(law, p)
+        resid = abs(law.mu0 * p * q * q - 1.0)
+        return resid <= 1e-8, f"residual={resid:.3e}"
+
+    def flux_mass():
+        total = math.fsum(flux_law().probs)
+        low = 1.0 - 1e-6 if report().regime == "subcritical" else -math.inf
+        return low <= total <= 1.0 + 1e-12, f"sum={total:.15g}"
+
+    def flux_nonnegative():
+        probs = flux_law().probs
+        return all(p >= 0.0 for p in probs), f"min={min(probs):.3e}"
+
+    def load_recursion():
+        worst = max(map(abs, occupancy_self_consistency(law, flux_law(), 20)))
+        return worst <= 1e-8, f"max residual={worst:.3e}"
+
+    def oracle():
+        check_against_oracle(law, 4, 2)
+        return True, "orders (4, 2) agree exactly"
+
+    def table_match():
+        table = FptTable.read_csv(args.table)
+        bad = first_mismatch(table, tutte_series(law, table.vertex_order, table.flux_order))
+        return not bad, "entry (%s, %s) is %s, recomputed %s" % bad if bad else "all entries agree"
+
+    classified = check("classify", lambda: (True, f"regime={report().regime}"))
+    if classified and report().empty_prob is not None:
+        check("fixed-point-identity", fixed_point)
+        check("flux-total-mass", flux_mass)
+        check("flux-nonnegative", flux_nonnegative)
+        check("load-recursion", load_recursion)
+    if law.is_exact and law.finite_support() is not None:
+        check("enumeration-oracle", oracle)
+    if args.table:
+        check("table-match", table_match)
 
     failed = [c for c in checks if not c["passed"]]
     payload = {
@@ -413,11 +417,14 @@ def build_parser():
             _add_law_flags(sub)
         sub.add_argument("--format", choices=["json", "csv"], default="json")
         sub.add_argument("--out", help="write output to this path instead of stdout")
+
+    def decision_band(sub):
         sub.add_argument("--tol", type=_POSITIVE_FLOAT, default=1e-9,
                          help="criticality decision band")
 
     p = subs.add_parser("analyze", help="decide the regime and report quantities")
     common(p)
+    decision_band(p)
     p.set_defaults(handler=_cmd_analyze)
 
     p = subs.add_parser("sweep", help="critical mean per family, by bisection")
@@ -427,9 +434,9 @@ def build_parser():
     )
     p.add_argument("--k", type=int, default=2, help="support point for binary0k")
     common(p, law=False)
+    p.add_argument("--tol", type=_POSITIVE_FLOAT, default=1e-6,
+                   help="width of the final bracket on the critical mean")
     p.set_defaults(handler=_cmd_sweep)
-    # sweep tolerance applies to the bisection bracket, not the decision band
-    p.set_defaults(tol=1e-6)
 
     p = subs.add_parser("enumerate", help="exact fully parked tree weight table")
     common(p)
@@ -441,6 +448,7 @@ def build_parser():
 
     p = subs.add_parser("flux", help="flux distribution at the root")
     common(p)
+    decision_band(p)
     p.add_argument("--order", type=_at_least(2), default=40, help="largest flux value")
     p.set_defaults(handler=_cmd_flux)
 
@@ -458,6 +466,7 @@ def build_parser():
 
     p = subs.add_parser("verify", help="internal consistency checks")
     common(p)
+    decision_band(p)
     p.add_argument("--table", help="check a stored weight table against recomputation")
     p.set_defaults(handler=_cmd_verify)
 

@@ -227,9 +227,12 @@ class FptTable:
                     raise EnumerationError(f"bad table row: {line!r}")
                 try:
                     n, p, num, den = (int(v) for v in parts)
-                    cells[(n, p)] = Fraction(num, den)
+                    cell = Fraction(num, den)
                 except (ValueError, ZeroDivisionError) as exc:
                     raise EnumerationError(f"bad table row: {line!r}") from exc
+                if (n, p) in cells:
+                    raise EnumerationError(f"table file repeats the ({n}, {p}) entry")
+                cells[(n, p)] = cell
         try:
             big_n = int(meta["vertex_order"])
             big_p = int(meta["flux_order"])
@@ -241,8 +244,13 @@ class FptTable:
             for p in range(big_p + 1):
                 if (n, p) not in cells:
                     raise EnumerationError(f"table file lacks the ({n}, {p}) entry")
-                row.append(cells[(n, p)])
+                row.append(cells.pop((n, p)))
             rows.append(tuple(row))
+        if cells:
+            n, p = min(cells)
+            raise EnumerationError(
+                f"table file has the ({n}, {p}) entry, beyond its orders ({big_n}, {big_p})"
+            )
         return cls(
             law_desc=meta["law"],
             vertex_order=big_n,
@@ -253,15 +261,8 @@ class FptTable:
 
 
 def _reduce_row(nums, den):
-    g = 0
-    for v in nums:
-        if v:
-            g = math.gcd(g, v)
-            if g == 1:
-                break
-    if g == 0:
-        return nums, 1
-    g = math.gcd(g, den)
+    # an all-zero row has gcd den, so it ends with denominator 1
+    g = math.gcd(math.gcd(*nums), den)
     if g > 1:
         return [v // g for v in nums], den // g
     return nums, den
@@ -283,7 +284,7 @@ def _conv(a, b, out_len):
 
 
 def _add_rows(a_nums, a_den, b_nums, b_den, out_len):
-    den = a_den * b_den // math.gcd(a_den, b_den)
+    den = math.lcm(a_den, b_den)
     fa = den // a_den
     fb = den // b_den
     out = [0] * out_len
@@ -314,9 +315,7 @@ def tutte_series(law, vertex_order, flux_order):
         raise NonExactLaw(f"{law.describe()} has no exact coefficients")
     top = vertex_order + flux_order
     mu = law.exact_coefficients(top)
-    den_g = 1
-    for m in mu:
-        den_g = den_g * m.denominator // math.gcd(den_g, m.denominator)
+    den_g = math.lcm(*(m.denominator for m in mu))
     g_nums = [int(m * den_g) for m in mu]
 
     def row_width(n):

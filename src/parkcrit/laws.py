@@ -33,13 +33,6 @@ from .errors import (
 )
 
 
-def _falling(k, j):
-    out = 1
-    for i in range(j):
-        out *= k - i
-    return out
-
-
 def _as_exact(value, what):
     if isinstance(value, Fraction):
         return value
@@ -107,8 +100,8 @@ class ArrivalLaw:
         return [Fraction(self.coefficient(k)) for k in range(K + 1)]
 
     def mean(self):
-        ds = self.derivatives(1, order=1)
-        return ds[1]
+        """Mean arrival count, exact when the law is."""
+        raise NotImplementedError
 
     def finite_support(self):
         """Largest arrival count with positive mass, or None if unbounded."""
@@ -170,9 +163,9 @@ class FiniteSupportLaw(ArrivalLaw):
         )
 
     def _consts(self):
-        """Row j: falling(k, j) * p_k at index k - j, None where p_k = 0."""
+        """Row j: math.perm(k, j) * p_k at index k - j, None where p_k = 0."""
         return tuple(
-            tuple(_falling(k, j) * p if p else None for k, p in enumerate(self.probs[j:], j))
+            tuple(math.perm(k, j) * p if p else None for k, p in enumerate(self.probs[j:], j))
             for j in range(self.max_order + 1)
         )
 
@@ -233,9 +226,9 @@ class Binary0kLaw(ArrivalLaw):
         self._float_consts = tuple(float(c) for c in self._consts())
 
     def _consts(self):
-        """1 - p_k, then falling(k, j) * p_k for j = 0, 1, 2."""
+        """1 - p_k, then math.perm(k, j) * p_k for j = 0, 1, 2."""
         pk = self.alpha / self.k
-        return (1 - pk,) + tuple(_falling(self.k, j) * pk for j in range(self.max_order + 1))
+        return (1 - pk,) + tuple(math.perm(self.k, j) * pk for j in range(self.max_order + 1))
 
     @property
     def radius(self):

@@ -299,6 +299,11 @@ def sample_root_load(law, depth, samples, seed=0, threads=None, budget=NODE_BUDG
     return np.concatenate(parts)
 
 
+def _standard_error(p, n):
+    """Standard error of a frequency p over n samples."""
+    return math.sqrt(max(p * (1.0 - p), 0.0) / n)
+
+
 @dataclass(frozen=True)
 class RunStats:
     """What every Monte Carlo summary records about its run."""
@@ -327,7 +332,7 @@ class SimulationStats(RunStats):
 
     def flux_standard_error(self, k):
         p = self.flux_probs[k] if k < len(self.flux_probs) else 0.0
-        return math.sqrt(max(p * (1.0 - p), 0.0) / self.samples)
+        return _standard_error(p, self.samples)
 
 
 def estimate_root_law(law, depth, samples, seed=0, threads=None, budget=NODE_BUDGET):
@@ -340,8 +345,7 @@ def estimate_root_law(law, depth, samples, seed=0, threads=None, budget=NODE_BUD
     n = float(samples)
     p_hat = counts[0] / n
     flux = [float((counts[0] + (counts[1] if len(counts) > 1 else 0)) / n)]
-    for k in range(1, max(len(counts) - 1, 1)):
-        flux.append(float(counts[k + 1] / n) if k + 1 < len(counts) else 0.0)
+    flux.extend(float(c / n) for c in counts[2:])
     return SimulationStats(
         law_desc=law.describe(),
         depth=depth,
@@ -350,7 +354,7 @@ def estimate_root_law(law, depth, samples, seed=0, threads=None, budget=NODE_BUD
         threads=threads,
         root_load_counts=tuple(int(c) for c in counts),
         empty_prob_hat=float(p_hat),
-        empty_prob_ci=1.96 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n),
+        empty_prob_ci=1.96 * _standard_error(p_hat, n),
         mean_load=float(loads.mean()),
         flux_probs=tuple(flux),
         elapsed_seconds=elapsed,

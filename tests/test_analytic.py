@@ -579,7 +579,8 @@ def test_critical_time_pinned(kind, args):
 
 def test_scan_gallops_to_the_first_sign_change(monkeypatch):
     # the margin of poisson(0.1) first vanishes near t = 5.86, about 320 grid
-    # points up; a walk from the start evaluates G there 321 times
+    # points up; a walk from the start evaluates G there 321 times, a binary
+    # search over the 567 grid points for the end of the certified prefix 11
     evaluated, at_bisection = [], []
     derivatives, bisect = PoissonLaw.derivatives, analytic._bisect_decreasing
 
@@ -595,7 +596,7 @@ def test_scan_gallops_to_the_first_sign_change(monkeypatch):
     monkeypatch.setattr(analytic, "_bisect_decreasing", bisect_once)
     ct = find_critical_time.__wrapped__(poisson(0.1))
     assert ct.t.hex() == PINNED_CRITICAL_TIMES["poisson", (0.1,)][0]
-    assert len(at_bisection) == 1 and at_bisection[0] <= 40
+    assert len(at_bisection) == 1 and at_bisection[0] <= 12
 
 
 def _unevaluable_at(radius):

@@ -323,6 +323,9 @@ ENUMERATE = ("enumerate", "--family", "binary0k", "--alpha", "1/14")
         (("verify", "--tol=-1e-9"), "--tol"),
         (SIMULATE + ("--depth", "4", "--samples", "10", "--budget", "nan"), "--budget"),
         (SIMULATE + ("--depth", "4", "--samples", "10", "--budget", "0"), "--budget"),
+        # enumerate and simulate read no tolerance, so they declare no --tol
+        (ENUMERATE + ("--vertex-order", "3", "--flux-order", "2", "--tol", "5"), "--tol"),
+        (SIMULATE + ("--depth", "4", "--samples", "10", "--tol", "5"), "--tol"),
     ],
 )
 def test_out_of_range_flags_are_input_errors(capsys, argv, flag):
@@ -330,7 +333,10 @@ def test_out_of_range_flags_are_input_errors(capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert f"argument {flag}: must be" in err
+    if argv[0] in ("enumerate", "simulate") and flag == "--tol":
+        assert f"unrecognized arguments: {flag}" in err
+    else:
+        assert f"argument {flag}: must be" in err
 
 
 def test_verify_passes(capsys):
@@ -350,14 +356,42 @@ def test_verify_rejects_corrupted_table(tmp_path, capsys):
         "--format", "csv", "--out", str(path),
     )
     assert code == 0
-    text = path.read_text().replace("2,0,27,392", "2,0,28,392")
-    path.write_text(text)
-    code, out, err = run_cli(
-        capsys,
-        "verify", "--family", "binary0k", "--alpha", "1/14", "--table", str(path),
-    )
+    table = path.read_text()
+    corruptions = {
+        # a wrong weight, a repeated cell whose last copy is right, and a
+        # cell beyond the declared orders (3, 2)
+        "entry (2, 0) is 1/14, recomputed 27/392": table.replace("2,0,27,392", "2,0,28,392"),
+        "EnumerationError: table file repeats the (1, 0) entry":
+            table.replace("\n1,0,", "\n1,0,999,1\n1,0,", 1),
+        "EnumerationError: table file has the (9, 9) entry": table + "9,9,5,7\n",
+    }
+    for detail, text in corruptions.items():
+        path.write_text(text)
+        code, out, err = run_cli(
+            capsys,
+            "verify", "--family", "binary0k", "--alpha", "1/14", "--table", str(path),
+        )
+        assert code == 3, detail
+        assert "table-match" in err
+        (check,) = [c for c in json.loads(out)["checks"] if c["name"] == "table-match"]
+        assert not check["passed"] and check["detail"].startswith(detail)
+
+
+def test_verify_reports_checks_that_raise(capsys):
+    # poisson(22) wrongly reads critical (ROADMAP item 1) and its flux law
+    # raises NegativeCoefficient; the fixed-point residual is still reported
+    code, out, err = run_cli(capsys, "verify", "--family", "poisson", "--alpha", "22")
     assert code == 3
-    assert "table-match" in err
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert list(checks) == [
+        "classify", "fixed-point-identity", "flux-total-mass", "flux-nonnegative",
+        "load-recursion",
+    ]
+    assert checks["fixed-point-identity"]["detail"].startswith("residual=")
+    for name in ("flux-total-mass", "flux-nonnegative", "load-recursion"):
+        assert not checks[name]["passed"]
+        assert checks[name]["detail"].startswith("NegativeCoefficient: ")
+    assert err.startswith("verification failed: ")
 
 
 def test_out_writes_file(tmp_path, capsys):
