@@ -262,7 +262,7 @@ def solve_empty_prob(law):
     """
     t_hi = find_critical_time(law).t
     top = _fixed_point_value(law, t_hi)
-    if top < 1.0 - 1e-9:
+    if top < 1.0 - MARGIN_TOL:
         raise NoSolution(
             f"fixed-point functional reaches only {top!r} < 1 on (0, {t_hi!r}]"
         )
@@ -305,15 +305,18 @@ def _boundary(law, ct):
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def classify(law, tol=MARGIN_TOL):
+def classify(law):
     """Decide the regime of the parking process under the given law.
 
     When the margin vanishes at a genuine critical time the boundary
     comparison is (t-2) G(t) versus t (t-1) G'(t): larger left side
-    means subcritical, equality within the tolerance band means
-    critical.  When the margin stays positive up to the radius the
-    fixed-point functional at the radius is compared against 1, which
-    is the same comparison in a form that needs no second derivative.
+    means subcritical.  When the margin stays positive up to the radius
+    the fixed-point functional at the radius is compared against 1,
+    which is the same comparison in a form that needs no second
+    derivative.  Either way the sides are equal, and the law critical,
+    when they differ by at most MARGIN_TOL times the larger side (or
+    times 1, if both sides are smaller).  This band is float slack
+    around the paper's exact equality, not a parameter of the model.
     """
     ct = find_critical_time(law)
     t = ct.t
@@ -327,7 +330,7 @@ def classify(law, tol=MARGIN_TOL):
     gf = _gf_from_time(law, t)
     test, lhs, rhs = _boundary(law, ct)
     gap = lhs - rhs
-    band = tol * max(1.0, abs(lhs), abs(rhs))
+    band = MARGIN_TOL * max(1.0, abs(lhs), abs(rhs))
 
     if abs(gap) <= band:
         regime, p_empty = "critical", x
@@ -374,9 +377,9 @@ class CriticalQuantities:
     offspring: OffspringLaw
 
 
-def critical_quantities(law, tol=MARGIN_TOL):
+def critical_quantities(law):
     """Closed-form quantities that hold exactly at criticality."""
-    report = classify(law, tol)
+    report = classify(law)
     if report.regime != "critical":
         raise NotCritical(f"{law.describe()} is {report.regime}")
     t = report.critical_time
@@ -413,7 +416,7 @@ class FluxDistribution:
         return tuple(out[: n_max + 1])
 
 
-def flux_distribution(law, order=40, tol=MARGIN_TOL):
+def flux_distribution(law, order=40):
     """Flux law at the root, P(flux = k) for k = 0..order.
 
     Solves the quadratic for the flux generating function: with p the
@@ -424,7 +427,7 @@ def flux_distribution(law, order=40, tol=MARGIN_TOL):
     """
     if order < 2:
         raise OutOfDomain("flux order must be at least 2")
-    report = classify(law, tol)
+    report = classify(law)
     if report.empty_prob is None:
         raise NoSolution(f"{law.describe()} is {report.regime}: no flux law")
     p = report.empty_prob
@@ -489,9 +492,9 @@ def _moments(law, p_empty):
     }
 
 
-def mean_identities(law, tol=MARGIN_TOL):
+def mean_identities(law):
     """Exact first moments implied by the empty-root probability."""
-    report = classify(law, tol)
+    report = classify(law)
     if report.empty_prob is None:
         raise NoSolution(f"{law.describe()} is {report.regime}: no stationary root law")
     return _moments(law, report.empty_prob)

@@ -200,14 +200,14 @@ def _law_payload(law):
 
 def _cmd_analyze(args):
     law = _load_law(args)
-    rep = classify(law, args.tol)
+    rep = classify(law)
     payload = {"law": _law_payload(law), **_record(rep, test="boundary_test")}
     if rep.empty_prob is not None:
-        payload["moments"] = mean_identities(law, args.tol)
+        payload["moments"] = mean_identities(law)
         off = empty_vertex_offspring(rep.empty_prob, rep.occupied_no_flux_prob)
         payload["empty_vertex_offspring"] = _record(off)
     if rep.regime == "critical":
-        cq = critical_quantities(law, args.tol)
+        cq = critical_quantities(law)
         payload["critical_closed_form"] = {
             "empty_prob": cq.empty_prob,
             "occupied_no_flux_prob": cq.occupied_no_flux_prob,
@@ -283,7 +283,7 @@ def _cmd_enumerate(args):
 
 def _cmd_flux(args):
     law = _load_law(args)
-    fd = flux_distribution(law, order=args.order, tol=args.tol)
+    fd = flux_distribution(law, order=args.order)
     payload = {"law": _law_payload(law), "order": args.order, **_record(fd)}
     rows = [["k", "probability"]]
     rows.extend([k, p] for k, p in enumerate(fd.probs))
@@ -311,8 +311,8 @@ def _cmd_simulate(args):
 
 def _cmd_verify(args):
     law = _load_law(args, default=FAMILIES["binary0k"](Fraction(1, 14), 2))
-    report = functools.partial(classify, law, args.tol)
-    flux_law = functools.cache(functools.partial(flux_distribution, law, order=60, tol=args.tol))
+    report = functools.partial(classify, law)
+    flux_law = functools.cache(functools.partial(flux_distribution, law, order=60))
     checks = []
 
     def check(name, run):
@@ -418,13 +418,8 @@ def build_parser():
         sub.add_argument("--format", choices=["json", "csv"], default="json")
         sub.add_argument("--out", help="write output to this path instead of stdout")
 
-    def decision_band(sub):
-        sub.add_argument("--tol", type=_POSITIVE_FLOAT, default=1e-9,
-                         help="criticality decision band")
-
     p = subs.add_parser("analyze", help="decide the regime and report quantities")
     common(p)
-    decision_band(p)
     p.set_defaults(handler=_cmd_analyze)
 
     p = subs.add_parser("sweep", help="critical mean per family, by bisection")
@@ -448,7 +443,6 @@ def build_parser():
 
     p = subs.add_parser("flux", help="flux distribution at the root")
     common(p)
-    decision_band(p)
     p.add_argument("--order", type=_at_least(2), default=40, help="largest flux value")
     p.set_defaults(handler=_cmd_flux)
 
@@ -466,7 +460,6 @@ def build_parser():
 
     p = subs.add_parser("verify", help="internal consistency checks")
     common(p)
-    decision_band(p)
     p.add_argument("--table", help="check a stored weight table against recomputation")
     p.set_defaults(handler=_cmd_verify)
 

@@ -441,7 +441,7 @@ class TableFluxComparison:
         return max(abs(r) for r in self.residuals)
 
 
-def flux_via_table(law, table, tol=1e-9):
+def flux_via_table(law, table):
     """Flux probabilities assembled from the weight table.
 
     On the infinite tree the cluster of occupied vertices through the
@@ -450,7 +450,7 @@ def flux_via_table(law, table, tol=1e-9):
     rows[n][p] * P(empty)^(n + 1).  The sum is truncated at the table's
     vertex order; subcritically the terms decay geometrically.
     """
-    report = classify(law, tol)
+    report = classify(law)
     if report.empty_prob is None:
         raise NoSolution(f"{law.describe()} is {report.regime}: no flux law")
     p_empty = report.empty_prob
@@ -464,7 +464,7 @@ def flux_via_table(law, table, tol=1e-9):
         if p == 0:
             s += p_empty
         probs.append(s)
-    fd = flux_distribution(law, order=max(2, table.flux_order), tol=tol)
+    fd = flux_distribution(law, order=max(2, table.flux_order))
     analytic = fd.probs[: table.flux_order + 1]
     residuals = tuple(a - b for a, b in zip(probs, analytic))
     return TableFluxComparison(tuple(probs), tuple(analytic), residuals)

@@ -50,12 +50,23 @@ def _as_exact(value, what):
 
 
 def _as_param(value, what):
-    """Families accept exact rationals or finite floats; floats forfeit exactness."""
+    """Families accept exact rationals or finite floats; floats forfeit exactness.
+
+    G, the scan and the samplers run on the parameter's float, so an exact
+    value whose float overflows, or rounds a nonzero value to 0.0, is refused.
+    """
     if isinstance(value, float):
         if not math.isfinite(value):
             raise BadFamilyParameter(f"{what} must be finite, got {value!r}")
         return value
-    return _as_exact(value, what)
+    exact = _as_exact(value, what)
+    try:
+        rounded = float(exact)
+    except OverflowError:
+        raise BadFamilyParameter(f"{what} is too large for a float") from None
+    if exact and not rounded:
+        raise BadFamilyParameter(f"{what} is nonzero but its float is 0.0")
+    return exact
 
 
 class ArrivalLaw:
@@ -111,7 +122,8 @@ class ArrivalLaw:
         return {}
 
     def describe(self):
-        raise NotImplementedError
+        args = ", ".join(f"{name}={value}" for name, value in self.params().items())
+        return f"{self.kind}({args})"
 
     def _key(self):
         return (self.kind, tuple(sorted(self.params().items())))
@@ -260,9 +272,6 @@ class Binary0kLaw(ArrivalLaw):
     def params(self):
         return {"alpha": str(self.alpha), "k": self.k}
 
-    def describe(self):
-        return f"binary0k(alpha={self.alpha}, k={self.k})"
-
 
 class PoissonLaw(ArrivalLaw):
     """Poisson arrivals with mean alpha; G(t) = exp(alpha (t - 1))."""
@@ -296,9 +305,6 @@ class PoissonLaw(ArrivalLaw):
 
     def params(self):
         return {"alpha": str(self._alpha_repr)}
-
-    def describe(self):
-        return f"poisson(alpha={self._alpha_repr})"
 
 
 class GeometricLaw(ArrivalLaw):
@@ -351,9 +357,6 @@ class GeometricLaw(ArrivalLaw):
 
     def params(self):
         return {"alpha": str(self.alpha)}
-
-    def describe(self):
-        return f"geometric(alpha={self.alpha})"
 
 
 # base-law constant (3/2)^(7/3) / 13 for the nongeneric example below
@@ -439,9 +442,6 @@ class NongenericExampleLaw(ArrivalLaw):
 
     def params(self):
         return {"mix": str(self.mix)}
-
-    def describe(self):
-        return f"nongeneric_example(mix={self.mix})"
 
 
 class CustomAnalyticLaw(ArrivalLaw):

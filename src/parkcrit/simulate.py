@@ -199,10 +199,11 @@ def _check_run(depth, samples, seed, budget):
         raise OutOfDomain("need at least one sample")
     if not 0 <= seed < 2**64:
         raise OutOfDomain("seed must fit in 64 bits")
-    cost = samples * 2**depth
-    if not cost <= budget:  # a NaN budget caps nothing, so it is refused too
+    # an int compares exactly with a float of any size, but may be too big to
+    # format as one; a NaN budget caps nothing, so it is refused too
+    if not samples * 2**depth <= budget:
         raise BudgetExceeded(
-            f"samples * 2^depth = {cost:.3g} exceeds the budget {budget:.3g}"
+            f"samples * 2^depth = {samples} * 2^{depth} exceeds the budget {budget:.3g}"
         )
 
 

@@ -206,6 +206,16 @@ def test_mean_identities():
         mean_identities(B02_SUP)
 
 
+def test_each_law_is_classified_once():
+    # the decision band is one constant, so every caller shares classify's cache entry
+    classify.cache_clear()
+    classify(B02_CRIT)
+    flux_distribution(B02_CRIT, order=10)
+    mean_identities(B02_CRIT)
+    critical_quantities(B02_CRIT)
+    assert classify.cache_info().misses == 1
+
+
 def test_alpha_c_known_values():
     assert find_alpha_c("binary0k", k=2) == pytest.approx(1 / 14, abs=1e-9)
     assert find_alpha_c("poisson") == pytest.approx(3 - 2 * math.sqrt(2), abs=1e-9)

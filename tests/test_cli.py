@@ -293,14 +293,37 @@ def test_simulate_cluster(capsys):
     assert doc["mnodes_per_s"] > 0
 
 
-def test_simulate_budget(capsys):
-    code, _, err = run_cli(
+@pytest.mark.parametrize(
+    "depth, samples, cost",
+    [("30", "100000", "100000 * 2^30"), ("2000", "1", "1 * 2^2000")],  # 2^2000 overflows a float
+    ids=["depth30", "depth2000"],
+)
+def test_simulate_budget(capsys, depth, samples, cost):
+    code, out, err = run_cli(
         capsys,
         "simulate", "--family", "binary0k", "--alpha", "1/14",
-        "--depth", "30", "--samples", "100000",
+        "--depth", depth, "--samples", samples,
     )
     assert code == 2
-    assert "Budget" in err
+    assert out == ""
+    assert f"input error (BudgetExceeded): samples * 2^depth = {cost} exceeds" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--family", "poisson", "--alpha", "1e400"),
+        ("analyze", "--family", "geometric", "--alpha", "1e400"),
+        ("analyze", "--family", "geometric", "--alpha", "1e-400"),
+        ("simulate", "--family", "poisson", "--alpha", "1e-400", "--depth", "3", "--samples", "2"),
+        ("analyze", "--family", "nongeneric_example", "--mix", "1e-400"),
+    ],
+)
+def test_family_parameter_beyond_float_range_is_an_input_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "input error (BadFamilyParameter)" in err
 
 
 SIMULATE = ("simulate", "--family", "poisson", "--alpha", "0.1")
@@ -319,13 +342,14 @@ ENUMERATE = ("enumerate", "--family", "binary0k", "--alpha", "1/14")
         (("flux", "--family", "binary0k", "--alpha", "1/20", "--order", "1"), "--order"),
         (("sweep", "--families", "binary0k", "--tol", "-1"), "--tol"),
         (("sweep", "--families", "poisson", "--tol", "0"), "--tol"),
+        # only sweep reads a tolerance, its bracket width, so only sweep declares --tol
         (("analyze", "--family", "poisson", "--alpha", "0.1", "--tol", "nan"), "--tol"),
         (("verify", "--tol=-1e-9"), "--tol"),
         (SIMULATE + ("--depth", "4", "--samples", "10", "--budget", "nan"), "--budget"),
         (SIMULATE + ("--depth", "4", "--samples", "10", "--budget", "0"), "--budget"),
-        # enumerate and simulate read no tolerance, so they declare no --tol
         (ENUMERATE + ("--vertex-order", "3", "--flux-order", "2", "--tol", "5"), "--tol"),
         (SIMULATE + ("--depth", "4", "--samples", "10", "--tol", "5"), "--tol"),
+        (("flux", "--family", "poisson", "--alpha", "0.1", "--tol", "1e-6"), "--tol"),
     ],
 )
 def test_out_of_range_flags_are_input_errors(capsys, argv, flag):
@@ -333,7 +357,7 @@ def test_out_of_range_flags_are_input_errors(capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    if argv[0] in ("enumerate", "simulate") and flag == "--tol":
+    if argv[0] != "sweep" and flag == "--tol":
         assert f"unrecognized arguments: {flag}" in err
     else:
         assert f"argument {flag}: must be" in err

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parkcrit.analytic import classify
 from parkcrit.enumeration import (
     DecoratedTree,
     FptTable,
@@ -133,6 +134,15 @@ def test_table_weights_sum_to_flux_probability():
     cmp = flux_via_table(law, table)
     assert cmp.max_residual < 1e-6
     assert len(cmp.probs) == len(cmp.analytic_probs)
+
+
+def test_flux_via_table_shares_the_classification():
+    law = binary0k(Fraction(1, 20), k=2)
+    table = tutte_series(law, 8, 2)
+    classify.cache_clear()
+    classify(law)
+    flux_via_table(law, table)
+    assert classify.cache_info().misses == 1
 
 
 def test_brute_force_total_weight_check():

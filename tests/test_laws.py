@@ -340,7 +340,13 @@ def test_orders_beyond_two_are_refused(law):
             law.derivatives(t, order=-1)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+# exact values whose float is inf or 0.0 are refused too: G, the scan and the
+# samplers all run on the parameter's float
+@pytest.mark.parametrize(
+    "bad",
+    [math.nan, math.inf, -math.inf,
+     pytest.param("1e400", id="exact-1e400"), pytest.param("1e-400", id="exact-1e-400")],
+)
 @pytest.mark.parametrize(
     "make",
     [binary0k, lambda a: binary0k(a, k=3), poisson, geometric, nongeneric_example],

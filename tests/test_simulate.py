@@ -298,6 +298,9 @@ def test_input_validation():
         sample_root_load(B02, depth=1, samples=10, seed=-1)
     with pytest.raises(BudgetExceeded):
         sample_root_load(B02, depth=40, samples=10**6)
+    # 2^2000 overflows a float, yet the refusal still states the cost
+    with pytest.raises(BudgetExceeded, match=r"1 \* 2\^2000"):
+        estimate_root_law(poisson(0.1), 2000, 1)
 
 
 @pytest.mark.parametrize("run, depth", [(estimate_root_law, 40), (root_cluster_stats, 22)])
