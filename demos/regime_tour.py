@@ -31,7 +31,7 @@ for law in laws:
     print(f"{law.describe():38s} {r.regime:14s} {t_c:10s} {p:10s}")
 
 print()
-print("critical mean per family (bisection on the regime gap):")
+print("critical mean per family (root search on the regime gap):")
 for family, k in (("binary0k", 2), ("binary0k", 3), ("poisson", None), ("geometric", None)):
     a = find_alpha_c(family, k=k)
     label = family if k is None else f"{family} k={k}"

@@ -40,6 +40,7 @@ from .errors import (
     BudgetExceeded,
     LawError,
     NonExactLaw,
+    OutOfDomain,
     ParkingModelError,
     UnsampleableLaw,
 )
@@ -47,7 +48,7 @@ from .laws import FAMILIES, make_finite_law
 from .simulate import NODE_BUDGET, estimate_root_law, root_cluster_stats
 
 SCHEMA_VERSION = 1
-_INPUT_ERRORS = (LawError, NonExactLaw, UnsampleableLaw, BudgetExceeded)
+_INPUT_ERRORS = (LawError, NonExactLaw, OutOfDomain, UnsampleableLaw, BudgetExceeded)
 
 
 # --- law specification ----------------------------------------------------------
@@ -422,7 +423,11 @@ def build_parser():
     common(p)
     p.set_defaults(handler=_cmd_analyze)
 
-    p = subs.add_parser("sweep", help="critical mean per family, by bisection")
+    p = subs.add_parser(
+        "sweep",
+        help="critical mean per family: log-bisection, then an ITP root search "
+        "(about 15 regime evaluations per family)",
+    )
     p.add_argument(
         "--families", default="binary0k,poisson,geometric",
         help="comma-separated family names",

@@ -35,6 +35,7 @@ from parkcrit.errors import (
     NoRootWithinBudget,
     NoSolution,
     NotCritical,
+    OutOfDomain,
     ParkingModelError,
 )
 from parkcrit.laws import (
@@ -178,6 +179,19 @@ def test_flux_distribution_subcritical():
     assert flux.mean_occupancy == pytest.approx(2 * (1 - flux.empty_prob) - 0.05, abs=1e-9)
 
 
+@pytest.mark.parametrize("order", [2.5, 40.0, "40"])
+def test_flux_order_must_be_an_integer(order):
+    # these used to raise a raw TypeError
+    with pytest.raises(OutOfDomain, match="not an integer"):
+        flux_distribution(B02_SUB, order)
+
+
+def test_time_from_density_refuses_nan():
+    # NaN used to pass the range checks and run ITER_CAP bisection steps
+    with pytest.raises(OutOfDomain, match="NaN"):
+        time_from_density(poisson(0.1), math.nan)
+
+
 def test_flux_distribution_critical_matches_quantities():
     flux = flux_distribution(B02_CRIT, order=50)
     assert flux.empty_prob == pytest.approx(7 / 8, abs=1e-10)
@@ -228,8 +242,20 @@ def test_alpha_c_bracket_failure():
 
 
 # (float.hex of alpha_c, gap evaluations in the trace) per (family, k, tol),
-# recorded while find_alpha_c still ran its own bisection loop
+# recorded when find_alpha_c took a log phase and then _root (ITP)
 PINNED_ALPHA_C = {
+    ("binary0k", 2, 1e-9): ("0x1.24924925b8b70p-4", 15),
+    ("binary0k", 2, 1e-11): ("0x1.249249246777ap-4", 17),
+    ("binary0k", 3, 1e-9): ("0x1.8c69c03c8fd00p-6", 15),
+    ("binary0k", 3, 1e-11): ("0x1.8c69c039259d9p-6", 17),
+    ("poisson", None, 1e-9): ("0x1.5f61998579eeep-3", 16),
+    ("poisson", None, 1e-11): ("0x1.5f619980b72b6p-3", 17),
+    ("geometric", None, 1e-9): ("0x1.000000005c290p-3", 15),
+    ("geometric", None, 1e-11): ("0x1.ffffffffd4084p-4", 17),
+}
+
+# the same, recorded while find_alpha_c bisected the whole bracket
+BISECTION_ALPHA_C = {
     ("binary0k", 2, 1e-9): ("0x1.249249345598fp-4", 33),
     ("binary0k", 2, 1e-11): ("0x1.2492492495998p-4", 40),
     ("binary0k", 3, 1e-9): ("0x1.8c69c06e71d7ep-6", 34),
@@ -247,6 +273,20 @@ def test_alpha_c_pinned(family, k, tol):
     assert (alpha_c.hex(), len(trace)) == PINNED_ALPHA_C[family, k, tol]
 
 
+@pytest.mark.parametrize("family, k, tol", list(BISECTION_ALPHA_C))
+def test_alpha_c_within_tol_of_the_bisection(family, k, tol):
+    # both end on a bracket of width at most tol around the same sign change
+    old = float.fromhex(BISECTION_ALPHA_C[family, k, tol][0])
+    assert abs(find_alpha_c(family, k=k, tol=tol) - old) <= tol
+
+
+@pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan])
+def test_alpha_c_refuses_a_tol_that_is_not_finite(tol):
+    # an infinite tol used to return the bracket midpoint, a NaN one ran as 0
+    with pytest.raises(OutOfDomain, match="not finite"):
+        find_alpha_c("poisson", tol=tol)
+
+
 def test_alpha_c_negative_tol_exhausts_the_cap(monkeypatch):
     # the real gaps reach exactly 0 near alpha_c; a sign alone never does
     monkeypatch.setattr(analytic, "_regime_gap", lambda law: 0.1 - law.mean() or 1.0)
@@ -257,8 +297,8 @@ def test_alpha_c_negative_tol_exhausts_the_cap(monkeypatch):
 
 # (regime, float.hex of the RegimeReport fields below, first 16 hex digits of
 # the sha256 of the float.hex strings of flux_distribution(law, 60).probs) per
-# exact law, recorded while every float t still went through the mixed
-# Fraction-float expressions of the exact path
+# exact law, recorded when _root (ITP) replaced the bisections; each law kept
+# its regime, and binary0k(0.05) gives what binary0k(1/20) gives
 PINNED_FIELDS = (
     "critical_time", "crit_density", "gf_at_crit", "lhs", "rhs", "gap",
     "empty_prob", "occupied_no_flux_prob",
@@ -267,19 +307,19 @@ PINNED_EXACT_LAWS = {
     ("binary0k", ("1/20", 2)): (
         "subcritical",
         (
-            "0x1.cd82b44615a60p+1", "0x1.0a418f6382a0dp+0",
-            "0x1.16b28f55d72d5p+0", "0x1.0b29ea5b1c269p+1",
-            "0x1.b19050c18297dp+0", "0x1.930e0fd2d6d54p-2",
-            "0x1.d664b5600446cp-1", "0x1.a9d4f6385b990p-5",
+            "0x1.cd82b44615928p+1", "0x1.0a418f6382a0cp+0",
+            "0x1.16b28f55d72d4p+0", "0x1.0b29ea5b1c07ap+1",
+            "0x1.b19050c18259cp+0", "0x1.930e0fd2d6d60p-2",
+            "0x1.d664b560044e8p-1", "0x1.a9d4f6385b5f0p-5",
         ),
-        "93da00dd3f84c298",
+        "24413cd9ac0b9fa5",
     ),
     ("binary0k", ("1/14", 2)): (
         "critical",
         (
-            "0x1.7ffffffffff9fp+1", "0x1.c000000000000p-1",
-            "0x1.16b28f55d72d4p+0", "0x1.4924924924802p+0",
-            "0x1.4924924924802p+0", "0x0.0p+0",
+            "0x1.8000000000000p+1", "0x1.c000000000000p-1",
+            "0x1.16b28f55d72d3p+0", "0x1.4924924924924p+0",
+            "0x1.4924924924924p+0", "0x0.0p+0",
             "0x1.c000000000000p-1", "0x1.3dc3d6b1c4798p-4",
         ),
         "5108c8a286de3901",
@@ -287,19 +327,19 @@ PINNED_EXACT_LAWS = {
     ("binary0k", ("0.013", 3)): (
         "subcritical",
         (
-            "0x1.9cb8b2f213c80p+1", "0x1.24a77a44f1693p+0",
-            "0x1.0a4b47dcb3f42p+0", "0x1.659e045247225p+0",
-            "0x1.f052d4732ec39p-1", "0x1.b5d26862bf022p-2",
-            "0x1.ef4fe34d01f3cp-1", "0x1.2bd30a3197620p-6",
+            "0x1.9cb8b2f213d12p+1", "0x1.24a77a44f1692p+0",
+            "0x1.0a4b47dcb3f43p+0", "0x1.659e0452473a3p+0",
+            "0x1.f052d4732ef47p-1", "0x1.b5d26862beffep-2",
+            "0x1.ef4fe34d01f65p-1", "0x1.2bd30a31973a0p-6",
         ),
-        "47c0d53861c92818",
+        "64bda9dfc2b0193f",
     ),
     ("binary0k", ("0.3", 30)): (
         "supercritical",
         (
-            "0x1.e559402fd390fp-1", "0x1.da605175df165p-2",
-            "0x1.0022423d48170p+0", "-0x1.0b2c964c7f8aep+0",
-            "-0x1.9bb6edbf3cd4ap-9", "-0x1.0a5ebad59fec7p+0",
+            "0x1.e559402fd386ep-1", "0x1.da605175df163p-2",
+            "0x1.0022423d4816fp+0", "-0x1.0b2c964c7f8f9p+0",
+            "-0x1.9bb6edbf3c6fep-9", "-0x1.0a5ebad59ff16p+0",
             None, None,
         ),
         None,
@@ -307,19 +347,19 @@ PINNED_EXACT_LAWS = {
     ("finite", ("0.98", "0.01", "0.006", "0.004")): (
         "subcritical",
         (
-            "0x1.892221793b220p+1", "0x1.073d49cae1a72p+0",
-            "0x1.0f732cdd881eap+0", "0x1.44836a893a77bp+0",
-            "0x1.04abd231f2acfp+0", "0x1.febcc2ba3e560p-3",
-            "0x1.e0b10a8dfd62ap-1", "0x1.471a78028f590p-5",
+            "0x1.892221793b16ap+1", "0x1.073d49cae1a71p+0",
+            "0x1.0f732cdd881ecp+0", "0x1.44836a893a58fp+0",
+            "0x1.04abd231f28ddp+0", "0x1.febcc2ba3e590p-3",
+            "0x1.e0b10a8dfd662p-1", "0x1.471a78028f3f0p-5",
         ),
-        "7fa10ffadf42253b",
+        "81b853a55a368750",
     ),
     ("finite", ("0.985", "0.005", "0", "0.006", "0.004")): (
         "supercritical",
         (
-            "0x1.f27a3482bbf8dp+0", "0x1.795a1768de32ap-1",
-            "0x1.0862cf72759e8p+0", "-0x1.da7f3b9ec72b5p-5",
-            "0x1.696b6a20076b2p-2", "-0x1.a4bb5193e0509p-2",
+            "0x1.f27a3482bbfb8p+0", "0x1.795a1768de329p-1",
+            "0x1.0862cf72759e9p+0", "-0x1.da7f3b9ec6cdep-5",
+            "0x1.696b6a2007761p-2", "-0x1.a4bb5193e04fdp-2",
             None, None,
         ),
         None,
@@ -327,22 +367,22 @@ PINNED_EXACT_LAWS = {
     ("geometric", ("1/8",)): (
         "critical",
         (
-            "0x1.7ffffffffff9fp+1", "0x1.afffffffffffep-1",
-            "0x1.279a74590331cp+0", "0x1.5555555555428p+0",
-            "0x1.555555555542ap+0", "-0x1.0000000000000p-51",
-            "0x1.afffffffffffep-1", "0x1.0b529158d5904p-3",
+            "0x1.8000000000000p+1", "0x1.b000000000000p-1",
+            "0x1.279a74590331cp+0", "0x1.5555555555555p+0",
+            "0x1.5555555555555p+0", "0x0.0p+0",
+            "0x1.b000000000000p-1", "0x1.0b529158d5900p-3",
         ),
-        "b79a440bba28bb4a",
+        "382bceb137acc02d",
     ),
     ("geometric", ("1/10",)): (
         "subcritical",
         (
-            "0x1.d555555555403p+1", "0x1.0222222222223p+0",
-            "0x1.279a74590331bp+0", "0x1.22e8ba2e8b7f8p+1",
-            "0x1.d1745d17458a9p+0", "0x1.d1745d1745d1cp-2",
-            "0x1.c4e3a050533d0p-1", "0x1.a13882e6cff78p-4",
+            "0x1.d555555555624p+1", "0x1.0222222222223p+0",
+            "0x1.279a74590331dp+0", "0x1.22e8ba2e8bb87p+1",
+            "0x1.d1745d1745fc8p+0", "0x1.d1745d1745d18p-2",
+            "0x1.c4e3a050533c5p-1", "0x1.a13882e6cffa0p-4",
         ),
-        "c1f8383dd5d932ce",
+        "a6bdf0f3112c9e5b",
     ),
     ("nongeneric_example", ("1/10",)): (
         "subcritical",
@@ -350,28 +390,26 @@ PINNED_EXACT_LAWS = {
             "0x1.8000000000000p+1", "0x1.6573ac901e572p+0",
             "0x1.06d3ff06f5062p+0", "0x1.72c234f72c236p+0",
             "0x1.0000000000000p+0", "0x1.cb08d3dcb08d8p-2",
-            "0x1.f6e92d352e882p-1", "0x1.13fa3cc6cbd00p-6",
+            "0x1.f6e92d352e903p-1", "0x1.13fa3cc6cb500p-6",
         ),
-        "2efbcff9aa5f1b5d",
+        "90b5cf7bcd2e0ca3",
     ),
-    # float parameters, recorded while a float t still had its own expression
-    # beside the exact one; binary0k(0.05) gives what binary0k(1/20) gives
     ("binary0k", (0.05, 2)): (
         "subcritical",
         (
-            "0x1.cd82b44615a60p+1", "0x1.0a418f6382a0dp+0",
-            "0x1.16b28f55d72d5p+0", "0x1.0b29ea5b1c269p+1",
-            "0x1.b19050c18297dp+0", "0x1.930e0fd2d6d54p-2",
-            "0x1.d664b5600446cp-1", "0x1.a9d4f6385b990p-5",
+            "0x1.cd82b44615928p+1", "0x1.0a418f6382a0cp+0",
+            "0x1.16b28f55d72d4p+0", "0x1.0b29ea5b1c07ap+1",
+            "0x1.b19050c18259cp+0", "0x1.930e0fd2d6d60p-2",
+            "0x1.d664b560044e8p-1", "0x1.a9d4f6385b5f0p-5",
         ),
-        "93da00dd3f84c298",
+        "24413cd9ac0b9fa5",
     ),
     ("binary0k", (0.3, 3)): (
         "supercritical",
         (
-            "0x1.1854a6c7ba292p+0", "0x1.b7d0923618affp-2",
-            "0x1.0a4b47dcb3f44p+0", "-0x1.ddd85033cb3c7p-1",
-            "0x1.32b3d3dd6056fp-5", "-0x1.f1038d71a141ep-1",
+            "0x1.1854a6c7ba33cp+0", "0x1.b7d0923618b00p-2",
+            "0x1.0a4b47dcb3f43p+0", "-0x1.ddd85033cb2d7p-1",
+            "0x1.32b3d3dd60ffbp-5", "-0x1.f1038d71a13d7p-1",
             None, None,
         ),
         None,
@@ -379,19 +417,19 @@ PINNED_EXACT_LAWS = {
     ("poisson", (0.1,)): (
         "subcritical",
         (
-            "0x1.76e73ffc1e9e2p+2", "0x1.462e93ccc18dbp+0",
-            "0x1.384c418a0355fp+0", "0x1.9154672398a5ep+2",
-            "0x1.2808423ab7cffp+2", "0x1.a53093a38357cp+0",
-            "0x1.c95db352c0c9ep-1", "0x1.9adbc47052310p-4",
+            "0x1.76e73ffc1eb25p+2", "0x1.462e93ccc18dap+0",
+            "0x1.384c418a03560p+0", "0x1.9154672398d36p+2",
+            "0x1.2808423ab7fc7p+2", "0x1.a53093a3835bcp+0",
+            "0x1.c95db352c0cb6p-1", "0x1.9adbc470522c0p-4",
         ),
-        "22e7703847ec240b",
+        "5b604312e24c4f1a",
     ),
     ("poisson", (3 - 2 * math.sqrt(2),)): (
         "critical",
         (
-            "0x1.b504f333f9de6p+1", "0x1.986fd998db4a9p-1",
-            "0x1.384c418a03561p+0", "0x1.11ea35da10ec2p+1",
-            "0x1.11ea35da10ebcp+1", "0x1.8000000000000p-49",
+            "0x1.b504f333f9deep+1", "0x1.986fd998db4a9p-1",
+            "0x1.384c418a03560p+0", "0x1.11ea35da10ed1p+1",
+            "0x1.11ea35da10eccp+1", "0x1.4000000000000p-49",
             "0x1.986fd998db4a9p-1", "0x1.6748857a84dacp-3",
         ),
         "5bce8b3239d19038",
@@ -399,22 +437,22 @@ PINNED_EXACT_LAWS = {
     ("geometric", (0.05,)): (
         "subcritical",
         (
-            "0x1.bfffffffffeb6p+2", "0x1.d666666666665p+0",
-            "0x1.279a74590331cp+0", "0x1.c9249249246a6p+2",
-            "0x1.1249249248fcbp+2", "0x1.6db6db6db6db6p+1",
-            "0x1.e4e09fe01ceaap-1", "0x1.9ae624ba93540p-5",
+            "0x1.c000000000000p+2", "0x1.d666666666666p+0",
+            "0x1.279a74590331dp+0", "0x1.c924924924925p+2",
+            "0x1.124924924924ap+2", "0x1.6db6db6db6db6p+1",
+            "0x1.e4e09fe01cebdp-1", "0x1.9ae624ba934b0p-5",
         ),
-        "28f4cea25947f82a",
+        "737476c304efc402",
     ),
     ("geometric", (0.125,)): (
         "critical",
         (
-            "0x1.7ffffffffff9fp+1", "0x1.afffffffffffep-1",
-            "0x1.279a74590331cp+0", "0x1.5555555555428p+0",
-            "0x1.555555555542ap+0", "-0x1.0000000000000p-51",
-            "0x1.afffffffffffep-1", "0x1.0b529158d5904p-3",
+            "0x1.8000000000000p+1", "0x1.b000000000000p-1",
+            "0x1.279a74590331cp+0", "0x1.5555555555555p+0",
+            "0x1.5555555555555p+0", "0x0.0p+0",
+            "0x1.b000000000000p-1", "0x1.0b529158d5900p-3",
         ),
-        "2d17abb6e923ae91",
+        "78702a9671dab558",
     ),
 }
 
@@ -563,22 +601,50 @@ def test_gallop_matches_the_full_walk(family, data):
 
 
 # (float.hex of t, margin_vanishes, at_radius, evaluable) per law, recorded
-# while the scan walked every grid point; the laws of ROADMAP item 1, whose
+# when _root (ITP) replaced the bisection; the laws of ROADMAP item 1, whose
 # answers are wrong, are left to test_gallop_matches_the_full_walk
 PINNED_CRITICAL_TIMES = {
-    ("binary0k", ("1/14", 2)): ("0x1.7ffffffffff9fp+1", True, False, True),
-    ("binary0k", (0.05, 2)): ("0x1.cd82b44615a60p+1", True, False, True),
-    ("binary0k", (0.3, 3)): ("0x1.1854a6c7ba292p+0", True, False, True),
-    ("binary0k", (2.5, 5)): ("0x1.205134e3e644ep-1", True, False, True),
-    ("binary0k", (29.9, 30)): ("0x1.585baa93afb77p-1", True, False, True),
-    ("poisson", (0.1,)): ("0x1.76e73ffc1e9e2p+2", True, False, True),
-    ("poisson", (20.0,)): ("0x1.dfe051e68d902p-6", True, False, True),
-    ("geometric", (0.05,)): ("0x1.bfffffffffeb6p+2", True, False, True),
-    ("geometric", ("1/8",)): ("0x1.7ffffffffff9fp+1", True, False, True),
+    ("binary0k", ("1/14", 2)): ("0x1.8000000000000p+1", True, False, True),
+    ("binary0k", (0.05, 2)): ("0x1.cd82b44615928p+1", True, False, True),
+    ("binary0k", (0.3, 3)): ("0x1.1854a6c7ba33cp+0", True, False, True),
+    ("binary0k", (2.5, 5)): ("0x1.205134e3e63d0p-1", True, False, True),
+    ("binary0k", (29.9, 30)): ("0x1.585baa93af9dep-1", True, False, True),
+    ("poisson", (0.1,)): ("0x1.76e73ffc1eb25p+2", True, False, True),
+    ("poisson", (20.0,)): ("0x1.dfe051e68d96ap-6", True, False, True),
+    ("geometric", (0.05,)): ("0x1.c000000000000p+2", True, False, True),
+    ("geometric", ("1/8",)): ("0x1.8000000000000p+1", True, False, True),
     ("nongeneric_example", (1,)): ("0x1.8000000000000p+1", True, True, True),
     ("nongeneric_example", (0.1,)): ("0x1.8000000000000p+1", False, True, True),
-    ("finite", ("1/2", "1/4", "1/8", "1/8")): ("0x1.5ad77e8d662a9p-1", True, False, True),
-    ("finite", ("9/10", "0", "0", "1/20", "1/20")): ("0x1.fb36f4560c3d5p-1", True, False, True),
+    ("finite", ("1/2", "1/4", "1/8", "1/8")): ("0x1.5ad77e8d66314p-1", True, False, True),
+    ("finite", ("9/10", "0", "0", "1/20", "1/20")): ("0x1.fb36f4560c4eap-1", True, False, True),
+}
+
+
+# float.hex of the critical time per law of the two tables above, recorded
+# while every root search bisected
+BISECTION_CRITICAL_TIMES = {
+    ("binary0k", ("1/14", 2)): "0x1.7ffffffffff9fp+1",
+    ("binary0k", (0.05, 2)): "0x1.cd82b44615a60p+1",
+    ("binary0k", (0.3, 3)): "0x1.1854a6c7ba292p+0",
+    ("binary0k", (2.5, 5)): "0x1.205134e3e644ep-1",
+    ("binary0k", (29.9, 30)): "0x1.585baa93afb77p-1",
+    ("poisson", (0.1,)): "0x1.76e73ffc1e9e2p+2",
+    ("poisson", (20.0,)): "0x1.dfe051e68d902p-6",
+    ("geometric", (0.05,)): "0x1.bfffffffffeb6p+2",
+    ("geometric", ("1/8",)): "0x1.7ffffffffff9fp+1",
+    ("nongeneric_example", (1,)): "0x1.8000000000000p+1",
+    ("nongeneric_example", (0.1,)): "0x1.8000000000000p+1",
+    ("finite", ("1/2", "1/4", "1/8", "1/8")): "0x1.5ad77e8d662a9p-1",
+    ("finite", ("9/10", "0", "0", "1/20", "1/20")): "0x1.fb36f4560c3d5p-1",
+    ("binary0k", ("1/20", 2)): "0x1.cd82b44615a60p+1",
+    ("binary0k", ("0.013", 3)): "0x1.9cb8b2f213c80p+1",
+    ("binary0k", ("0.3", 30)): "0x1.e559402fd390fp-1",
+    ("finite", ("0.98", "0.01", "0.006", "0.004")): "0x1.892221793b220p+1",
+    ("finite", ("0.985", "0.005", "0", "0.006", "0.004")): "0x1.f27a3482bbf8dp+0",
+    ("geometric", ("1/10",)): "0x1.d555555555403p+1",
+    ("nongeneric_example", ("1/10",)): "0x1.8000000000000p+1",
+    ("poisson", (3 - 2 * math.sqrt(2),)): "0x1.b504f333f9de6p+1",
+    ("geometric", (0.125,)): "0x1.7ffffffffff9fp+1",
 }
 
 
@@ -587,26 +653,129 @@ def test_critical_time_pinned(kind, args):
     assert _scan_outcome(_pinned_law(kind, args)) == PINNED_CRITICAL_TIMES[kind, args]
 
 
+@pytest.mark.parametrize("kind, args", list(BISECTION_CRITICAL_TIMES))
+def test_critical_time_within_the_stopping_width_of_the_bisection(kind, args):
+    # both end on a bracket of width at most REL_ROOT_TOL times its larger
+    # end around the same sign change of the margin
+    old = float.fromhex(BISECTION_CRITICAL_TIMES[kind, args])
+    new = find_critical_time(_pinned_law(kind, args)).t
+    assert abs(new - old) <= analytic.REL_ROOT_TOL * max(new, old)
+
+
 def test_scan_gallops_to_the_first_sign_change(monkeypatch):
     # the margin of poisson(0.1) first vanishes near t = 5.86, about 320 grid
     # points up; a walk from the start evaluates G there 321 times, a binary
-    # search over the 567 grid points for the end of the certified prefix 11
-    evaluated, at_bisection = [], []
-    derivatives, bisect = PoissonLaw.derivatives, analytic._bisect_decreasing
+    # search over the 567 grid points for the end of the certified prefix 11,
+    # and the root search between the last two points 10 (bisection: 39)
+    evaluated, at_root = [], []
+    derivatives, root = PoissonLaw.derivatives, analytic._root
 
     def counted(self, t, order=2):
         evaluated.append(t)
         return derivatives(self, t, order)
 
-    def bisect_once(f, a, b, **kw):
-        at_bisection.append(len(evaluated))
-        return bisect(f, a, b, **kw)
+    def root_once(f, a, b, *args, **kw):
+        at_root.append(len(evaluated))
+        return root(f, a, b, *args, **kw)
 
     monkeypatch.setattr(PoissonLaw, "derivatives", counted)
-    monkeypatch.setattr(analytic, "_bisect_decreasing", bisect_once)
+    monkeypatch.setattr(analytic, "_root", root_once)
     ct = find_critical_time.__wrapped__(poisson(0.1))
     assert ct.t.hex() == PINNED_CRITICAL_TIMES["poisson", (0.1,)][0]
-    assert len(at_bisection) == 1 and at_bisection[0] <= 12
+    assert len(at_root) == 1 and at_root[0] <= 12
+    assert len(evaluated) - at_root[0] <= 16
+
+
+@pytest.mark.parametrize(
+    "kind, args", [law for law, pin in PINNED_EXACT_LAWS.items() if pin[0] == "subcritical"]
+)
+def test_fixed_point_search_evaluation_count(monkeypatch, kind, args):
+    # bisection took 44-45 evaluations on these laws
+    law = _pinned_law(kind, args)
+    find_critical_time(law)  # so that only the fixed-point search runs below
+    evaluated, root = [], analytic._root
+
+    def counted_root(f, *args, **kw):
+        return root(lambda s: evaluated.append(s) or f(s), *args, **kw)
+
+    monkeypatch.setattr(analytic, "_root", counted_root)
+    solve_empty_prob(law)
+    assert 0 < len(evaluated) <= 16
+
+
+@pytest.mark.parametrize(
+    "family, k", [("binary0k", 2), ("binary0k", 5), ("poisson", None), ("geometric", None)]
+)
+def test_alpha_c_evaluation_count(family, k):
+    # bisection took 33-38 gap evaluations at the default tol of 1e-9
+    _, trace = find_alpha_c(family, k=k, want_trace=True)
+    assert len(trace) <= 20
+
+
+def test_root_is_at_most_one_step_behind_bisection():
+    # past a step in f, regula falsi creeps in from the flat side; the window
+    # about the midpoint keeps ITP within n0 = 1 step of bisection's 30
+    calls = []
+
+    def step(x):
+        calls.append(x)
+        return 1e-12 if x < 0.7 else -1.0
+
+    x = analytic._root(step, 0.0, 1.0, 1e-12, -1.0, rel=0.0, width=1e-9)
+    assert abs(x - 0.7) <= 1e-9
+    assert len(calls) <= math.ceil(math.log2(1.0 / 1e-9)) + 1
+
+
+def _bisect(f, a, b, rel=analytic.REL_ROOT_TOL, width=0.0):
+    """Plain bisection of f(a) > 0 > f(b) with _root's stopping rule."""
+    for _ in range(analytic.ITER_CAP):
+        if b - a <= max(width, rel * max(abs(a), abs(b), 1e-300)):
+            return 0.5 * (a + b)
+        mid = 0.5 * (a + b)
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if fm > 0.0:
+            a = mid
+        else:
+            b = mid
+    raise IterationCapExceeded(f"bracket ({a!r}, {b!r}) open")
+
+
+def _outcome(solve):
+    """solve()'s value, or the name of the exception it raised."""
+    try:
+        return solve()
+    except (ParkingModelError, ArithmeticError, ValueError) as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("family", list(GALLOP_LAWS))
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_root_agrees_with_bisection(family, data):
+    # on the scan's bracket and the fixed-point bracket of each law
+    law = data.draw(GALLOP_LAWS[family])
+    root = analytic._root
+
+    def both(f, a, b, fa=None, fb=None, rel=analytic.REL_ROOT_TOL, width=0.0):
+        ref = _outcome(lambda: _bisect(f, a, b, rel, width))
+        try:
+            x = root(f, a, b, fa, fb, rel, width)
+        except (ParkingModelError, ArithmeticError, ValueError) as exc:
+            assert ref == type(exc).__name__, (law, a, b)
+            raise
+        assert not isinstance(ref, str), (law, a, b, ref)
+        # each ends on a bracket narrower than the stopping width around the
+        # same sign change, so the two midpoints are this close
+        gap = abs(x - ref)
+        assert gap <= max(width, rel * (max(abs(x), abs(ref)) + gap)), (law, a, b, x, ref)
+        return x
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analytic, "_root", both)
+        _outcome(lambda: find_critical_time.__wrapped__(law))
+        _outcome(lambda: solve_empty_prob(law))
 
 
 def _unevaluable_at(radius):

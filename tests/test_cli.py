@@ -197,6 +197,14 @@ def test_sweep_refuses_an_empty_family_list(capsys, families):
     assert "LawError" in err
 
 
+def test_sweep_refuses_an_infinite_tol(capsys):
+    # it used to print the bracket midpoint, 25.00005, and exit 0
+    code, out, err = run_cli(capsys, "sweep", "--families", "poisson", "--tol", "inf")
+    assert code == 2
+    assert out == ""
+    assert "input error (OutOfDomain)" in err and "not finite" in err
+
+
 def test_sweep_refuses_nongeneric_example(capsys):
     code, _, err = run_cli(capsys, "sweep", "--families", "nongeneric_example")
     assert code == 3
