@@ -7,6 +7,7 @@ shows up as a drift from these constants.
 
 import hashlib
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -99,6 +100,20 @@ def test_supercritical_binary():
         flux_distribution(B02_SUP)
     with pytest.raises(NotCritical):
         critical_quantities(B02_SUP)
+
+
+def test_flux_refuses_entries_that_are_not_probabilities():
+    # poisson(360) wrongly reads critical (ROADMAP item 1) with an empty_prob
+    # far above 1, so P(flux = 0) = sqrt(p / mu0) overflows to inf
+    with pytest.raises(NoSolution, match=r"P\(flux = 0\) came out inf"):
+        flux_distribution(poisson(360))
+
+
+def test_critical_quantities_refuses_empty_prob_outside_unit_interval():
+    # poisson(40) wrongly reads critical (ROADMAP item 1); its closed-form
+    # empty-root probability is negative
+    with pytest.raises(NoSolution, match=r"not in \[0, 1\]"):
+        critical_quantities(poisson(40))
 
 
 def test_regime_monotone_in_mean():
@@ -297,8 +312,10 @@ def test_alpha_c_negative_tol_exhausts_the_cap(monkeypatch):
 
 # (regime, float.hex of the RegimeReport fields below, first 16 hex digits of
 # the sha256 of the float.hex strings of flux_distribution(law, 60).probs) per
-# exact law, recorded when _root (ITP) replaced the bisections; each law kept
-# its regime, and binary0k(0.05) gives what binary0k(1/20) gives
+# exact law, recorded when _root (ITP) replaced the bisections, the flux
+# digests again when one coefficient recurrence replaced the square root,
+# reciprocal and product series; each law kept its regime, and binary0k(0.05)
+# gives what binary0k(1/20) gives
 PINNED_FIELDS = (
     "critical_time", "crit_density", "gf_at_crit", "lhs", "rhs", "gap",
     "empty_prob", "occupied_no_flux_prob",
@@ -312,7 +329,7 @@ PINNED_EXACT_LAWS = {
             "0x1.b19050c18259cp+0", "0x1.930e0fd2d6d60p-2",
             "0x1.d664b560044e8p-1", "0x1.a9d4f6385b5f0p-5",
         ),
-        "24413cd9ac0b9fa5",
+        "07936f550c4a0a22",
     ),
     ("binary0k", ("1/14", 2)): (
         "critical",
@@ -322,7 +339,7 @@ PINNED_EXACT_LAWS = {
             "0x1.4924924924924p+0", "0x0.0p+0",
             "0x1.c000000000000p-1", "0x1.3dc3d6b1c4798p-4",
         ),
-        "5108c8a286de3901",
+        "ed104bb5edba603f",
     ),
     ("binary0k", ("0.013", 3)): (
         "subcritical",
@@ -332,7 +349,7 @@ PINNED_EXACT_LAWS = {
             "0x1.f052d4732ef47p-1", "0x1.b5d26862beffep-2",
             "0x1.ef4fe34d01f65p-1", "0x1.2bd30a31973a0p-6",
         ),
-        "64bda9dfc2b0193f",
+        "2971e5f650dfa67c",
     ),
     ("binary0k", ("0.3", 30)): (
         "supercritical",
@@ -352,7 +369,7 @@ PINNED_EXACT_LAWS = {
             "0x1.04abd231f28ddp+0", "0x1.febcc2ba3e590p-3",
             "0x1.e0b10a8dfd662p-1", "0x1.471a78028f3f0p-5",
         ),
-        "81b853a55a368750",
+        "7592f7df1285853c",
     ),
     ("finite", ("0.985", "0.005", "0", "0.006", "0.004")): (
         "supercritical",
@@ -372,7 +389,7 @@ PINNED_EXACT_LAWS = {
             "0x1.5555555555555p+0", "0x0.0p+0",
             "0x1.b000000000000p-1", "0x1.0b529158d5900p-3",
         ),
-        "382bceb137acc02d",
+        "e6aca060909adf63",
     ),
     ("geometric", ("1/10",)): (
         "subcritical",
@@ -382,7 +399,7 @@ PINNED_EXACT_LAWS = {
             "0x1.d1745d1745fc8p+0", "0x1.d1745d1745d18p-2",
             "0x1.c4e3a050533c5p-1", "0x1.a13882e6cffa0p-4",
         ),
-        "a6bdf0f3112c9e5b",
+        "cbb3f48c3afa104e",
     ),
     ("nongeneric_example", ("1/10",)): (
         "subcritical",
@@ -392,7 +409,7 @@ PINNED_EXACT_LAWS = {
             "0x1.0000000000000p+0", "0x1.cb08d3dcb08d8p-2",
             "0x1.f6e92d352e903p-1", "0x1.13fa3cc6cb500p-6",
         ),
-        "90b5cf7bcd2e0ca3",
+        "56e0ca57d647e002",
     ),
     ("binary0k", (0.05, 2)): (
         "subcritical",
@@ -402,7 +419,7 @@ PINNED_EXACT_LAWS = {
             "0x1.b19050c18259cp+0", "0x1.930e0fd2d6d60p-2",
             "0x1.d664b560044e8p-1", "0x1.a9d4f6385b5f0p-5",
         ),
-        "24413cd9ac0b9fa5",
+        "07936f550c4a0a22",
     ),
     ("binary0k", (0.3, 3)): (
         "supercritical",
@@ -422,7 +439,7 @@ PINNED_EXACT_LAWS = {
             "0x1.2808423ab7fc7p+2", "0x1.a53093a3835bcp+0",
             "0x1.c95db352c0cb6p-1", "0x1.9adbc470522c0p-4",
         ),
-        "5b604312e24c4f1a",
+        "d99071058f9de552",
     ),
     ("poisson", (3 - 2 * math.sqrt(2),)): (
         "critical",
@@ -432,7 +449,7 @@ PINNED_EXACT_LAWS = {
             "0x1.11ea35da10eccp+1", "0x1.4000000000000p-49",
             "0x1.986fd998db4a9p-1", "0x1.6748857a84dacp-3",
         ),
-        "5bce8b3239d19038",
+        "8685dae8abfeac74",
     ),
     ("geometric", (0.05,)): (
         "subcritical",
@@ -442,7 +459,7 @@ PINNED_EXACT_LAWS = {
             "0x1.124924924924ap+2", "0x1.6db6db6db6db6p+1",
             "0x1.e4e09fe01cebdp-1", "0x1.9ae624ba934b0p-5",
         ),
-        "737476c304efc402",
+        "ba8869cefe8c34b6",
     ),
     ("geometric", (0.125,)): (
         "critical",
@@ -452,7 +469,7 @@ PINNED_EXACT_LAWS = {
             "0x1.5555555555555p+0", "0x0.0p+0",
             "0x1.b000000000000p-1", "0x1.0b529158d5900p-3",
         ),
-        "78702a9671dab558",
+        "5375b1dfe8c68da9",
     ),
 }
 
@@ -482,6 +499,46 @@ def test_exact_law_answers_pinned(kind, args):
         probs = flux_distribution(law, 60).probs
         digest = hashlib.sha256(" ".join(p.hex() for p in probs).encode()).hexdigest()[:16]
     assert (rep.regime, fields, digest) == PINNED_EXACT_LAWS[kind, args]
+
+
+def _decimal_flux(law, order, digits=60):
+    """flux_distribution's recurrence run in decimal at the given digits.
+
+    It starts from the same float p, coefficients and q_0 = sqrt(p / mu0)
+    (the value classify reports too), so the difference from the float
+    run is the recurrence's own rounding.
+    """
+    p = classify(law).empty_prob
+    with localcontext() as ctx:
+        ctx.prec = digits
+        g = [Decimal(float(law.coefficient(k))) for k in range(order + 1)]
+        q0 = Decimal(math.sqrt(p / law.mu0))
+        q, s = [q0], [q0 * q0]
+        for n in range(1, order + 1):
+            r = sum((q[j] * q[n - j] for j in range(1, n)), Decimal(0))
+            c = q[n - 1] - g[0] * r - sum((g[i] * s[n - i] for i in range(1, n + 1)), Decimal(0))
+            if n == 1:
+                c -= Decimal(p)
+            q.append(c / (2 * g[0] * q0))
+            s.append(2 * q0 * q[n] + r)
+    return q
+
+
+_FLUX_LAWS = [key for key, pinned in PINNED_EXACT_LAWS.items() if pinned[2] is not None]
+
+
+@pytest.mark.parametrize("kind, args", _FLUX_LAWS)
+def test_flux_recurrence_matches_60_digits(kind, args):
+    law = _pinned_law(kind, args)
+    got = flux_distribution(law, 200).probs
+    ref = _decimal_flux(law, 200)
+    assert max(abs(Decimal(v) - r) for v, r in zip(got, ref)) <= Decimal("5e-17")
+
+
+@pytest.mark.parametrize("kind, args", _FLUX_LAWS)
+def test_flux_and_classify_agree_on_occupied_no_flux(kind, args):
+    law = _pinned_law(kind, args)
+    assert flux_distribution(law).occupied_no_flux_prob == classify(law).occupied_no_flux_prob
 
 
 @pytest.mark.parametrize(

@@ -426,6 +426,22 @@ def test_verify_reports_checks_that_raise(capsys):
     assert err.startswith("verification failed: ")
 
 
+def test_flux_entries_that_are_not_probabilities_exit_3(capsys):
+    # poisson(360) wrongly reads critical (ROADMAP item 1); its flux law
+    # overflows, and must not be printed as inf or nan with exit 0
+    code, out, err = run_cli(capsys, "flux", "--family", "poisson", "--alpha", "360")
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical failure (NoSolution): ")
+
+
+def test_analyze_critical_closed_form_outside_unit_interval_exits_3(capsys):
+    # poisson(22) wrongly reads critical (ROADMAP item 1); the closed-form
+    # empty-root probability is negative, a numerical failure, not bad input
+    code, out, err = run_cli(capsys, "analyze", "--family", "poisson", "--alpha", "22")
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical failure (NoSolution): ")
+
+
 def test_out_writes_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out, _ = run_cli(
