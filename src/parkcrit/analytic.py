@@ -465,6 +465,14 @@ class FluxDistribution:
         return tuple(out[: n_max + 1])
 
 
+def _order(value, what):
+    """value as an int (operator.index), or OutOfDomain if it is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise OutOfDomain(f"{what} {value!r} is not an integer") from None
+
+
 def flux_distribution(law, order=40):
     """Flux law at the root, P(flux = k) for k = 0..order.
 
@@ -488,10 +496,7 @@ def flux_distribution(law, order=40):
     NegativeCoefficient, and then one that is not finite or exceeds 1
     raises NoSolution.
     """
-    try:
-        order = operator.index(order)
-    except TypeError:
-        raise OutOfDomain(f"flux order {order!r} is not an integer") from None
+    order = _order(order, "flux order")
     if order < 2:
         raise OutOfDomain("flux order must be at least 2")
     report = classify(law)
@@ -500,7 +505,7 @@ def flux_distribution(law, order=40):
     p = report.empty_prob
     support = law.finite_support()
     top = order if support is None else min(order, support)
-    g = [float(law.coefficient(k)) for k in range(top + 1)]
+    g = law.float_coefficients(top)
     while g[-1] == 0.0:
         g.pop()
     g0, g_rest = g[0], g[1:]
@@ -553,7 +558,7 @@ def occupancy_self_consistency(law, flux, upto):
     conv = [
         math.fsum(q[i] * q[n - i] for i in range(n + 1)) for n in range(upto + 1)
     ]
-    mu = [float(law.coefficient(a)) for a in range(upto + 1)]
+    mu = law.float_coefficients(upto)
     direct = flux.occupancy_probs(upto)
     out = []
     for n in range(upto + 1):

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .analytic import classify, flux_distribution
+from .analytic import _order, classify, flux_distribution
 from .errors import (
     BudgetExceeded,
     EnumerationError,
@@ -260,39 +260,22 @@ class FptTable:
         )
 
 
-def _reduce_row(nums, den):
-    # an all-zero row has gcd den, so it ends with denominator 1
-    g = math.gcd(math.gcd(*nums), den)
-    if g > 1:
-        return [v // g for v in nums], den // g
-    return nums, den
+def _conv(a, b, out_len, out=None):
+    """Add the first out_len coefficients of a * b into out (new zeros if None).
 
-
-def _conv(a, b, out_len):
-    out = [0] * out_len
-    for i, ai in enumerate(a):
-        if i >= out_len:
-            break
-        if not ai:
-            continue
-        jmax = min(len(b), out_len - i)
-        for j in range(jmax):
-            bj = b[j]
-            if bj:
+    Only nonzero pairs are multiplied: binary0k rows are mostly zeros.
+    """
+    if out is None:
+        out = [0] * out_len
+    b_nonzero = [(j, bj) for j, bj in enumerate(b[:out_len]) if bj]
+    for i, ai in enumerate(a[:out_len]):
+        if ai:
+            room = out_len - i
+            for j, bj in b_nonzero:
+                if j >= room:
+                    break
                 out[i + j] += ai * bj
     return out
-
-
-def _add_rows(a_nums, a_den, b_nums, b_den, out_len):
-    den = math.lcm(a_den, b_den)
-    fa = den // a_den
-    fb = den // b_den
-    out = [0] * out_len
-    for i in range(min(len(a_nums), out_len)):
-        out[i] += a_nums[i] * fa
-    for i in range(min(len(b_nums), out_len)):
-        out[i] += b_nums[i] * fb
-    return out, den
 
 
 def tutte_series(law, vertex_order, flux_order):
@@ -305,42 +288,48 @@ def tutte_series(law, vertex_order, flux_order):
     order, row n is computed out to flux order flux_order + vertex_order
     - n; a table truncated tighter than that would corrupt its top rows.
 
-    Rows are (integer numerators, common denominator) pairs reduced by
-    their gcd at every step, which keeps the integers near their minimal
-    size for laws whose masses share a small denominator.
+    The recursion runs on plain ints.  The law writes its masses as
+    P(A = k) = a * b**k * h[k] with integer h (law.integer_masses), and a
+    fully parked tree with n vertices and flux p holds n + p cars, so its
+    weight is a**n * b**(n+p) times the product of h over its vertices.
+    The rows are computed with h in place of G, and cell (n, p) is the
+    int rows[n][p] * a**n * b**(n+p), made a Fraction only then.
     """
+    vertex_order = _order(vertex_order, "vertex order")
+    flux_order = _order(flux_order, "flux order")
     if vertex_order < 1 or flux_order < 0:
         raise OutOfDomain("need vertex_order >= 1 and flux_order >= 0")
     if not law.is_exact:
         raise NonExactLaw(f"{law.describe()} has no exact coefficients")
-    top = vertex_order + flux_order
-    mu = law.exact_coefficients(top)
-    den_g = math.lcm(*(m.denominator for m in mu))
-    g_nums = [int(m * den_g) for m in mu]
+    h, a, b = law.integer_masses(vertex_order + flux_order)
 
     def row_width(n):
         return flux_order + vertex_order - n + 1
 
-    nums = [None] * (vertex_order + 1)
-    dens = [None] * (vertex_order + 1)
-    nums[1], dens[1] = _reduce_row(g_nums[1 : row_width(1) + 1], den_g)
+    u = [None] * (vertex_order + 1)
+    u[1] = h[1 : row_width(1) + 1]
     for n in range(2, vertex_order + 1):
         need = row_width(n) + 1
-        w_nums = [2 * v for v in nums[n - 1][:need]]
-        w_den = dens[n - 1]
-        for a in range(1, (n - 1) // 2 + 1):
-            b = n - 1 - a
-            pair = _conv(nums[a], nums[b], need)
-            if a != b:
-                pair = [2 * v for v in pair]
-            w_nums, w_den = _add_rows(w_nums, w_den, pair, dens[a] * dens[b], need)
-        shifted = _conv(g_nums, w_nums, need)[1:]
-        nums[n], dens[n] = _reduce_row(shifted, den_g * w_den)
+        # u_{n-1} plus the pair products with a < b, doubled, plus the middle square
+        w = u[n - 1][:need]
+        for i in range(1, n // 2):
+            _conv(u[i], u[n - 1 - i], need, w)
+        w = [2 * v for v in w]
+        if n % 2:
+            _conv(u[n // 2], u[n // 2], need, w)
+        u[n] = _conv(h, w, need)[1:]
 
     rows = [tuple([Fraction(0)] * (flux_order + 1))]
+    num, den = 1, 1  # a**n * b**n
     for n in range(1, vertex_order + 1):
-        d = dens[n]
-        rows.append(tuple(Fraction(nums[n][p], d) for p in range(flux_order + 1)))
+        num *= a.numerator * b.numerator
+        den *= a.denominator * b.denominator
+        row, pn, pd = [], num, den
+        for p in range(flux_order + 1):
+            row.append(Fraction(u[n][p] * pn, pd))
+            pn *= b.numerator
+            pd *= b.denominator
+        rows.append(tuple(row))
     return FptTable(
         law_desc=law.describe(),
         vertex_order=vertex_order,
@@ -358,6 +347,8 @@ def brute_force_table(law, vertex_order, flux_order):
     exact weights of the fully parked outcomes.  Deliberately naive:
     this is the oracle the recursion is checked against.
     """
+    vertex_order = _order(vertex_order, "vertex order")
+    flux_order = _order(flux_order, "flux order")
     if vertex_order < 1 or flux_order < 0:
         raise OutOfDomain("need vertex_order >= 1 and flux_order >= 0")
     if vertex_order > BRUTE_FORCE_MAX_VERTICES:

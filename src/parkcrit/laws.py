@@ -110,6 +110,20 @@ class ArrivalLaw:
             raise NonExactLaw(f"{self.describe()} has no exact coefficients")
         return [Fraction(self.coefficient(k)) for k in range(K + 1)]
 
+    def integer_masses(self, K):
+        """(h, a, b) with P(A = k) = a * b**k * h[k] for k = 0..K, every h[k] an int.
+
+        The default puts the masses over their common denominator d:
+        h[k] = d * P(A = k), a = 1/d and b = 1.
+        """
+        mu = self.exact_coefficients(K)
+        d = math.lcm(*(m.denominator for m in mu))
+        return [m.numerator * (d // m.denominator) for m in mu], Fraction(1, d), Fraction(1)
+
+    def float_coefficients(self, K):
+        """Coefficients 0..K as floats, each the float of the exact mass if there is one."""
+        return [float(self.coefficient(k)) for k in range(K + 1)]
+
     def mean(self):
         """Mean arrival count, exact when the law is."""
         raise NotImplementedError
@@ -351,6 +365,26 @@ class GeometricLaw(ArrivalLaw):
         a = self.alpha
         base = 1 / (1 + a) if isinstance(a, Fraction) else 1.0 / (1 + a)
         return base * (a / (1 + a)) ** k
+
+    def integer_masses(self, K):
+        """With alpha = n/d in lowest terms, P(A = k) = d/(n+d) * (n/(n+d))**k: h is all ones."""
+        if not self.is_exact:
+            raise NonExactLaw(f"{self.describe()} has no exact coefficients")
+        n, d = self.alpha.numerator, self.alpha.denominator
+        return [1] * (K + 1), Fraction(d, n + d), Fraction(n, n + d)
+
+    def float_coefficients(self, K):
+        if not self.is_exact:
+            return super().float_coefficients(K)
+        _, a, b = self.integer_masses(0)
+        # a * b**k as one ratio of ints, divided once: the same rounding as
+        # float(Fraction), without a Fraction's gcd at every k
+        num, den, out = a.numerator, a.denominator, []
+        for _ in range(K + 1):
+            out.append(num / den)
+            num *= b.numerator
+            den *= b.denominator
+        return out
 
     def mean(self):
         return self.alpha

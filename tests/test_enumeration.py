@@ -1,5 +1,6 @@
 """Exact enumeration of fully parked trees and the parking dynamics."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from parkcrit.enumeration import (
     flux_via_table,
     tutte_series,
 )
-from parkcrit.errors import BudgetExceeded, EnumerationError, NonExactLaw
+from parkcrit.errors import BudgetExceeded, EnumerationError, NonExactLaw, OutOfDomain
 from parkcrit.laws import binary0k, geometric, make_finite_law, poisson
 
 B02 = binary0k(Fraction(1, 14))
@@ -191,3 +192,44 @@ def test_exact_geometric_coefficients_feed_the_recursion():
     for n in range(1, 6):
         for p in range(3):
             assert table.coefficient(n, p) == brute.coefficient(n, p)
+
+
+# first 16 hex digits of sha256(tutte_series(law, N, 5).csv_text()): tables
+# far beyond the oracle's reach, with dense, sparse and finite supports
+LARGE_TABLE_DIGESTS = [
+    (geometric(Fraction(1, 23)), 80, "f567bf42808d6286"),
+    (binary0k(Fraction(1, 23), 3), 120, "cd2f9b4d9f030c34"),
+    (binary0k(Fraction(1, 27), 5), 120, "2c5c96a0a2fc5197"),
+    (
+        make_finite_law([Fraction(93, 100), Fraction(3, 100), Fraction(2, 100), Fraction(2, 100)]),
+        55,
+        "360102bc59e9ec6f",
+    ),
+]
+
+
+@pytest.mark.parametrize("law, n, digest", LARGE_TABLE_DIGESTS, ids=lambda v: str(v))
+def test_large_tables_pinned(law, n, digest):
+    csv = tutte_series(law, n, 5).csv_text()
+    assert hashlib.sha256(csv.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("orders", [(2.5, 3), (3, 2.5), ("3", 1), (3.0, 1)])
+def test_tutte_series_refuses_non_integer_orders(orders):
+    # these used to raise a raw TypeError
+    with pytest.raises(OutOfDomain, match="not an integer"):
+        tutte_series(binary0k(Fraction(1, 20), 2), *orders)
+
+
+@pytest.mark.parametrize("orders", [(2.5, 1), (3, 0.5), ("3", 1), (3.0, 1)])
+def test_brute_force_refuses_non_integer_orders(orders):
+    # these used to raise a raw TypeError
+    with pytest.raises(OutOfDomain, match="not an integer"):
+        brute_force_table(binary0k(Fraction(1, 20), 2), *orders)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(2, 5), Fraction(7, 3)])
+def test_geometric_recursion_with_numerator_above_one(alpha):
+    # b = n/(n + d) has numerator n; alpha = 1/m alone would hide a lost factor of it
+    law = geometric(alpha)
+    assert first_mismatch(tutte_series(law, 5, 3), brute_force_table(law, 5, 3)) is None

@@ -130,6 +130,46 @@ def test_geometric_exact_coefficients():
         assert coeffs[k] == coeffs[k - 1] * ratio
 
 
+EXACT_GEOMETRIC_ALPHAS = ["1/8", "123/10000", "7/3", "1/23", "999/1000"]
+
+
+@pytest.mark.parametrize(
+    "law",
+    [geometric(Fraction(a)) for a in EXACT_GEOMETRIC_ALPHAS]
+    + [
+        binary0k(Fraction(1, 23), 3),
+        make_finite_law([Fraction(93, 100), Fraction(3, 100), Fraction(2, 100), Fraction(2, 100)]),
+    ],
+    ids=str,
+)
+def test_integer_masses_reproduce_exact_coefficients(law):
+    h, a, b = law.integer_masses(85)
+    assert len(h) == 86 and all(type(v) is int for v in h)
+    mu = law.exact_coefficients(85)
+    assert all(a * b**k * h[k] == mu[k] for k in range(86))
+
+
+def test_geometric_integer_masses_are_counts():
+    h, a, b = geometric(Fraction(2, 5)).integer_masses(10)
+    assert h == [1] * 11
+    assert (a, b) == (Fraction(5, 7), Fraction(2, 7))
+    with pytest.raises(NonExactLaw):
+        geometric(0.4).integer_masses(10)
+
+
+@pytest.mark.parametrize("alpha", EXACT_GEOMETRIC_ALPHAS)
+def test_exact_geometric_float_coefficients_are_the_fractions_floats(alpha):
+    law = geometric(Fraction(alpha))
+    floats = law.float_coefficients(400)
+    exact = [float(m) for m in law.exact_coefficients(400)]
+    assert [v.hex() for v in floats] == [v.hex() for v in exact]
+
+
+def test_float_coefficients_of_a_float_law():
+    law = geometric(0.125)
+    assert law.float_coefficients(30) == [law.coefficient(k) for k in range(31)]
+
+
 def test_nongeneric_example_normalization():
     law = nongeneric_example(1)
     # probabilities sum to 1 and the pgf is 1 at t = 1
