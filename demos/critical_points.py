@@ -1,8 +1,8 @@
 """Where the critical time comes from, on one worked example.
 
-The kernel margin 2(G - tG')^2 - t^2 G G'' starts positive at t = 0 and
-its first zero is the critical time.  For arrivals that put mass 1/28 on
-two cars (mean 1/14) everything is algebraic: t_c = 3 exactly, the
+The kernel margin 2(G - tG')^2 - t^2 G G'', taken over G^2, starts at 2
+at t = 0 and its first zero is the critical time.  For arrivals that put
+mass 1/28 on two cars (mean 1/14) everything is algebraic: t_c = 3, the
 critical density is 7/8, and the zero-flux generating function value at
 the critical density is 4 sqrt(6) / 9.
 """

@@ -1,20 +1,21 @@
 """Regime classification and critical quantities for the parking process.
 
-Everything here works through the arrival law's generating function G.
-The central device is an internal time parameter t: the candidate
-probability that the root of the tree stays empty is a function of t
-(``density_from_time``), and that map is increasing exactly while a
-monotonicity margin (``kernel_margin``) stays positive.  The first zero
-of the margin, or the radius of convergence if the margin never
-vanishes, bounds the time domain; the regime is decided by comparing a
-boundary functional against its critical value there.
+Everything here works through the arrival law's generating function G;
+the regime is decided on t G'/G and t^2 G''/G alone (``tilted_moments``),
+as both of the paper's criteria are homogeneous in G.  The central device
+is an internal time parameter t: the candidate probability that the root
+of the tree stays empty is a function of t (``density_from_time``), and
+that map is increasing exactly while a monotonicity margin
+(``kernel_margin``) stays positive.  The first zero of the margin, or the
+radius of convergence if the margin never vanishes, bounds the time
+domain; the regime is decided by comparing a boundary functional against
+its critical value there.
 """
 from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import (
@@ -34,96 +35,72 @@ from .laws import FAMILIES
 from .series import reciprocal as series_reciprocal
 from .series import sqrt_series
 
-GRID_START = 1e-6
-GRID_RATIO = 1.05
-TIME_BUDGET = 1e6
 MARGIN_TOL = 1e-9
-CERTIFY_TOL = 1e-9  # margin over scale that certifies a grid point, see find_critical_time
 REL_ROOT_TOL = 1e-13
 ITER_CAP = 200
 CACHE_SIZE = 1024  # laws remembered by classify and find_critical_time
-
-
-def _geometric_grid(start, ratio, stop):
-    """start * ratio^i below stop, each point the previous one times ratio."""
-    out = []
-    t = start
-    while t < stop:
-        out.append(t)
-        t *= ratio
-    return tuple(out)
-
-
-# the scan's grid below any cap it can have, since the cap is at most TIME_BUDGET
-_GRID = _geometric_grid(GRID_START, GRID_RATIO, TIME_BUDGET)
-
-
-def _margin_terms(law, t):
-    """(G - t G', the margin, its scale 2 (G + t G')^2 + t^2 G G'') at t.
-
-    The scale bounds the terms the margin is computed from, so it sizes
-    the margin's rounding error.
-    """
-    g0, g1, g2 = law.derivatives(t, 2)
-    a = g0 - t * g1
-    s = g0 + t * g1
-    q = t * t * g0 * g2
-    return a, 2 * a * a - q, 2 * s * s + q
+SQRT2 = math.sqrt(2.0)
 
 
 def kernel_margin(law, t):
-    """2 (G - t G')^2 - t^2 G G''.
+    """2 (1 - u)^2 - v with (u, v) = (t G'/G, t^2 G''/G): the margin
+    2 (G - t G')^2 - t^2 G G'' over G^2, so 2 at t = 0.
 
-    Positive at t = 0 (equals twice the squared mass at zero).  Its first
-    zero is the critical time: beyond it the time-to-density change of
-    variables stops being monotone.  Exact when the law and t are exact.
+    Its first zero is the critical time: beyond it the time-to-density
+    change of variables stops being monotone.  Exact when the law and t
+    are exact.
     """
-    return _margin_terms(law, t)[1]
+    u, v = law.tilted_moments(t)
+    a = 1 - u
+    return 2 * a * a - v
 
 
-def _certified_margin(law, t):
-    """The margin at t if t is certified, as find_critical_time describes
-    (the float margin is then positive at every t' <= t), else None.  A
-    probe that raises is not certified.
-    """
+def _time_terms(law, t):
+    """(G(t), u = t G'(t)/G(t)), what the density, the generating factor and
+    the boundary read; G is inf where evaluating it overflows, as binary0k's
+    t^k does past the largest float."""
     try:
-        a, m, scale = _margin_terms(law, t)
-    except (ParkingModelError, ArithmeticError, ValueError):
-        return None
-    # inf and NaN fail one of these comparisons
-    return m if a > 0.0 and CERTIFY_TOL * scale < m < math.inf else None
+        g = law.derivatives(t, 0)[0]
+    except OverflowError:
+        g = math.inf
+    return g, law.tilted_moments(t)[0]
+
+
+def _density(t, g, u):
+    """t (2 - u) / (4 G), or None where G is 0 or inf in floats."""
+    return t * (2 - u) / (4 * g) if 0 < g < math.inf else None
 
 
 def density_from_time(law, t):
-    """Candidate empty-root probability t (2G - t G') / (4 G^2)."""
-    g0, g1 = law.derivatives(t, 1)
-    return t * (2 * g0 - t * g1) / (4 * g0 * g0)
+    """Candidate empty-root probability t (2 - t G'/G) / (4 G), or None
+    where G is 0 or inf in floats."""
+    return _density(t, *_time_terms(law, t))
 
 
 def _fixed_point_value(law, t):
-    """t (G - t G') / (2G - t G').
+    """t (1 - t G'/G) / (2 - t G'/G).
 
     Equals mu0 * x * Q(x)^2 at x = density_from_time(t), where Q is the
     zero-flux generating factor; the empty-probability fixed point is
     exactly where this hits 1, and it is increasing on the valid time
     range, which makes it the quantity of choice for the root search.
     """
-    g0, g1 = law.derivatives(t, 1)
-    return t * (g0 - t * g1) / (2 * g0 - t * g1)
+    u = law.tilted_moments(t)[0]
+    return t * (1 - u) / (2 - u)
 
 
-def _gf_from_time(law, t):
-    """Zero-flux generating factor evaluated through the time parameter.
-
-    2 G sqrt(G - t G') / ((2G - t G') sqrt(mu0)); equals 1 at t = 0.
-    This form stays well conditioned at the critical time, where the
-    density variable itself is singular.
-    """
-    g0, g1 = law.derivatives(t, 1)
-    radicand = g0 - t * g1
-    if radicand < 0:
-        raise NegativeRadicand(f"G - t G' = {radicand!r} at t = {t!r}")
-    return 2.0 * g0 * math.sqrt(radicand) / ((2.0 * g0 - t * g1) * math.sqrt(law.mu0))
+def _gf(law, t, g, u):
+    """Zero-flux generating factor 2 G sqrt(G - t G') / ((2G - t G') sqrt(mu0))
+    as 2 sqrt(a G / mu0) / (1 + a), a = 1 - u; 1 at t = 0, None where G is
+    0 or inf in floats or mu0 is 0.  Well conditioned at the critical time,
+    where the density variable itself is singular."""
+    mu0 = law.mu0
+    if not (0 < g < math.inf and mu0):
+        return None
+    a = 1 - u
+    if a < 0:
+        raise NegativeRadicand(f"1 - t G'/G = {a!r} at t = {t!r}")
+    return 2.0 * math.sqrt(a * g / mu0) / (1 + a)
 
 
 def _root(f, a, b, fa=None, fb=None, rel=REL_ROOT_TOL, width=0.0):
@@ -150,7 +127,7 @@ def _root(f, a, b, fa=None, fb=None, rel=REL_ROOT_TOL, width=0.0):
     w0 = b - a
     for j in range(ITER_CAP):
         w = b - a
-        tol = max(width, rel * max(abs(a), abs(b), 1e-300))
+        tol = max(width, rel * max(b, -a, 1e-300))  # max(|a|, |b|) as a <= b
         if w <= tol:
             return 0.5 * (a + b)
         x = mid = 0.5 * (a + b)
@@ -171,6 +148,20 @@ def _root(f, a, b, fa=None, fb=None, rel=REL_ROOT_TOL, width=0.0):
     raise IterationCapExceeded(f"bracket ({a!r}, {b!r}) open after {ITER_CAP} steps")
 
 
+def _log_phase(f, a, b, fa, fb, ratio):
+    """(a, b, fa, fb) after halving the bracket f(a) > 0 >= f(b) in log
+    scale while b / a > ratio, for an f badly scaled across decades; b is
+    an exact zero if one is met.  sqrt(a) sqrt(b) cannot overflow."""
+    while fb != 0.0 and 0.0 < ratio * a < b:
+        x = math.sqrt(a) * math.sqrt(b)
+        fx = f(x)
+        if fx > 0.0:
+            a, fa = x, fx
+        else:
+            b, fb = x, fx
+    return a, b, fa, fb
+
+
 @dataclass(frozen=True)
 class CriticalTime:
     """Where the valid time range of the density map ends and why."""
@@ -179,85 +170,64 @@ class CriticalTime:
     margin_vanishes: bool  # the monotonicity margin has a zero at t
     at_radius: bool  # t is the radius of convergence of G
     evaluable: bool  # the margin could be evaluated at t
+    evaluations: int = field(default=0, compare=False)  # of h, radius probe included
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def find_critical_time(law):
     """Locate the end of the monotone time range.
 
-    Scans the grid GRID_START * GRID_RATIO^i below the cap, then the cap,
-    for the first point where the margin is not positive, and finds the
-    root between it and the point before with _root, which starts from
-    the margins already evaluated at both points; if the margin stays
-    positive up to a finite radius, the margin is probed at the radius
-    itself, where it may vanish (nongeneric criticality), stay positive,
-    or be impossible to evaluate.
-
-    When G has non-negative coefficients the scan first bisects the grid
-    for the end of its certified prefix.  A grid point T is certified
-    when G - T G' > 0 and the margin is above CERTIFY_TOL times
-    2 (G + T G')^2 + T^2 G G''.  There G - t G' falls while G and G''
-    rise, so the margin at every t <= T is at least the margin at T, and
-    the band outweighs the rounding of every earlier float margin.  The
-    bisection steps past a point only once it has found it certified, so
-    the walk resumes just after a certified point (or at the start) and
-    meets the same first non-positive point, with the same point before
-    it, as a walk from the start: the bracket and the result are the
-    same bits.  The bisection costs about log2 of the number of grid
-    points below the cap: poisson(0.1) evaluates G 11 times before its
-    final root search, against 321 for a walk from the start.  That
-    search takes 7-10 margin evaluations on the packaged laws, where
-    bisection took 39.
+    Searches h = sqrt(2) (1 - u) - sqrt(v), (u, v) = tilted_moments(t).
+    Where a = 1 - u > 0 the margin over G^2 is h (sqrt(2) a + sqrt(v)), of
+    h's sign; where a <= 0, h < 0.  For a pgf u and v do not decrease in
+    t, so h falls from sqrt(2) and changes sign once, at the margin's
+    first zero, with no jump where a does.  From G's scale t = 1, where
+    G(1) = 1, t doubles while h > 0, up to the cap radius * (1 - 1e-12),
+    or halves while not; the bracket is halved in log t to a factor 1.3,
+    and _root ends it.  If h > 0 up to a finite radius, h is probed at
+    the radius, where the margin may vanish (nongeneric criticality), stay
+    positive or not be evaluable; up to an infinite one, the search raises
+    NoRootWithinBudget.  The packaged laws take 12-18 evaluations, 4 at
+    the radius, plus one per doubling or halving for a t_c far from 1.
     """
-    mu0 = law.mu0
-    band = MARGIN_TOL * max(1.0, 2.0 * mu0 * mu0)
     radius = law.radius
-    if radius * (1 - 1e-12) > TIME_BUDGET:
-        cap = TIME_BUDGET
-        radius_within_budget = False
-    else:
-        cap = radius * (1 - 1e-12)
-        radius_within_budget = True
+    cap = radius * (1 - 1e-12)
+    if not cap > 0.0:  # NaN too
+        raise OutOfDomain(f"radius {radius!r} is not positive")
+    seen, tilted = [], law.tilted_moments
 
-    # grid points below cap; none when cap is NaN, so then only cap is visited
-    n = bisect_left(_GRID, cap)
-    start = 0
-    certified = {}  # probed grid index -> its margin if certified, else None
-    if law.nonnegative_coefficients:
+    def h(s):
+        seen.append(s)
+        u, v = tilted(s)
+        return SQRT2 * (1.0 - u) - math.sqrt(v)
 
-        def uncertified(i):
-            m = certified[i] = _certified_margin(law, _GRID[i])
-            return m is None
-
-        # bisect steps past a point only once it is certified, so the point
-        # before start, if any, is certified
-        start = bisect_left(range(n), True, key=uncertified)
-    # the margin at t = 0 is not evaluated: the root finder then bisects once
-    prev_t, prev_m = (_GRID[start - 1], certified[start - 1]) if start else (0.0, None)
-    margin = lambda s: kernel_margin(law, s)  # noqa: E731
-    for t in (*_GRID[start:n], cap):
-        m = margin(t)
-        if m == 0.0:
-            return CriticalTime(t, True, False, True)
-        if m < 0.0:
-            return CriticalTime(_root(margin, prev_t, t, prev_m, m), True, False, True)
-        prev_t, prev_m = t, m
-
-    if not radius_within_budget:
-        raise NoRootWithinBudget(
-            f"margin stays positive on (0, {TIME_BUDGET:g}) and the radius "
-            f"{radius:g} is beyond the search budget"
-        )
-
-    try:
-        m_r = margin(radius)
-    except (ParkingModelError, ArithmeticError, ValueError):
-        return CriticalTime(radius, False, True, False)
-    if m_r < -band:
-        return CriticalTime(_root(margin, prev_t, radius, prev_m, m_r), True, False, True)
-    if abs(m_r) <= band:
-        return CriticalTime(radius, True, True, True)
-    return CriticalTime(radius, False, True, True)
+    lo, f_lo = 0.0, SQRT2  # h(0), never evaluated
+    t = min(1.0, cap)
+    f = h(t)
+    while f > 0.0 and t < cap:
+        lo, f_lo, t = t, f, min(2.0 * t, cap)
+        if t == math.inf:
+            raise NoRootWithinBudget(f"margin stays positive on (0, {lo:g}] and G has no radius")
+        f = h(t)
+    if f > 0.0:  # h > 0 up to the cap: probe the radius
+        lo, f_lo, t = t, f, radius
+        try:
+            f = h(radius)
+        except (ParkingModelError, ArithmeticError, ValueError):
+            return CriticalTime(radius, False, True, False, len(seen))
+        if not f < -MARGIN_TOL:  # NaN too
+            return CriticalTime(radius, abs(f) <= MARGIN_TOL, True, True, len(seen))
+    hi, f_hi = t, f
+    while lo == 0.0 < 0.5 * hi and f_hi != 0.0:  # not positive anywhere yet: halve
+        t = 0.5 * hi
+        f = h(t)
+        if f > 0.0:
+            lo, f_lo = t, f
+        else:
+            hi, f_hi = t, f
+    lo, hi, f_lo, f_hi = _log_phase(h, lo, hi, f_lo, f_hi, 1.3)
+    t = hi if f_hi == 0.0 else _root(h, lo, hi, f_lo, f_hi)
+    return CriticalTime(t, True, False, True, len(seen))
 
 
 def time_from_density(law, x):
@@ -275,6 +245,8 @@ def time_from_density(law, x):
         raise OutOfDomain(f"density {x!r} is negative")
     ct = find_critical_time(law)
     x_top = density_from_time(law, ct.t)
+    if x_top is None:
+        raise NoSolution(f"{law.describe()}: G is 0 or inf in floats at the critical time")
     if x > x_top * (1 + 1e-12):
         raise OutOfDomain(f"density {x!r} exceeds the maximum {x_top!r}")
     if x >= x_top:
@@ -287,16 +259,20 @@ def time_from_density(law, x):
 
 def flux_zero_gf(law, x):
     """Zero-flux generating factor at density x in [0, max density]."""
-    return _gf_from_time(law, time_from_density(law, x))
+    t = time_from_density(law, x)
+    return _gf(law, t, *_time_terms(law, t))
 
 
 def solve_empty_prob(law):
     """Empty-root probability as the root of the fixed-point functional.
 
     Finds where the increasing functional reaches 1 on (0, critical
-    time], with _root: 7-10 evaluations on the packaged laws.
-    Raises NoSolution when even the top of the range stays below 1,
-    which is the supercritical situation.
+    time] with _root, 7-10 evaluations on the packaged laws, and reads
+    the probability off _empty_prob_at.  The functional is below t / 2,
+    so above t_c = 32 the bracket [2, t_c] is first halved in log t to a
+    factor 16: from 0, ITP could need log2(t_c / 1e-13) steps.  Raises
+    NoSolution when even the top of the range stays below 1, which is
+    the supercritical situation.
     """
     t_hi = find_critical_time(law).t
     top = _fixed_point_value(law, t_hi)
@@ -305,10 +281,23 @@ def solve_empty_prob(law):
             f"fixed-point functional reaches only {top!r} < 1 on (0, {t_hi!r}]"
         )
     if top <= 1.0:
-        return t_hi, density_from_time(law, t_hi)
+        return t_hi, _empty_prob_at(law, t_hi)
     f = lambda s: 1.0 - _fixed_point_value(law, s)  # noqa: E731
-    t_star = _root(f, 0.0, t_hi, 1.0, 1.0 - top)
-    return t_star, density_from_time(law, t_star)
+    lo, f_lo, f_hi = 0.0, 1.0, 1.0 - top
+    if t_hi > 32.0:
+        lo, t_hi, f_lo, f_hi = _log_phase(f, 2.0, t_hi, f(2.0), f_hi, 16.0)
+    t_star = t_hi if f_hi == 0.0 else _root(f, lo, t_hi, f_lo, f_hi)
+    return t_star, _empty_prob_at(law, t_star)
+
+
+def _empty_prob_at(law, t):
+    """t^2 / (4 (t - 1) G(t)) as (1 + (t - 2)^2 / (4 (t - 1))) / G(t): the
+    density where the fixed-point functional is 1, and stationary in t
+    there, so a root's width w moves it by about w^2, not w.  It is
+    1 / G(t) <= 1 where (t - 2)^2 is lost against 1, for a mean far below
+    1e-8, where density_from_time can round above 1."""
+    d = t - 2.0
+    return (1.0 + d * d / (4.0 * (t - 1.0))) / law.derivatives(t, 0)[0]
 
 
 @dataclass(frozen=True)
@@ -338,12 +327,12 @@ def _occupied_no_flux(law, p_empty):
     return _no_flux_prob(law, p_empty) - p_empty
 
 
-def _boundary(law, ct):
-    """(test, lhs, rhs) at an evaluable critical time; lhs > rhs is subcritical."""
+def _boundary(law, ct, u):
+    """(test, lhs, rhs) at an evaluable critical time, u = t G'/G there;
+    lhs > rhs is subcritical."""
     t = ct.t
     if ct.margin_vanishes:
-        g0, g1 = law.derivatives(t, 1)
-        return "kernel", (t - 2.0) * g0, t * (t - 1.0) * g1
+        return "kernel", t - 2.0, (t - 1.0) * u
     return "radius", _fixed_point_value(law, t), 1.0
 
 
@@ -352,14 +341,19 @@ def classify(law):
     """Decide the regime of the parking process under the given law.
 
     When the margin vanishes at a genuine critical time the boundary
-    comparison is (t-2) G(t) versus t (t-1) G'(t): larger left side
-    means subcritical.  When the margin stays positive up to the radius
+    comparison is t - 2 versus t (t-1) G'(t)/G(t), the paper's
+    (t-2) G(t) versus t (t-1) G'(t) over G(t): larger left side means
+    subcritical.  When the margin stays positive up to the radius
     the fixed-point functional at the radius is compared against 1,
     which is the same comparison in a form that needs no second
     derivative.  Either way the sides are equal, and the law critical,
     when they differ by at most MARGIN_TOL times the larger side (or
     times 1, if both sides are smaller).  This band is float slack
     around the paper's exact equality, not a parameter of the model.
+
+    Raises NoSolution if the empty-root probability of a subcritical or
+    critical law is not in [0, 1], or the probability of an occupied
+    root without flux is negative; no packaged law does this.
     """
     ct = find_critical_time(law)
     t = ct.t
@@ -369,9 +363,10 @@ def classify(law):
             regime, "none", False, t, None, None, None, None, None, None, None
         )
 
-    x = density_from_time(law, t)
-    gf = _gf_from_time(law, t)
-    test, lhs, rhs = _boundary(law, ct)
+    g, u = _time_terms(law, t)
+    x = _density(t, g, u)
+    gf = _gf(law, t, g, u)
+    test, lhs, rhs = _boundary(law, ct, u)
     gap = lhs - rhs
     band = MARGIN_TOL * max(1.0, abs(lhs), abs(rhs))
 
@@ -384,9 +379,13 @@ def classify(law):
             "supercritical", test, ct.margin_vanishes, t, x, gf, lhs, rhs, gap,
             None, None,
         )
+    if p_empty is None or not 0.0 <= p_empty <= 1.0:
+        raise NoSolution(f"{law.describe()}: empty-root probability {p_empty!r} is not in [0, 1]")
+    occupied = _occupied_no_flux(law, p_empty)
+    if not occupied >= 0.0:
+        raise NoSolution(f"{law.describe()}: P(occupied, no flux) = {occupied!r} is negative")
     return RegimeReport(
-        regime, test, ct.margin_vanishes, t, x, gf, lhs, rhs, gap,
-        p_empty, _occupied_no_flux(law, p_empty),
+        regime, test, ct.margin_vanishes, t, x, gf, lhs, rhs, gap, p_empty, occupied
     )
 
 
@@ -430,8 +429,7 @@ def critical_quantities(law):
     if report.regime != "critical":
         raise NotCritical(f"{law.describe()} is {report.regime}")
     t = report.critical_time
-    g0 = law.derivatives(t, 0)[0]
-    p_empty = t * t / (4.0 * (t - 1.0) * g0)
+    p_empty = _empty_prob_at(law, t)
     if not 0.0 <= p_empty <= 1.0:
         raise NoSolution(f"closed-form empty-root probability {p_empty!r} is not in [0, 1]")
     p_occ = _occupied_no_flux(law, p_empty)
@@ -493,8 +491,8 @@ def flux_distribution(law, order=40):
     60 digits from the same float p, coefficients and q_0, every entry is
     within 5e-17 on the laws the tests pin, at order 200.  Requires a
     subcritical or critical law; an entry below -1e-10 raises
-    NegativeCoefficient, and then one that is not finite or exceeds 1
-    raises NoSolution.
+    NegativeCoefficient, and then one that is not finite or exceeds 1,
+    or a total mass above 1 + 1e-12, raises NoSolution.
     """
     order = _order(order, "flux order")
     if order < 2:
@@ -532,6 +530,9 @@ def flux_distribution(law, order=40):
     for k, v in enumerate(q):
         if not v <= 1.0:  # NaN fails this too
             raise NoSolution(f"P(flux = {k}) came out {v!r}")
+    tail_mass = 1.0 - math.fsum(q)
+    if tail_mass < -1e-12:  # the slack of verify's flux-total-mass check
+        raise NoSolution(f"flux mass {1.0 - tail_mass!r} exceeds 1")
     moments = _moments(law, p)
     return FluxDistribution(
         probs=tuple(q),
@@ -539,7 +540,7 @@ def flux_distribution(law, order=40):
         occupied_no_flux_prob=q0 - p,
         mean_flux=moments["mean_flux"],
         mean_occupancy=moments["mean_occupancy"],
-        tail_mass=1.0 - math.fsum(q),
+        tail_mass=tail_mass,
     )
 
 
@@ -591,7 +592,7 @@ def _regime_gap(law):
     ct = find_critical_time(law)
     if not ct.evaluable:
         raise NoSolution(f"{law.describe()}: boundary not evaluable")
-    _, lhs, rhs = _boundary(law, ct)
+    _, lhs, rhs = _boundary(law, ct, law.tilted_moments(ct.t)[0])
     return lhs - rhs
 
 
@@ -643,21 +644,12 @@ def find_alpha_c(family, k=None, lo=None, hi=None, tol=1e-9, want_trace=False):
         raise BracketFailure(f"{family} at alpha = {a!r} is not subcritical")
     if gb >= 0.0:
         raise BracketFailure(f"{family} at alpha = {b!r} is not supercritical")
-    # the gap is badly scaled across decades, so interpolating there gains
-    # nothing: halve the bracket in log alpha until it spans a factor 1.5
-    while 0.0 < 1.5 * a < b and b - a > tol:
-        alpha_c = math.sqrt(a * b)
-        g = gap_at(alpha_c)
-        if g == 0.0:
-            break
-        if g > 0.0:
-            a, ga = alpha_c, g
-        else:
-            b, gb = alpha_c, g
-    else:
-        # rel = 0: the ends keep gaps of opposite signs and never meet, so
-        # only tol, an exact zero of the gap or ITER_CAP ends the search
-        alpha_c = _root(gap_at, a, b, ga, gb, rel=0.0, width=tol)
+    # the gap is badly scaled across decades: halve the bracket in log alpha
+    # until it spans a factor 1.5; then rel = 0: the ends keep gaps of
+    # opposite signs and never meet, so only tol, an exact zero of the gap
+    # or ITER_CAP ends the search
+    a, b, ga, gb = _log_phase(gap_at, a, b, ga, gb, 1.5)
+    alpha_c = b if gb == 0.0 else _root(gap_at, a, b, ga, gb, rel=0.0, width=tol)
     if want_trace:
         return alpha_c, trace
     return alpha_c

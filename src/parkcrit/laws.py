@@ -2,7 +2,8 @@
 
 A law is the distribution of the number of cars arriving at a single
 vertex.  Every law exposes its generating function G together with
-derivatives, its convergence radius, its mean, and its coefficients.
+derivatives, t G'/G and t^2 G''/G (``tilted_moments``), its convergence
+radius, its mean, and its coefficients.
 Families are parametrized by the mean arrival count alpha, so sweeps
 across different families compare like for like.
 
@@ -75,9 +76,6 @@ class ArrivalLaw:
     __slots__ = ()  # each law lists its fields: caches keep thousands of laws alive
     kind = "abstract"
     max_order = 2  # G, G', G'': all that the regime decision asks for
-    # G's series has no negative coefficient, so G, G' and G'' do not decrease
-    # on [0, radius): find_critical_time relies on it to skip ahead
-    nonnegative_coefficients = True
 
     @property
     def radius(self):
@@ -99,6 +97,20 @@ class ArrivalLaw:
         Exact when t and the law are.
         """
         raise NotImplementedError
+
+    def tilted_moments(self, t):
+        """(t G'(t) / G(t), t^2 G''(t) / G(t)), what the regime decision reads.
+
+        These are the means of A and A (A - 1) under the law tilted by
+        t^A, P_t(A = k) = P(A = k) t^k / G(t), so neither decreases in t,
+        and both are of order 1 where the regime is decided, whatever the
+        scale of G.  The default divides derivatives(t); a law whose G or
+        G'' can underflow or overflow gives them without forming either.
+        Exact when t and the law are.
+        """
+        g0, g1, g2 = self.derivatives(t, 2)
+        # t * t first would overflow where t * G''/G need not, and inf * 0 is NaN
+        return t * g1 / g0, t * (t * g2 / g0)
 
     def coefficient(self, k):
         """Probability of exactly k arrivals."""
@@ -250,6 +262,8 @@ class Binary0kLaw(ArrivalLaw):
         self.alpha = alpha
         self.k = k
         self._float_consts = tuple(float(c) for c in self._consts())
+        if not self._float_consts[1]:
+            raise BadFamilyParameter(f"alpha / k = {alpha!r} / {k} rounds to a float of 0.0")
 
     def _consts(self):
         """1 - p_k, then math.perm(k, j) * p_k for j = 0, 1, 2."""
@@ -261,6 +275,10 @@ class Binary0kLaw(ArrivalLaw):
         return math.inf
 
     @property
+    def mu0(self):
+        return self._float_consts[0]  # float(1 - p_k), as float(coefficient(0))
+
+    @property
     def is_exact(self):
         return isinstance(self.alpha, Fraction)
 
@@ -269,6 +287,19 @@ class Binary0kLaw(ArrivalLaw):
         c, p0, p1, p2 = self._float_consts if type(t) is float else self._consts()
         k = self.k
         return (c + p0 * t**k, p1 * t ** (k - 1), p2 * t ** (k - 2))[: order + 1]
+
+    def tilted_moments(self, t):
+        """(k w, k (k - 1) w) with w = p_k t^k / G, the tilted mass at k."""
+        if t < 0:
+            self._check(t, 2)
+        c, p0 = (self._float_consts if type(t) is float else self._consts())[:2]
+        k = self.k
+        try:
+            z = p0 * t**k
+            w = z / (c + z)
+        except OverflowError:  # t^k beyond floats where p_k t^k need not be
+            w = 1.0 / (1.0 + c * math.exp(-math.log(p0) - k * math.log(t)))
+        return k * w, k * (k - 1) * w
 
     def coefficient(self, k):
         if k == 0:
@@ -299,7 +330,7 @@ class PoissonLaw(ArrivalLaw):
             raise BadFamilyParameter(f"poisson mean must be positive, got {alpha!r}")
         self.alpha = float(alpha)
         self._alpha_repr = alpha
-        self._alpha_sq = self.alpha**2
+        self._alpha_sq = self.alpha * self.alpha  # inf, not OverflowError, for a huge alpha
 
     @property
     def radius(self):
@@ -309,6 +340,12 @@ class PoissonLaw(ArrivalLaw):
         self._check(t, order)
         g = math.exp(self.alpha * (float(t) - 1.0))
         return (g, g * self.alpha, g * self._alpha_sq)[: order + 1]
+
+    def tilted_moments(self, t):
+        if t < 0:
+            self._check(t, 2)
+        u = self.alpha * t
+        return u, u * u
 
     def coefficient(self, k):
         a = self.alpha
@@ -348,7 +385,8 @@ class GeometricLaw(ArrivalLaw):
     def is_exact(self):
         return isinstance(self.alpha, Fraction)
 
-    def derivatives(self, t, order=2):
+    def _terms(self, t, order):
+        """(1 + a - a t, a, 2a) at t, refusing t at or beyond the radius."""
         self._check(t, order)
         one_plus_a, a, two_a = self._float_consts if type(t) is float else self._consts()
         denom = one_plus_a - a * t
@@ -357,9 +395,19 @@ class GeometricLaw(ArrivalLaw):
                 f"argument {t!r} is at or beyond the radius "
                 f"{(1 + self.alpha) / self.alpha}"
             )
+        return denom, a, two_a
+
+    def derivatives(self, t, order=2):
+        denom, a, two_a = self._terms(t, order)
         g = 1 / denom
         g1 = g * a * g
         return (g, g1, g1 * two_a * g)[: order + 1]
+
+    def tilted_moments(self, t):
+        """(a t G, 2 (a t G)^2), from one division."""
+        denom, a, _ = self._terms(t, 2)
+        r = a * t / denom
+        return r, 2 * r * r
 
     def coefficient(self, k):
         a = self.alpha
@@ -487,7 +535,6 @@ class CustomAnalyticLaw(ArrivalLaw):
 
     __slots__ = ("_derivs", "_radius", "_mu0", "_mean", "_name")
     kind = "custom"
-    nonnegative_coefficients = False  # an evaluator for G promises nothing of its series
 
     def __init__(self, derivs, radius, mu_zero, mean, name="custom"):
         self._derivs = derivs

@@ -5,10 +5,12 @@ The numeric targets here were computed independently with exact algebra
 shows up as a drift from these constants.
 """
 
+import dataclasses
 import hashlib
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -102,18 +104,95 @@ def test_supercritical_binary():
         critical_quantities(B02_SUP)
 
 
-def test_flux_refuses_entries_that_are_not_probabilities():
-    # poisson(360) wrongly reads critical (ROADMAP item 1) with an empty_prob
-    # far above 1, so P(flux = 0) = sqrt(p / mu0) overflows to inf
+def _patch_report(monkeypatch, **fields):
+    """Make analytic.classify report the given fields over the true report.
+
+    classify itself refuses what no packaged law gives, so the guards
+    downstream of it are reached through a planted report.
+    """
+    true = analytic.classify
+    monkeypatch.setattr(analytic, "classify", lambda law: dataclasses.replace(true(law), **fields))
+
+
+def test_flux_refuses_entries_that_are_not_probabilities(monkeypatch):
+    # P(flux = 0) = sqrt(p / mu0) overflows to inf
+    _patch_report(monkeypatch, empty_prob=math.inf)
     with pytest.raises(NoSolution, match=r"P\(flux = 0\) came out inf"):
-        flux_distribution(poisson(360))
+        flux_distribution(B02_SUB)
 
 
-def test_critical_quantities_refuses_empty_prob_outside_unit_interval():
-    # poisson(40) wrongly reads critical (ROADMAP item 1); its closed-form
-    # empty-root probability is negative
+def test_flux_refuses_a_mass_above_one(monkeypatch):
+    # an empty_prob 2% low gives entries in [0, 1] that sum to 1 + 3.2e-11
+    _patch_report(monkeypatch, empty_prob=0.98 * classify(poisson(0.1)).empty_prob)
+    with pytest.raises(NoSolution, match=r"flux mass 1\.00000000003\d* exceeds 1"):
+        flux_distribution(poisson(0.1), 60)
+
+
+def test_critical_quantities_refuses_empty_prob_outside_unit_interval(monkeypatch):
+    # at t = 1.5 the closed form t^2 / (4 (t - 1) G(t)) of binary0k(1/14) is 1.077
+    _patch_report(monkeypatch, critical_time=1.5)
     with pytest.raises(NoSolution, match=r"not in \[0, 1\]"):
-        critical_quantities(poisson(40))
+        critical_quantities(B02_CRIT)
+
+
+def test_classify_refuses_impossible_probabilities(monkeypatch):
+    # guards only: no packaged law reaches them once the decision is scale-free
+    monkeypatch.setattr(analytic, "solve_empty_prob", lambda law: (2.5, 1.5))
+    with pytest.raises(NoSolution, match=r"empty-root probability 1\.5 is not in \[0, 1\]"):
+        classify.__wrapped__(B02_SUB)
+    monkeypatch.setattr(analytic, "_occupied_no_flux", lambda law, p: -0.25)
+    with pytest.raises(NoSolution, match=r"P\(occupied, no flux\) = -0.25 is negative"):
+        classify.__wrapped__(B02_CRIT)
+
+
+# ROADMAP item 1: at these means poisson read critical with an empty_prob up to
+# 3.1e40, raised ZeroDivisionError once G^2 underflowed, or, like geometric at
+# 1e-7 and 1e-8, ran out of the grid's time budget
+@pytest.mark.parametrize(
+    "law",
+    [poisson(a) for a in (22, 40, 100, 360, 440, 500, 1e3, 1e5, 1e9)] + [geometric(3e9)],
+    ids=repr,
+)
+def test_large_means_are_supercritical(law):
+    r = classify(law)
+    assert (r.regime, r.empty_prob) == ("supercritical", None)
+
+
+@pytest.mark.parametrize(
+    "law, regime",
+    [
+        (poisson(1e300), "supercritical"),  # t_c = 5.9e-301, 1000 halvings from t = 1
+        (poisson(1e-300), "subcritical"),
+        (geometric(1e-300), "subcritical"),
+        (binary0k(1e-323), "subcritical"),  # t_c = 2.6e161, where t^2 overflows
+    ],
+    ids=repr,
+)
+def test_means_at_the_ends_of_the_floats_get_a_regime(law, regime):
+    # the grid scan raised NoRootWithinBudget on all four (poisson(1e300) was
+    # not even a law); each search now ends, though it doubles or halves
+    # about 1000 times
+    r = classify(law)
+    assert r.regime == regime
+    if regime == "subcritical":
+        # 1 - mean rounds to 1; the density at the root could round above it
+        assert r.empty_prob == 1.0 and r.occupied_no_flux_prob == 0.0
+
+
+def test_search_ends_on_a_nan_margin():
+    # h is never positive, so t halves down to 0, about 1075 times
+    law = CustomAnalyticLaw(lambda t, order: (math.nan,) * (order + 1), math.inf, 0.5, 0.4)
+    assert find_critical_time(law).evaluations < 1100
+
+
+@pytest.mark.parametrize("law", [poisson(1e-7), geometric(1e-7), geometric(1e-8)], ids=repr)
+def test_small_means_are_subcritical(law):
+    r = classify(law)
+    assert r.regime == "subcritical"
+    assert 1.0 - 2.0 * law.mean() < r.empty_prob < 1.0
+    if law.kind == "poisson":
+        t_c = (2.0 - math.sqrt(2.0)) / law.mean()
+        assert abs(r.critical_time - t_c) <= analytic.REL_ROOT_TOL * t_c
 
 
 def test_regime_monotone_in_mean():
@@ -125,6 +204,14 @@ def test_kernel_margin_sign_change():
     assert kernel_margin(B02_CRIT, 1.0) > 0
     assert kernel_margin(B02_CRIT, 3.5) < 0
     assert abs(kernel_margin(B02_CRIT, 3.0)) < 1e-12
+
+
+def test_kernel_margin_is_the_margin_over_g_squared():
+    assert kernel_margin(B02_CRIT, 0) == 2
+    # exact at an exact t
+    for t in (Fraction(1, 2), Fraction(3, 2), 3):
+        g0, g1, g2 = B02_CRIT.derivatives(t, 2)
+        assert kernel_margin(B02_CRIT, t) == (2 * (g0 - t * g1) ** 2 - t * t * g0 * g2) / g0**2
 
 
 def test_find_critical_time_caches_and_reports():
@@ -257,16 +344,17 @@ def test_alpha_c_bracket_failure():
 
 
 # (float.hex of alpha_c, gap evaluations in the trace) per (family, k, tol),
-# recorded when find_alpha_c took a log phase and then _root (ITP)
+# recorded when the regime gap became t - 2 - (t - 1) t G'/G, the paper's
+# gap over G(t_c), found by the bracket search from t = 1
 PINNED_ALPHA_C = {
-    ("binary0k", 2, 1e-9): ("0x1.24924925b8b70p-4", 15),
-    ("binary0k", 2, 1e-11): ("0x1.249249246777ap-4", 17),
-    ("binary0k", 3, 1e-9): ("0x1.8c69c03c8fd00p-6", 15),
-    ("binary0k", 3, 1e-11): ("0x1.8c69c039259d9p-6", 17),
-    ("poisson", None, 1e-9): ("0x1.5f61998579eeep-3", 16),
-    ("poisson", None, 1e-11): ("0x1.5f619980b72b6p-3", 17),
-    ("geometric", None, 1e-9): ("0x1.000000005c290p-3", 15),
-    ("geometric", None, 1e-11): ("0x1.ffffffffd4084p-4", 17),
+    ("binary0k", 2, 1e-9): ("0x1.24924925ab1a6p-4", 15),
+    ("binary0k", 2, 1e-11): ("0x1.2492492467160p-4", 17),
+    ("binary0k", 3, 1e-9): ("0x1.8c69c03c8c3a0p-6", 15),
+    ("binary0k", 3, 1e-11): ("0x1.8c69c039259dcp-6", 17),
+    ("poisson", None, 1e-9): ("0x1.5f619982c4396p-3", 16),
+    ("poisson", None, 1e-11): ("0x1.5f619980b7a0cp-3", 17),
+    ("geometric", None, 1e-9): ("0x1.0000000791f0ap-3", 16),
+    ("geometric", None, 1e-11): ("0x1.ffffffffd408fp-4", 17),
 }
 
 # the same, recorded while find_alpha_c bisected the whole bracket
@@ -312,10 +400,9 @@ def test_alpha_c_negative_tol_exhausts_the_cap(monkeypatch):
 
 # (regime, float.hex of the RegimeReport fields below, first 16 hex digits of
 # the sha256 of the float.hex strings of flux_distribution(law, 60).probs) per
-# exact law, recorded when _root (ITP) replaced the bisections, the flux
-# digests again when one coefficient recurrence replaced the square root,
-# reciprocal and product series; each law kept its regime, and binary0k(0.05)
-# gives what binary0k(1/20) gives
+# exact law, recorded when the bracket search from t = 1 replaced the grid
+# scan and lhs and rhs became the paper's sides over G(t_c); each law kept its
+# regime, and binary0k(0.05) gives what binary0k(1/20) gives
 PINNED_FIELDS = (
     "critical_time", "crit_density", "gf_at_crit", "lhs", "rhs", "gap",
     "empty_prob", "occupied_no_flux_prob",
@@ -324,39 +411,39 @@ PINNED_EXACT_LAWS = {
     ("binary0k", ("1/20", 2)): (
         "subcritical",
         (
-            "0x1.cd82b44615928p+1", "0x1.0a418f6382a0cp+0",
-            "0x1.16b28f55d72d4p+0", "0x1.0b29ea5b1c07ap+1",
-            "0x1.b19050c18259cp+0", "0x1.930e0fd2d6d60p-2",
-            "0x1.d664b560044e8p-1", "0x1.a9d4f6385b5f0p-5",
+            "0x1.cd82b446159f3p+1", "0x1.0a418f6382a0dp+0",
+            "0x1.16b28f55d72d4p+0", "0x1.9b05688c2b3e6p+0",
+            "0x1.4d82b446159f3p+0", "0x1.360ad118567ccp-2",
+            "0x1.d664b560044e6p-1", "0x1.a9d4f6385b600p-5",
         ),
-        "07936f550c4a0a22",
+        "b70ac8a63d3cac7f",
     ),
     ("binary0k", ("1/14", 2)): (
         "critical",
         (
-            "0x1.8000000000000p+1", "0x1.c000000000000p-1",
-            "0x1.16b28f55d72d3p+0", "0x1.4924924924924p+0",
-            "0x1.4924924924924p+0", "0x0.0p+0",
-            "0x1.c000000000000p-1", "0x1.3dc3d6b1c4798p-4",
+            "0x1.7ffffffffff58p+1", "0x1.c000000000001p-1",
+            "0x1.16b28f55d72d4p+0", "0x1.ffffffffffd60p-1",
+            "0x1.ffffffffffd60p-1", "0x0.0p+0",
+            "0x1.c000000000001p-1", "0x1.3dc3d6b1c4798p-4",
         ),
-        "ed104bb5edba603f",
+        "61400fa6cc73707d",
     ),
     ("binary0k", ("0.013", 3)): (
         "subcritical",
         (
-            "0x1.9cb8b2f213d12p+1", "0x1.24a77a44f1692p+0",
-            "0x1.0a4b47dcb3f43p+0", "0x1.659e0452473a3p+0",
-            "0x1.f052d4732ef47p-1", "0x1.b5d26862beffep-2",
-            "0x1.ef4fe34d01f65p-1", "0x1.2bd30a31973a0p-6",
+            "0x1.9cb8b2f213c5bp+1", "0x1.24a77a44f1692p+0",
+            "0x1.0a4b47dcb3f43p+0", "0x1.397165e4278b6p+0",
+            "0x1.b30405c277bcbp-1", "0x1.7fbd8c0baeb42p-2",
+            "0x1.ef4fe34d01f66p-1", "0x1.2bd30a31973a0p-6",
         ),
-        "2971e5f650dfa67c",
+        "9f22a516350642b8",
     ),
     ("binary0k", ("0.3", 30)): (
         "supercritical",
         (
-            "0x1.e559402fd386ep-1", "0x1.da605175df163p-2",
-            "0x1.0022423d4816fp+0", "-0x1.0b2c964c7f8f9p+0",
-            "-0x1.9bb6edbf3c6fep-9", "-0x1.0a5ebad59ff16p+0",
+            "0x1.e559402fd396ap-1", "0x1.da605175df163p-2",
+            "0x1.0022423d48170p+0", "-0x1.0d535fe81634bp+0",
+            "-0x1.9f07b0c999060p-9", "-0x1.0c83dc0fb1683p+0",
             None, None,
         ),
         None,
@@ -364,19 +451,19 @@ PINNED_EXACT_LAWS = {
     ("finite", ("0.98", "0.01", "0.006", "0.004")): (
         "subcritical",
         (
-            "0x1.892221793b16ap+1", "0x1.073d49cae1a71p+0",
-            "0x1.0f732cdd881ecp+0", "0x1.44836a893a58fp+0",
-            "0x1.04abd231f28ddp+0", "0x1.febcc2ba3e590p-3",
-            "0x1.e0b10a8dfd662p-1", "0x1.471a78028f3f0p-5",
+            "0x1.892221793b20ap+1", "0x1.073d49cae1a72p+0",
+            "0x1.0f732cdd881ebp+0", "0x1.124442f276414p+0",
+            "0x1.b89e85984db3ep-1", "0x1.afa801327b3a8p-3",
+            "0x1.e0b10a8dfd661p-1", "0x1.471a78028f3f0p-5",
         ),
-        "7592f7df1285853c",
+        "8314d2ef9049f106",
     ),
     ("finite", ("0.985", "0.005", "0", "0.006", "0.004")): (
         "supercritical",
         (
-            "0x1.f27a3482bbfb8p+0", "0x1.795a1768de329p-1",
-            "0x1.0862cf72759e9p+0", "-0x1.da7f3b9ec6cdep-5",
-            "0x1.696b6a2007761p-2", "-0x1.a4bb5193e04fdp-2",
+            "0x1.f27a3482bc094p+0", "0x1.795a1768de32bp-1",
+            "0x1.0862cf72759e8p+0", "-0x1.b0b96fa87ed80p-5",
+            "0x1.499a0eab34c91p-2", "-0x1.7fb13ca044a41p-2",
             None, None,
         ),
         None,
@@ -385,8 +472,8 @@ PINNED_EXACT_LAWS = {
         "critical",
         (
             "0x1.8000000000000p+1", "0x1.b000000000000p-1",
-            "0x1.279a74590331cp+0", "0x1.5555555555555p+0",
-            "0x1.5555555555555p+0", "0x0.0p+0",
+            "0x1.279a74590331cp+0", "0x1.0000000000000p+0",
+            "0x1.0000000000000p+0", "0x0.0p+0",
             "0x1.b000000000000p-1", "0x1.0b529158d5900p-3",
         ),
         "e6aca060909adf63",
@@ -394,39 +481,39 @@ PINNED_EXACT_LAWS = {
     ("geometric", ("1/10",)): (
         "subcritical",
         (
-            "0x1.d555555555624p+1", "0x1.0222222222223p+0",
-            "0x1.279a74590331dp+0", "0x1.22e8ba2e8bb87p+1",
-            "0x1.d1745d1745fc8p+0", "0x1.d1745d1745d18p-2",
-            "0x1.c4e3a050533c5p-1", "0x1.a13882e6cffa0p-4",
+            "0x1.d555555555555p+1", "0x1.0222222222222p+0",
+            "0x1.279a74590331cp+0", "0x1.aaaaaaaaaaaaap+0",
+            "0x1.5555555555555p+0", "0x1.5555555555554p-2",
+            "0x1.c4e3a050533c6p-1", "0x1.a13882e6cffa0p-4",
         ),
-        "cbb3f48c3afa104e",
+        "482f5b9cb85a9c53",
     ),
     ("nongeneric_example", ("1/10",)): (
         "subcritical",
         (
-            "0x1.8000000000000p+1", "0x1.6573ac901e572p+0",
-            "0x1.06d3ff06f5062p+0", "0x1.72c234f72c236p+0",
-            "0x1.0000000000000p+0", "0x1.cb08d3dcb08d8p-2",
-            "0x1.f6e92d352e903p-1", "0x1.13fa3cc6cb500p-6",
+            "0x1.8000000000000p+1", "0x1.6573ac901e573p+0",
+            "0x1.06d3ff06f5061p+0", "0x1.72c234f72c235p+0",
+            "0x1.0000000000000p+0", "0x1.cb08d3dcb08d4p-2",
+            "0x1.f6e92d352e9d4p-1", "0x1.13fa3cc6ca840p-6",
         ),
-        "56e0ca57d647e002",
+        "5731b6846527f18b",
     ),
     ("binary0k", (0.05, 2)): (
         "subcritical",
         (
-            "0x1.cd82b44615928p+1", "0x1.0a418f6382a0cp+0",
-            "0x1.16b28f55d72d4p+0", "0x1.0b29ea5b1c07ap+1",
-            "0x1.b19050c18259cp+0", "0x1.930e0fd2d6d60p-2",
-            "0x1.d664b560044e8p-1", "0x1.a9d4f6385b5f0p-5",
+            "0x1.cd82b446159f3p+1", "0x1.0a418f6382a0dp+0",
+            "0x1.16b28f55d72d4p+0", "0x1.9b05688c2b3e6p+0",
+            "0x1.4d82b446159f3p+0", "0x1.360ad118567ccp-2",
+            "0x1.d664b560044e6p-1", "0x1.a9d4f6385b600p-5",
         ),
-        "07936f550c4a0a22",
+        "b70ac8a63d3cac7f",
     ),
     ("binary0k", (0.3, 3)): (
         "supercritical",
         (
-            "0x1.1854a6c7ba33cp+0", "0x1.b7d0923618b00p-2",
-            "0x1.0a4b47dcb3f43p+0", "-0x1.ddd85033cb2d7p-1",
-            "0x1.32b3d3dd60ffbp-5", "-0x1.f1038d71a13d7p-1",
+            "0x1.1854a6c7ba371p+0", "0x1.b7d0923618affp-2",
+            "0x1.0a4b47dcb3f43p+0", "-0x1.cf56b2708b91ep-1",
+            "0x1.296442df88cb6p-5", "-0x1.e1ecf69e841e9p-1",
             None, None,
         ),
         None,
@@ -434,9 +521,9 @@ PINNED_EXACT_LAWS = {
     ("poisson", (0.1,)): (
         "subcritical",
         (
-            "0x1.76e73ffc1eb25p+2", "0x1.462e93ccc18dap+0",
-            "0x1.384c418a03560p+0", "0x1.9154672398d36p+2",
-            "0x1.2808423ab7fc7p+2", "0x1.a53093a3835bcp+0",
+            "0x1.76e73ffc1ea80p+2", "0x1.462e93ccc18dbp+0",
+            "0x1.384c418a03561p+0", "0x1.edce7ff83d500p+1",
+            "0x1.6c3ef314ef1eap+1", "0x1.031f19c69c62cp+0",
             "0x1.c95db352c0cb6p-1", "0x1.9adbc470522c0p-4",
         ),
         "d99071058f9de552",
@@ -444,29 +531,29 @@ PINNED_EXACT_LAWS = {
     ("poisson", (3 - 2 * math.sqrt(2),)): (
         "critical",
         (
-            "0x1.b504f333f9deep+1", "0x1.986fd998db4a9p-1",
-            "0x1.384c418a03560p+0", "0x1.11ea35da10ed1p+1",
-            "0x1.11ea35da10eccp+1", "0x1.4000000000000p-49",
-            "0x1.986fd998db4a9p-1", "0x1.6748857a84dacp-3",
+            "0x1.b504f333f9defp+1", "0x1.986fd998db4a8p-1",
+            "0x1.384c418a03560p+0", "0x1.6a09e667f3bdep+0",
+            "0x1.6a09e667f3bd7p+0", "0x1.c000000000000p-50",
+            "0x1.986fd998db4a8p-1", "0x1.6748857a84db0p-3",
         ),
-        "8685dae8abfeac74",
+        "758d9394f8fafaf3"
     ),
     ("geometric", (0.05,)): (
         "subcritical",
         (
-            "0x1.c000000000000p+2", "0x1.d666666666666p+0",
-            "0x1.279a74590331dp+0", "0x1.c924924924925p+2",
-            "0x1.124924924924ap+2", "0x1.6db6db6db6db6p+1",
-            "0x1.e4e09fe01cebdp-1", "0x1.9ae624ba934b0p-5",
+            "0x1.bffffffffff3ap+2", "0x1.d666666666667p+0",
+            "0x1.279a74590331dp+0", "0x1.3ffffffffff3ap+2",
+            "0x1.7fffffffffe3bp+1", "0x1.0000000000039p+1",
+            "0x1.e4e09fe01cebfp-1", "0x1.9ae624ba934a0p-5",
         ),
-        "ba8869cefe8c34b6",
+        "6087e6d32e38b1a8",
     ),
     ("geometric", (0.125,)): (
         "critical",
         (
             "0x1.8000000000000p+1", "0x1.b000000000000p-1",
-            "0x1.279a74590331cp+0", "0x1.5555555555555p+0",
-            "0x1.5555555555555p+0", "0x0.0p+0",
+            "0x1.279a74590331cp+0", "0x1.0000000000000p+0",
+            "0x1.0000000000000p+0", "0x0.0p+0",
             "0x1.b000000000000p-1", "0x1.0b529158d5900p-3",
         ),
         "5375b1dfe8c68da9",
@@ -499,6 +586,49 @@ def test_exact_law_answers_pinned(kind, args):
         probs = flux_distribution(law, 60).probs
         digest = hashlib.sha256(" ".join(p.hex() for p in probs).encode()).hexdigest()[:16]
     assert (rep.regime, fields, digest) == PINNED_EXACT_LAWS[kind, args]
+
+
+def _decimal_g(law, t):
+    """G(t) and G'(t) in decimal, from the law's exact parameters."""
+    def dec(x):
+        x = Fraction(x)
+        return Decimal(x.numerator) / Decimal(x.denominator)
+
+    if law.kind == "poisson":
+        g = (dec(law.alpha) * (t - 1)).exp()
+        return g, dec(law.alpha) * g
+    if law.kind == "geometric":
+        a = dec(law.alpha)
+        g = 1 / (1 + a - a * t)
+        return g, a * g * g
+    if law.kind == "nongeneric_example":
+        m, u = dec(law.mix), (3 - t) / 2
+        g = 1 - m + m * (1 + (1 + t * t) / 26 - u ** (Decimal(7) / 3) / 13)
+        return g, m * (t / 13 + Decimal(7) / 78 * u ** (Decimal(4) / 3))
+    probs = [dec(law.coefficient(j)) for j in range(law.finite_support() + 1)]
+    return (
+        sum(p * t**j for j, p in enumerate(probs)),
+        sum(j * p * t ** (j - 1) for j, p in enumerate(probs) if j),
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, args", [law for law, pin in PINNED_EXACT_LAWS.items() if pin[0] == "subcritical"]
+)
+def test_empty_prob_matches_60_digits(kind, args):
+    # the fixed point t (1 - u) / (2 - u) = 1 bisected at 60 digits; read off
+    # density_from_time, nongeneric_example(1/10) was 2.3e-14 off
+    law = _pinned_law(kind, args)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        lo, hi = Decimal(2), Decimal(find_critical_time(law).t)
+        for _ in range(200):
+            t = (lo + hi) / 2
+            g, g1 = _decimal_g(law, t)
+            u = t * g1 / g
+            lo, hi = (t, hi) if t * (1 - u) < 2 - u else (lo, t)
+        p = lo * lo / (4 * (lo - 1) * _decimal_g(law, lo)[0])
+        assert abs(Decimal(classify(law).empty_prob) - p) <= Decimal("2.5e-16")
 
 
 def _decimal_flux(law, order, digits=60):
@@ -569,7 +699,7 @@ def test_nongeneric_diluted_is_subcritical_by_radius_test():
 
 
 def test_margin_positive_forever_exhausts_budget():
-    # constant pgf: margin is 2 everywhere, no root below any budget
+    # constant pgf: margin is 2 everywhere, so doubling t runs into inf
     law = CustomAnalyticLaw(
         derivs=lambda t, order: (1.0,) + (0.0,) * order,
         radius=math.inf,
@@ -582,7 +712,7 @@ def test_margin_positive_forever_exhausts_budget():
 
 
 def _flat_law(radius, visited):
-    """G = 1 everywhere: the margin is 2 at every t the scan visits."""
+    """G = 1 everywhere: the margin is 2 at every t the search visits."""
 
     def derivs(t, order):
         visited.append(t)
@@ -591,27 +721,20 @@ def _flat_law(radius, visited):
     return CustomAnalyticLaw(derivs, radius, 0.5, 0.4, f"flat to {radius}")
 
 
-def test_scan_visits_the_geometric_grid_then_the_cap():
+def test_search_doubles_to_the_cap_then_probes_the_radius():
     visited = []
-    assert find_critical_time(_flat_law(10.0, visited)) == analytic.CriticalTime(
-        10.0, False, True, True
-    )
-    cap = 10.0 * (1 - 1e-12)
-    grid = [analytic.GRID_START]
-    while grid[-1] * analytic.GRID_RATIO < cap:
-        grid.append(grid[-1] * analytic.GRID_RATIO)
-    # the grid and the cap, then the probe at the radius
-    assert visited == grid + [cap, 10.0]
-    assert len(visited) == 333
+    ct = find_critical_time(_flat_law(10.0, visited))
+    assert ct == analytic.CriticalTime(10.0, False, True, True)
+    # doubling from t = 1, clipped at the cap, then the probe at the radius
+    assert visited == [1.0, 2.0, 4.0, 8.0, 10.0 * (1 - 1e-12), 10.0]
+    assert ct.evaluations == len(visited)
 
 
-def test_scan_with_a_nan_cap_visits_only_the_cap():
-    visited = []
-    ct = find_critical_time(_flat_law(math.nan, visited))
-    assert math.isnan(ct.t)
-    assert (ct.margin_vanishes, ct.at_radius, ct.evaluable) == (False, True, True)
-    # the cap, then the probe at the radius, both NaN
-    assert len(visited) == 2 and all(math.isnan(t) for t in visited)
+@pytest.mark.parametrize("radius", [math.nan, 0.0, -1.0])
+def test_search_refuses_a_radius_that_is_not_positive(radius):
+    # a NaN radius used to give a NaN critical time
+    with pytest.raises(OutOfDomain, match="is not positive"):
+        find_critical_time(_flat_law(radius, []))
 
 
 def _scan_outcome(law):
@@ -623,22 +746,16 @@ def _scan_outcome(law):
     return ct.t.hex(), ct.margin_vanishes, ct.at_radius, ct.evaluable
 
 
-def _full_walk(law):
-    """The same G behind a custom law, which promises nothing of G's series
-    and so walks the grid point by point."""
-    return CustomAnalyticLaw(law.derivatives, law.radius, law.mu0, float(law.mean()))
-
-
 def _decades(lo, hi):
     return st.floats(min_value=lo, max_value=hi).map(lambda e: 10.0**e)
 
 
 _UNIT_OPEN = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
-GALLOP_LAWS = {
+FAMILY_LAWS = {
     "poisson": _decades(-9, 9).map(poisson),
     "geometric": _decades(-9, 9).map(geometric),
     # k >= 3 includes supercritical laws whose margin turns positive again
-    # past its first zero, where only G - t G' > 0 stops the certificate
+    # past its first zero
     "binary0k": st.tuples(st.integers(2, 30), _UNIT_OPEN)
     .filter(lambda ku: 0.0 < ku[0] * ku[1] < ku[0])
     .map(lambda ku: binary0k(ku[0] * ku[1], ku[0])),
@@ -648,19 +765,66 @@ GALLOP_LAWS = {
     .map(lambda w: make_finite_law([Fraction(x, sum(w)) for x in w])),
 }
 
+_REGIME_RANK = {"subcritical": 0, "critical": 1, "supercritical": 2}
+_ALPHA_C_TOL = 1e-9  # find_alpha_c's default
 
-@pytest.mark.parametrize("family", list(GALLOP_LAWS))
-@settings(derandomize=True, max_examples=200, deadline=None)
+
+@lru_cache(maxsize=None)
+def _alpha_c(family, k):
+    return find_alpha_c(family, k=k, tol=_ALPHA_C_TOL)
+
+
+@pytest.mark.parametrize("family", ["poisson", "geometric", "binary0k"])
+@settings(derandomize=True, max_examples=150, deadline=None)
 @given(data=st.data())
-def test_gallop_matches_the_full_walk(family, data):
-    law = data.draw(GALLOP_LAWS[family])
-    assert _scan_outcome(law) == _scan_outcome(_full_walk(law)), law
+def test_regime_is_monotone_along_each_family(family, data):
+    # ROADMAP item 1: sorted by alpha, the regime never steps back, and where
+    # find_alpha_c applies the change lies within its tol of alpha_c
+    if family == "binary0k":
+        k = data.draw(st.integers(2, 30))
+        alphas = data.draw(st.lists(_UNIT_OPEN.map(lambda u: k * u), min_size=2, max_size=10))
+        alphas = [a for a in alphas if 0.0 < a < k]
+        make = lambda a: binary0k(a, k)  # noqa: E731
+    else:
+        k = None
+        alphas = data.draw(st.lists(_decades(-9, 9), min_size=2, max_size=10))
+        make = {"poisson": poisson, "geometric": geometric}[family]
+    if k is None or k <= 8:
+        # and a few within 1e-6 relative of alpha_c, where a wrong side shows
+        alpha_c = _alpha_c(family, k)
+        near = st.floats(min_value=-1e-6, max_value=1e-6).map(lambda d: alpha_c * (1.0 + d))
+        alphas += data.draw(st.lists(near, min_size=1, max_size=4))
+    alphas = sorted(set(alphas))
+    regimes = [classify(make(a)).regime for a in alphas]
+    ranks = [_REGIME_RANK[r] for r in regimes]
+    assert ranks == sorted(ranks), list(zip(alphas, regimes))
+    if k is None or k <= 8:
+        for a, r in zip(alphas, regimes):
+            assert r != "subcritical" or a <= alpha_c + _ALPHA_C_TOL, (a, alpha_c)
+            assert r != "supercritical" or a >= alpha_c - _ALPHA_C_TOL, (a, alpha_c)
 
 
 # (float.hex of t, margin_vanishes, at_radius, evaluable) per law, recorded
-# when _root (ITP) replaced the bisection; the laws of ROADMAP item 1, whose
-# answers are wrong, are left to test_gallop_matches_the_full_walk
+# when the bracket search from t = 1 on sqrt(2) (1 - u) - sqrt(v) replaced the
+# grid scan
 PINNED_CRITICAL_TIMES = {
+    ("binary0k", ("1/14", 2)): ("0x1.7ffffffffff58p+1", True, False, True),
+    ("binary0k", (0.05, 2)): ("0x1.cd82b446159f3p+1", True, False, True),
+    ("binary0k", (0.3, 3)): ("0x1.1854a6c7ba371p+0", True, False, True),
+    ("binary0k", (2.5, 5)): ("0x1.205134e3e63d0p-1", True, False, True),
+    ("binary0k", (29.9, 30)): ("0x1.585baa93afb0ap-1", True, False, True),
+    ("poisson", (0.1,)): ("0x1.76e73ffc1ea80p+2", True, False, True),
+    ("poisson", (20.0,)): ("0x1.dfe051e68da3ep-6", True, False, True),
+    ("geometric", (0.05,)): ("0x1.bffffffffff3ap+2", True, False, True),
+    ("geometric", ("1/8",)): ("0x1.8000000000000p+1", True, False, True),
+    ("nongeneric_example", (1,)): ("0x1.8000000000000p+1", True, True, True),
+    ("nongeneric_example", (0.1,)): ("0x1.8000000000000p+1", False, True, True),
+    ("finite", ("1/2", "1/4", "1/8", "1/8")): ("0x1.5ad77e8d66315p-1", True, False, True),
+    ("finite", ("9/10", "0", "0", "1/20", "1/20")): ("0x1.fb36f4560c4eap-1", True, False, True),
+}
+
+# the same, recorded while the grid scan handed its last bracket to _root (ITP)
+GRID_CRITICAL_TIMES = {
     ("binary0k", ("1/14", 2)): ("0x1.8000000000000p+1", True, False, True),
     ("binary0k", (0.05, 2)): ("0x1.cd82b44615928p+1", True, False, True),
     ("binary0k", (0.3, 3)): ("0x1.1854a6c7ba33cp+0", True, False, True),
@@ -719,28 +883,34 @@ def test_critical_time_within_the_stopping_width_of_the_bisection(kind, args):
     assert abs(new - old) <= analytic.REL_ROOT_TOL * max(new, old)
 
 
-def test_scan_gallops_to_the_first_sign_change(monkeypatch):
-    # the margin of poisson(0.1) first vanishes near t = 5.86, about 320 grid
-    # points up; a walk from the start evaluates G there 321 times, a binary
-    # search over the 567 grid points for the end of the certified prefix 11,
-    # and the root search between the last two points 10 (bisection: 39)
-    evaluated, at_root = [], []
-    derivatives, root = PoissonLaw.derivatives, analytic._root
+@pytest.mark.parametrize("kind, args", list(GRID_CRITICAL_TIMES))
+def test_critical_time_within_the_stopping_width_of_the_grid_scan(kind, args):
+    # both end on a bracket of width at most REL_ROOT_TOL times its larger
+    # end around the same zero of the margin, with the same flags
+    old_hex, *old_flags = GRID_CRITICAL_TIMES[kind, args]
+    old = float.fromhex(old_hex)
+    ct = find_critical_time(_pinned_law(kind, args))
+    assert [ct.margin_vanishes, ct.at_radius, ct.evaluable] == old_flags
+    assert abs(ct.t - old) <= analytic.REL_ROOT_TOL * max(ct.t, old)
 
-    def counted(self, t, order=2):
-        evaluated.append(t)
-        return derivatives(self, t, order)
 
-    def root_once(f, a, b, *args, **kw):
-        at_root.append(len(evaluated))
-        return root(f, a, b, *args, **kw)
+@pytest.mark.parametrize("kind, args", list({**PINNED_CRITICAL_TIMES, **PINNED_EXACT_LAWS}))
+def test_critical_time_evaluation_count(monkeypatch, kind, args):
+    # the grid scan took 18-20 margin evaluations on these laws, 10 at the radius
+    law = _pinned_law(kind, args)
+    calls, tilted = [], type(law).tilted_moments
+    counted = lambda law, t: calls.append(t) or tilted(law, t)  # noqa: E731
+    monkeypatch.setattr(type(law), "tilted_moments", counted)
+    ct = find_critical_time.__wrapped__(law)
+    assert ct.evaluations == len(calls)
+    assert ct.evaluations <= (4 if ct.at_radius else 18)
 
-    monkeypatch.setattr(PoissonLaw, "derivatives", counted)
-    monkeypatch.setattr(analytic, "_root", root_once)
-    ct = find_critical_time.__wrapped__(poisson(0.1))
-    assert ct.t.hex() == PINNED_CRITICAL_TIMES["poisson", (0.1,)][0]
-    assert len(at_root) == 1 and at_root[0] <= 12
-    assert len(evaluated) - at_root[0] <= 16
+
+@pytest.mark.parametrize("law, count", [(poisson(1e-7), 34), (geometric(1e-8), 36)], ids=repr)
+def test_critical_time_far_from_one_costs_its_doublings(law, count):
+    # t_c = 5.9e6 and 3.3e7: 23 and 25 doublings from t = 1 before the log
+    # phase and the root; the grid scan stopped at 1e6 and raised
+    assert find_critical_time.__wrapped__(law).evaluations == count
 
 
 @pytest.mark.parametrize(
@@ -807,12 +977,12 @@ def _outcome(solve):
         return type(exc).__name__
 
 
-@pytest.mark.parametrize("family", list(GALLOP_LAWS))
+@pytest.mark.parametrize("family", list(FAMILY_LAWS))
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(data=st.data())
 def test_root_agrees_with_bisection(family, data):
     # on the scan's bracket and the fixed-point bracket of each law
-    law = data.draw(GALLOP_LAWS[family])
+    law = data.draw(FAMILY_LAWS[family])
     root = analytic._root
 
     def both(f, a, b, fa=None, fb=None, rel=analytic.REL_ROOT_TOL, width=0.0):

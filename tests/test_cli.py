@@ -1,6 +1,8 @@
 """Command line interface: argument handling, output formats, exit codes."""
 
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import parkcrit
+from parkcrit import analytic, cli
 from parkcrit.cli import main
 from parkcrit.enumeration import FptTable, tutte_series
-from parkcrit.laws import binary0k
+from parkcrit.laws import binary0k, poisson
 
 
 def run_cli(capsys, *argv):
@@ -409,10 +412,21 @@ def test_verify_rejects_corrupted_table(tmp_path, capsys):
         assert not check["passed"] and check["detail"].startswith(detail)
 
 
-def test_verify_reports_checks_that_raise(capsys):
-    # poisson(22) wrongly reads critical (ROADMAP item 1) and its flux law
-    # raises NegativeCoefficient; the fixed-point residual is still reported
-    code, out, err = run_cli(capsys, "verify", "--family", "poisson", "--alpha", "22")
+def _plant_report(monkeypatch, **fields):
+    """classify, where the CLI and analytic look it up, reports these fields
+    over the true report: classify refuses what no packaged law gives, so
+    the guards after it are reached through a planted report."""
+    true = analytic.classify
+    fake = lambda law: dataclasses.replace(true(law), **fields)  # noqa: E731
+    monkeypatch.setattr(analytic, "classify", fake)
+    monkeypatch.setattr(cli, "classify", fake)
+
+
+def test_verify_reports_checks_that_raise(capsys, monkeypatch):
+    # at half its empty_prob, the flux law of poisson(0.1) raises
+    # NegativeCoefficient; the fixed-point residual is still reported
+    _plant_report(monkeypatch, empty_prob=0.5 * analytic.classify(poisson(0.1)).empty_prob)
+    code, out, err = run_cli(capsys, "verify", "--family", "poisson", "--alpha", "0.1")
     assert code == 3
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     assert list(checks) == [
@@ -426,20 +440,22 @@ def test_verify_reports_checks_that_raise(capsys):
     assert err.startswith("verification failed: ")
 
 
-def test_flux_entries_that_are_not_probabilities_exit_3(capsys):
-    # poisson(360) wrongly reads critical (ROADMAP item 1); its flux law
-    # overflows, and must not be printed as inf or nan with exit 0
-    code, out, err = run_cli(capsys, "flux", "--family", "poisson", "--alpha", "360")
+def test_flux_entries_that_are_not_probabilities_exit_3(capsys, monkeypatch):
+    # with an infinite empty_prob the flux law overflows, and must not be
+    # printed as inf or nan with exit 0
+    _plant_report(monkeypatch, empty_prob=math.inf)
+    code, out, err = run_cli(capsys, "flux", "--family", "poisson", "--alpha", "0.1")
     assert (code, out) == (3, "")
-    assert err.startswith("numerical failure (NoSolution): ")
+    assert err.startswith("numerical failure (NoSolution): P(flux = 0) came out inf")
 
 
-def test_analyze_critical_closed_form_outside_unit_interval_exits_3(capsys):
-    # poisson(22) wrongly reads critical (ROADMAP item 1); the closed-form
-    # empty-root probability is negative, a numerical failure, not bad input
-    code, out, err = run_cli(capsys, "analyze", "--family", "poisson", "--alpha", "22")
+def test_analyze_critical_closed_form_outside_unit_interval_exits_3(capsys, monkeypatch):
+    # at t = 1.5 the closed-form empty-root probability of binary0k(1/14) is
+    # 1.077, a numerical failure, not bad input
+    _plant_report(monkeypatch, critical_time=1.5)
+    code, out, err = run_cli(capsys, "analyze", "--family", "binary0k", "--alpha", "1/14")
     assert (code, out) == (3, "")
-    assert err.startswith("numerical failure (NoSolution): ")
+    assert err.startswith("numerical failure (NoSolution): closed-form empty-root probability")
 
 
 def test_out_writes_file(tmp_path, capsys):

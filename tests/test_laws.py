@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from parkcrit.analytic import GRID_START, TIME_BUDGET
 from parkcrit.errors import (
     BadFamilyParameter,
     EvaluationBeyondRadius,
@@ -319,9 +318,9 @@ FLOAT_PATH_LAWS = [
 
 @pytest.mark.parametrize("law", FLOAT_PATH_LAWS, ids=repr)
 def test_float_path_matches_mixed_expressions_bit_for_bit(law):
-    # the critical-time scan's range: a log grid up to the radius or the budget
-    cap = min(TIME_BUDGET, law.radius * (1 - 1e-12))
-    ts = [GRID_START * 1.1**i for i in range(int(math.log(cap / GRID_START, 1.1)) + 1)]
+    # a log range of t from 1e-6 up to 1e6 or just below the radius
+    cap = min(1e6, law.radius * (1 - 1e-12))
+    ts = [1e-6 * 1.1**i for i in range(int(math.log(cap / 1e-6, 1.1)) + 1)]
     for t in ts + [cap]:
         for order in range(3):
             try:
@@ -342,6 +341,48 @@ def test_exact_laws_stay_exact_at_exact_t(law):
         got = law.derivatives(t)
         assert all(type(v) is Fraction for v in got)
         assert got == _reference_derivatives(law, t, 2)
+
+
+@pytest.mark.parametrize("law", FLOAT_PATH_LAWS, ids=repr)
+def test_tilted_moments_are_the_scaled_derivatives(law):
+    # t G'/G and t^2 G''/G; the packaged laws write them without forming G,
+    # so they agree with the quotients to rounding, not bit for bit
+    for t in (1e-3, 0.5, 1.0, 2.0, min(7.5, law.radius * (1 - 1e-9))):
+        g0, g1, g2 = law.derivatives(t, 2)
+        u, v = law.tilted_moments(t)
+        assert u == pytest.approx(t * g1 / g0, rel=1e-13, abs=1e-300)
+        assert v == pytest.approx(t * t * g2 / g0, rel=1e-13, abs=1e-300)
+
+
+@pytest.mark.parametrize("law", [law for law in FLOAT_PATH_LAWS if law.is_exact], ids=repr)
+def test_tilted_moments_exact_at_exact_t(law):
+    for t in (Fraction(1, 3), 2):
+        g0, g1, g2 = law.derivatives(t, 2)
+        assert law.tilted_moments(t) == (t * g1 / g0, t * t * g2 / g0)
+
+
+def test_tilted_moments_where_g_leaves_the_floats():
+    # poisson's G = exp(-1000) underflows and geometric's mass at zero is
+    # 1e-300; the ratios stay exact to rounding
+    assert poisson(1000.0).tilted_moments(1e-3) == (1.0, 1.0)
+    assert geometric(1e300).tilted_moments(1 / 3) == pytest.approx((0.5, 0.5), rel=1e-15)
+    # t^30 overflows at t = 1e11 while p_k t^30 = 3.3e28 does not
+    law = binary0k(Fraction(1, 10**300), k=30)
+    pk, t = Fraction(1, 30 * 10**300), Fraction(10**11)
+    w = pk * t**30 / (1 - pk + pk * t**30)
+    assert law.tilted_moments(1e11) == pytest.approx((30 * w, 870 * w), rel=1e-15)
+
+
+def test_binary0k_mass_must_have_a_nonzero_float():
+    # 5e-324 / 2 rounds to 0.0: the law would have no mass at k in floats
+    with pytest.raises(BadFamilyParameter, match="rounds to a float of 0.0"):
+        binary0k(5e-324)
+    assert binary0k(1e-323).tilted_moments(1.0)[0] > 0.0
+
+
+def test_huge_poisson_mean_is_a_law():
+    # alpha ** 2 raised OverflowError in the constructor
+    assert poisson(1e300).tilted_moments(1e-300) == pytest.approx((1.0, 1.0))
 
 
 FLOAT_PARAMETER_LAWS = [law for law in FLOAT_PATH_LAWS if not law.is_exact] + [
