@@ -187,8 +187,10 @@ def find_critical_time(law):
     and _root ends it.  If h > 0 up to a finite radius, h is probed at
     the radius, where the margin may vanish (nongeneric criticality), stay
     positive or not be evaluable; up to an infinite one, the search raises
-    NoRootWithinBudget.  The packaged laws take 12-18 evaluations, 4 at
-    the radius, plus one per doubling or halving for a t_c far from 1.
+    NoRootWithinBudget.  An h that is NaN where the doubling, the probe or
+    the halving ends raises NoSolution.  The packaged laws take 12-18
+    evaluations, 4 at the radius, plus one per doubling or halving for a
+    t_c far from 1.
     """
     radius = law.radius
     cap = radius * (1 - 1e-12)
@@ -215,16 +217,18 @@ def find_critical_time(law):
             f = h(radius)
         except (ParkingModelError, ArithmeticError, ValueError):
             return CriticalTime(radius, False, True, False, len(seen))
-        if not f < -MARGIN_TOL:  # NaN too
+        if f >= -MARGIN_TOL:
             return CriticalTime(radius, abs(f) <= MARGIN_TOL, True, True, len(seen))
     hi, f_hi = t, f
-    while lo == 0.0 < 0.5 * hi and f_hi != 0.0:  # not positive anywhere yet: halve
+    while lo == 0.0 < 0.5 * hi and f_hi < 0.0:  # not positive anywhere yet: halve
         t = 0.5 * hi
         f = h(t)
         if f > 0.0:
             lo, f_lo = t, f
         else:
             hi, f_hi = t, f
+    if math.isnan(f_hi):
+        raise NoSolution(f"{law.describe()}: the margin is NaN at t = {hi!r}")
     lo, hi, f_lo, f_hi = _log_phase(h, lo, hi, f_lo, f_hi, 1.3)
     t = hi if f_hi == 0.0 else _root(h, lo, hi, f_lo, f_hi)
     return CriticalTime(t, True, False, True, len(seen))
@@ -308,7 +312,7 @@ class RegimeReport:
     test: str  # kernel | radius | none
     margin_vanishes: bool
     critical_time: float
-    crit_density: float | None
+    crit_density: float | None  # None unless subcritical or critical
     gf_at_crit: float | None
     lhs: float | None
     rhs: float | None
@@ -376,7 +380,7 @@ def classify(law):
         regime, p_empty = "subcritical", solve_empty_prob(law)[1]
     else:
         return RegimeReport(
-            "supercritical", test, ct.margin_vanishes, t, x, gf, lhs, rhs, gap,
+            "supercritical", test, ct.margin_vanishes, t, None, gf, lhs, rhs, gap,
             None, None,
         )
     if p_empty is None or not 0.0 <= p_empty <= 1.0:

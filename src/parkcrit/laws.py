@@ -3,18 +3,17 @@
 A law is the distribution of the number of cars arriving at a single
 vertex.  Every law exposes its generating function G together with
 derivatives, t G'/G and t^2 G''/G (``tilted_moments``), its convergence
-radius, its mean, and its coefficients.
-Families are parametrized by the mean arrival count alpha, so sweeps
-across different families compare like for like.
+radius, its mean, and its coefficients.  Families are parametrized by the
+mean arrival count alpha, so sweeps across different families compare
+like for like.
 
-Each law writes G, G' and G'' once.  The finite, binary0k and geometric
-laws state the constants of that expression exactly in ``_consts``; a law
-keeps only their floats, and a float t is evaluated from those.  Each is
-the float that the mixed Fraction-float expression rounds to, so a float
-t gets the same bits either way, and an exact t still gets Fractions.
-
-Laws whose coefficients are exact rationals additionally support exact
-coefficient extraction, which the enumeration code requires.
+A finite law, binary0k among them, sums G, G', G'' and the tilted
+moments over its atoms (``_atoms``); geometric evaluates a closed form
+whose constants ``_consts`` states.  A law keeps only the floats of its
+constants, and a float t is evaluated from those.  Each is the float that
+the mixed Fraction-float expression rounds to, so a float t gets the same
+bits either way, and an exact t still gets Fractions.  Exact laws also
+give the exact coefficients that the enumeration code requires.
 """
 from __future__ import annotations
 
@@ -105,7 +104,7 @@ class ArrivalLaw:
         t^A, P_t(A = k) = P(A = k) t^k / G(t), so neither decreases in t,
         and both are of order 1 where the regime is decided, whatever the
         scale of G.  The default divides derivatives(t); a law whose G or
-        G'' can underflow or overflow gives them without forming either.
+        G'' can leave the floats gives them in a form that does not.
         Exact when t and the law are.
         """
         g0, g1, g2 = self.derivatives(t, 2)
@@ -134,7 +133,17 @@ class ArrivalLaw:
 
     def float_coefficients(self, K):
         """Coefficients 0..K as floats, each the float of the exact mass if there is one."""
-        return [float(self.coefficient(k)) for k in range(K + 1)]
+        if not self.is_exact:
+            return [float(self.coefficient(k)) for k in range(K + 1)]
+        h, a, b = self.integer_masses(K)
+        # a * b**k * h[k] as one ratio of ints, divided once: the same rounding
+        # as float(Fraction), without a Fraction's gcd at every k
+        num, den, out = a.numerator, a.denominator, []
+        for hk in h:
+            out.append(hk * num / den)
+            num *= b.numerator
+            den *= b.denominator
+        return out
 
     def mean(self):
         """Mean arrival count, exact when the law is."""
@@ -173,9 +182,10 @@ class ArrivalLaw:
 
 
 class FiniteSupportLaw(ArrivalLaw):
-    """Arrival law with finitely many atoms and exact rational masses."""
+    """Arrival law with finitely many atoms.  The masses are exact
+    rationals, or floats where a family like binary0k has a float parameter."""
 
-    __slots__ = ("probs", "_float_consts")
+    __slots__ = ("probs", "_float_atoms")
     kind = "finite"
 
     def __init__(self, probs):
@@ -195,16 +205,19 @@ class FiniteSupportLaw(ArrivalLaw):
                 "all mass on {0, 1}: no vertex ever overflows and the "
                 "process is trivially subcritical"
             )
-        self.probs = tuple(probs)
-        self._float_consts = tuple(
-            tuple(c if c is None else float(c) for c in row) for row in self._consts()
-        )
+        self._set_masses(tuple(probs))
 
-    def _consts(self):
-        """Row j: math.perm(k, j) * p_k at index k - j, None where p_k = 0."""
-        return tuple(
-            tuple(math.perm(k, j) * p if p else None for k, p in enumerate(self.probs[j:], j))
-            for j in range(self.max_order + 1)
+    def _set_masses(self, probs):
+        self.probs = probs
+        self._float_atoms = self._atoms(float)
+
+    def _atoms(self, num=lambda c: c):
+        """(p_0, 0, atoms), num applied to each: the atoms are
+        (k, k (k - 1), p_k, k p_k, k (k - 1) p_k) for each k >= 1 with p_k != 0,
+        the terms that G, G', G'' and the tilted moments sum."""
+        return num(self.probs[0]), num(0), tuple(
+            (k, k * (k - 1), num(p), num(k * p), num(k * (k - 1) * p))
+            for k, p in enumerate(self.probs) if k and p
         )
 
     @property
@@ -213,23 +226,57 @@ class FiniteSupportLaw(ArrivalLaw):
 
     @property
     def is_exact(self):
-        return True
+        return isinstance(self.probs[0], Fraction)
+
+    @property
+    def mu0(self):
+        return self._float_atoms[0]
 
     def derivatives(self, t, order=2):
         self._check(t, order)
-        out = []
-        for row in (self._float_consts if type(t) is float else self._consts())[: order + 1]:
-            acc = 0
-            for e, c in enumerate(row):
-                if c is not None:
-                    acc += c * t**e
-            out.append(acc)
-        return tuple(out)
+        g0, g1, atoms = self._float_atoms if type(t) is float else self._atoms()
+        g2 = g1
+        # term by term in k, as the mixed Fraction-float expression adds them
+        for k, kk, p, kp, kkp in atoms:
+            g0 += p * t**k
+            g1 += kp * t ** (k - 1)
+            if kk:
+                g2 += kkp * t ** (k - 2)
+        return (g0, g1, g2)[: order + 1]
+
+    def tilted_moments(self, t):
+        """The sums of k p_k t^k and k (k - 1) p_k t^k over G, the sum of
+        p_k t^k, from one power per atom.  Where t^k or a sum leaves the
+        floats, each p_k t^k is taken over the largest, in logs."""
+        if t < 0:
+            self._check(t, 2)
+        g, s1, atoms = self._float_atoms if type(t) is float else self._atoms()
+        s2 = s1
+        try:
+            for k, kk, p, _, _ in atoms:
+                z = p * t**k
+                g += z
+                s1 += k * z
+                s2 += kk * z
+        except OverflowError:
+            g = math.inf
+        if g + s1 + s2 < math.inf:
+            return s1 / g, s2 / g
+        p0, s1, atoms = self._float_atoms
+        logs = [(k, kk, math.log(p) + k * math.log(t)) for k, kk, p, _, _ in atoms if p]
+        top = max(x for _, _, x in logs)
+        g, s2 = p0 * math.exp(-top), s1
+        for k, kk, x in logs:
+            z = math.exp(x - top)
+            g += z
+            s1 += k * z
+            s2 += kk * z
+        return s1 / g, s2 / g
 
     def coefficient(self, k):
         if 0 <= k < len(self.probs):
             return self.probs[k]
-        return Fraction(0)
+        return Fraction(0) if self.is_exact else 0.0
 
     def mean(self):
         return sum(k * p for k, p in enumerate(self.probs))
@@ -245,10 +292,10 @@ class FiniteSupportLaw(ArrivalLaw):
         return f"finite({masses})"
 
 
-class Binary0kLaw(ArrivalLaw):
-    """Mass at 0 and at k only, parametrized by the mean alpha = k * P(A=k)."""
+class Binary0kLaw(FiniteSupportLaw):
+    """Mass 1 - alpha/k at 0 and alpha/k at k, parametrized by the mean alpha."""
 
-    __slots__ = ("alpha", "k", "_float_consts")
+    __slots__ = ("alpha", "k")
     kind = "binary0k"
 
     def __init__(self, alpha, k):
@@ -256,66 +303,21 @@ class Binary0kLaw(ArrivalLaw):
             raise BadFamilyParameter(f"support point k must be an int >= 2, got {k!r}")
         alpha = _as_param(alpha, "alpha")
         if not 0 < alpha < k:
-            raise BadFamilyParameter(
-                f"binary0k mean must lie in (0, {k}), got {alpha!r}"
-            )
+            raise BadFamilyParameter(f"binary0k mean must lie in (0, {k}), got {alpha!r}")
+        pk = alpha / k
+        if not float(pk):
+            raise BadFamilyParameter(f"alpha / k = {alpha!r} / {k} rounds to a float of 0.0")
         self.alpha = alpha
         self.k = k
-        self._float_consts = tuple(float(c) for c in self._consts())
-        if not self._float_consts[1]:
-            raise BadFamilyParameter(f"alpha / k = {alpha!r} / {k} rounds to a float of 0.0")
-
-    def _consts(self):
-        """1 - p_k, then math.perm(k, j) * p_k for j = 0, 1, 2."""
-        pk = self.alpha / self.k
-        return (1 - pk,) + tuple(math.perm(self.k, j) * pk for j in range(self.max_order + 1))
-
-    @property
-    def radius(self):
-        return math.inf
-
-    @property
-    def mu0(self):
-        return self._float_consts[0]  # float(1 - p_k), as float(coefficient(0))
-
-    @property
-    def is_exact(self):
-        return isinstance(self.alpha, Fraction)
-
-    def derivatives(self, t, order=2):
-        self._check(t, order)
-        c, p0, p1, p2 = self._float_consts if type(t) is float else self._consts()
-        k = self.k
-        return (c + p0 * t**k, p1 * t ** (k - 1), p2 * t ** (k - 2))[: order + 1]
-
-    def tilted_moments(self, t):
-        """(k w, k (k - 1) w) with w = p_k t^k / G, the tilted mass at k."""
-        if t < 0:
-            self._check(t, 2)
-        c, p0 = (self._float_consts if type(t) is float else self._consts())[:2]
-        k = self.k
-        try:
-            z = p0 * t**k
-            w = z / (c + z)
-        except OverflowError:  # t^k beyond floats where p_k t^k need not be
-            w = 1.0 / (1.0 + c * math.exp(-math.log(p0) - k * math.log(t)))
-        return k * w, k * (k - 1) * w
-
-    def coefficient(self, k):
-        if k == 0:
-            return 1 - self.alpha / self.k
-        if k == self.k:
-            return self.alpha / self.k
-        return Fraction(0) if self.is_exact else 0.0
+        self._set_masses((1 - pk,) + (0,) * (k - 1) + (pk,))
 
     def mean(self):
         return self.alpha
 
-    def finite_support(self):
-        return self.k
-
     def params(self):
         return {"alpha": str(self.alpha), "k": self.k}
+
+    describe = ArrivalLaw.describe
 
 
 class PoissonLaw(ArrivalLaw):
@@ -420,19 +422,6 @@ class GeometricLaw(ArrivalLaw):
             raise NonExactLaw(f"{self.describe()} has no exact coefficients")
         n, d = self.alpha.numerator, self.alpha.denominator
         return [1] * (K + 1), Fraction(d, n + d), Fraction(n, n + d)
-
-    def float_coefficients(self, K):
-        if not self.is_exact:
-            return super().float_coefficients(K)
-        _, a, b = self.integer_masses(0)
-        # a * b**k as one ratio of ints, divided once: the same rounding as
-        # float(Fraction), without a Fraction's gcd at every k
-        num, den, out = a.numerator, a.denominator, []
-        for _ in range(K + 1):
-            out.append(num / den)
-            num *= b.numerator
-            den *= b.denominator
-        return out
 
     def mean(self):
         return self.alpha

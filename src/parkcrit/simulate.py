@@ -94,7 +94,7 @@ def _positive_masses(law):
     """
     top = law.finite_support()
     if top is not None:
-        masses = [float(law.coefficient(k)) for k in range(1, top + 1)]
+        masses = law.float_coefficients(top)[1:]
     else:
         masses = [float(law.coefficient(1))]
         while masses[-1] > 2.0**-64 * masses[0]:
@@ -177,7 +177,7 @@ def make_sampler(law):
         q = float(law.alpha / (1 + law.alpha))
     elif kind in ("finite", "nongeneric_example"):
         masses, q = _positive_masses(law)
-        table = [float(law.coefficient(0))] + masses
+        table = law.float_coefficients(len(masses))
         dense = _threshold_sampler(table, range(len(table)))
         values = _conditional_sampler(masses, q)
     else:

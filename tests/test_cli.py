@@ -37,6 +37,15 @@ def test_analyze_json(capsys):
     assert doc["crit_density"] == pytest.approx(0.875, abs=1e-12)
 
 
+def test_analyze_supercritical_has_no_crit_density(capsys):
+    # the density at t_c is no probability here: poisson(440) read 3.2e187
+    code, out, _ = run_cli(capsys, "analyze", "--family", "poisson", "--alpha", "440")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["regime"] == "supercritical"
+    assert doc["crit_density"] is None and "crit_density" in doc
+
+
 def test_analyze_accepts_decimal_alpha_exactly(capsys):
     # 0.05 on the command line means the literal decimal, not the float blob
     code, out, _ = run_cli(capsys, "analyze", "--family", "binary0k", "--alpha", "0.05")

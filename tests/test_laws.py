@@ -4,7 +4,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from parkcrit.enumeration import tutte_series
 from parkcrit.errors import (
     BadFamilyParameter,
     EvaluationBeyondRadius,
@@ -371,6 +374,37 @@ def test_tilted_moments_where_g_leaves_the_floats():
     pk, t = Fraction(1, 30 * 10**300), Fraction(10**11)
     w = pk * t**30 / (1 - pk + pk * t**30)
     assert law.tilted_moments(1e11) == pytest.approx((30 * w, 870 * w), rel=1e-15)
+    # p_k t^30 = 4.5e305 and G stay in the floats, 870 p_k t^30 does not
+    assert binary0k(Fraction(3, 10), k=30).tilted_moments(1.8e10) == (30.0, 870.0)
+    # the same for a finite law with three atoms, tilted almost all to 30
+    tiny = Fraction(1, 10**300)
+    probs = [Fraction(1, 2), 0, Fraction(1, 2) - tiny] + [0] * 27 + [tiny]
+    z = [p * t**k for k, p in enumerate(probs)]
+    u = sum(k * zk for k, zk in enumerate(z)) / sum(z)
+    v = sum(k * (k - 1) * zk for k, zk in enumerate(z)) / sum(z)
+    assert make_finite_law(probs).tilted_moments(1e11) == pytest.approx((u, v), rel=1e-15)
+
+
+def _outcome(f, *args):
+    """repr of f(*args), which tells the bits of floats apart, or the exception's type."""
+    try:
+        return repr(f(*args))
+    except ArithmeticError as exc:
+        return type(exc).__name__
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(k=st.integers(2, 12), share=st.fractions(0, 1).filter(lambda x: 0 < x < 1))
+def test_binary0k_is_the_finite_law_of_its_masses(k, share):
+    law = binary0k(k * share, k)
+    twin = make_finite_law([1 - share] + [0] * (k - 1) + [share])
+    for t in (0.0, 1e-3, 0.7, 1.0, 2.5, 1e3, 1e11, 1e200, Fraction(2, 3), 3):
+        for order in range(3):
+            assert _outcome(law.derivatives, t, order) == _outcome(twin.derivatives, t, order)
+        assert _outcome(law.tilted_moments, t) == _outcome(twin.tilted_moments, t)
+    assert law.integer_masses(k + 3) == twin.integer_masses(k + 3)
+    assert repr(law.float_coefficients(k + 3)) == repr(twin.float_coefficients(k + 3))
+    assert tutte_series(law, 4, 4).rows == tutte_series(twin, 4, 4).rows
 
 
 def test_binary0k_mass_must_have_a_nonzero_float():
