@@ -187,8 +187,9 @@ def find_critical_time(law):
     and _root ends it.  If h > 0 up to a finite radius, h is probed at
     the radius, where the margin may vanish (nongeneric criticality), stay
     positive or not be evaluable; up to an infinite one, the search raises
-    NoRootWithinBudget.  An h that is NaN where the doubling, the probe or
-    the halving ends raises NoSolution.  The packaged laws take 12-18
+    NoRootWithinBudget.  An h that is NaN wherever the search evaluates
+    it, in the doubling, the probe, the halving or the root search, raises
+    NoSolution.  The packaged laws take 12-18
     evaluations, 4 at the radius, plus one per doubling or halving for a
     t_c far from 1.
     """
@@ -201,7 +202,10 @@ def find_critical_time(law):
     def h(s):
         seen.append(s)
         u, v = tilted(s)
-        return SQRT2 * (1.0 - u) - math.sqrt(v)
+        f = SQRT2 * (1.0 - u) - math.sqrt(v)
+        if f != f:
+            raise NoSolution(f"{law.describe()}: the margin is NaN at t = {s!r}")
+        return f
 
     lo, f_lo = 0.0, SQRT2  # h(0), never evaluated
     t = min(1.0, cap)
@@ -215,6 +219,8 @@ def find_critical_time(law):
         lo, f_lo, t = t, f, radius
         try:
             f = h(radius)
+        except NoSolution:  # a NaN margin is no answer
+            raise
         except (ParkingModelError, ArithmeticError, ValueError):
             return CriticalTime(radius, False, True, False, len(seen))
         if f >= -MARGIN_TOL:
@@ -227,8 +233,6 @@ def find_critical_time(law):
             lo, f_lo = t, f
         else:
             hi, f_hi = t, f
-    if math.isnan(f_hi):
-        raise NoSolution(f"{law.describe()}: the margin is NaN at t = {hi!r}")
     lo, hi, f_lo, f_hi = _log_phase(h, lo, hi, f_lo, f_hi, 1.3)
     t = hi if f_hi == 0.0 else _root(h, lo, hi, f_lo, f_hi)
     return CriticalTime(t, True, False, True, len(seen))

@@ -260,15 +260,20 @@ class FptTable:
         )
 
 
-def _conv(a, b, out_len, out=None):
-    """Add the first out_len coefficients of a * b into out (new zeros if None).
+def _conv(a, b, out_len, out=None, start=0):
+    """Add the product a * b, entered at index start, into out[:out_len]
+    (new zeros if None): out[start + k] gains the sum of a[i] b[j] over
+    i + j = k.
 
-    Only nonzero pairs are multiplied: binary0k rows are mostly zeros.
+    A table row begins at the first M its trees can hold, so a product of
+    two rows enters the sum it feeds at an offset, start.  Only nonzero
+    pairs are multiplied.
     """
     if out is None:
         out = [0] * out_len
-    b_nonzero = [(j, bj) for j, bj in enumerate(b[:out_len]) if bj]
-    for i, ai in enumerate(a[:out_len]):
+    width = max(out_len - start, 0)
+    b_nonzero = [(j, bj) for j, bj in enumerate(b[:width]) if bj]
+    for i, ai in enumerate(a[:width], start):
         if ai:
             room = out_len - i
             for j, bj in b_nonzero:
@@ -281,19 +286,24 @@ def _conv(a, b, out_len, out=None):
 def tutte_series(law, vertex_order, flux_order):
     """Weight table via the generating-function row recursion.
 
-    With u_n the flux polynomial of n-vertex fully parked trees, the
-    root decomposition gives u_n = [shift one flux order down of]
-    G * (2 u_{n-1} + sum over a+b = n-1 of u_a u_b), seeded by u_1 = the
-    arrival law shifted down once.  Because each step consumes one flux
-    order, row n is computed out to flux order flux_order + vertex_order
-    - n; a table truncated tighter than that would corrupt its top rows.
+    The law writes its masses as P(A = s j) = a * b**j * h[j] with integer
+    h and stride s (law.integer_masses): no mass lies off the multiples of
+    s.  A fully parked tree with n vertices and flux p holds n + p = s M
+    cars, M units of s, so its weight is a**n * b**M times the product of
+    h over its vertices.  Row n is u_n, indexed by M: the sum of those
+    products over n-vertex trees holding M units.  Cars add up over the
+    root and its two subtrees, so the root decomposition gives
+    u_n = h * (2 u_{n-1} + sum over a+b = n-1 of u_a u_b), products in M,
+    less the M at which the root holds no car; u_1 = h without h[0].  The
+    root holds a car once s M >= n, so row n starts at M = ceil(n / s).
+    Trees of the table hold at most N + P cars, N and P its orders, and a
+    subtree's surplus can feed every vertex above it, so every row runs
+    to the same M = (N + P) // s; a tighter cut would corrupt the top
+    rows.
 
-    The recursion runs on plain ints.  The law writes its masses as
-    P(A = k) = a * b**k * h[k] with integer h (law.integer_masses), and a
-    fully parked tree with n vertices and flux p holds n + p cars, so its
-    weight is a**n * b**(n+p) times the product of h over its vertices.
-    The rows are computed with h in place of G, and cell (n, p) is the
-    int rows[n][p] * a**n * b**(n+p), made a Fraction only then.
+    The recursion runs on plain ints; cell (n, p) is the int
+    u_n[(n + p) / s] * a**n * b**((n + p) / s), made a Fraction only then,
+    and zero where s does not divide n + p.
     """
     vertex_order = _order(vertex_order, "vertex order")
     flux_order = _order(flux_order, "flux order")
@@ -301,32 +311,34 @@ def tutte_series(law, vertex_order, flux_order):
         raise OutOfDomain("need vertex_order >= 1 and flux_order >= 0")
     if not law.is_exact:
         raise NonExactLaw(f"{law.describe()} has no exact coefficients")
-    h, a, b = law.integer_masses(vertex_order + flux_order)
-
-    def row_width(n):
-        return flux_order + vertex_order - n + 1
+    h, a, b, s = law.integer_masses(vertex_order + flux_order)
+    top = len(h) - 1  # the largest M of every row
+    first = [-(-n // s) for n in range(vertex_order + 1)]  # row n starts at M = first[n]
 
     u = [None] * (vertex_order + 1)
-    u[1] = h[1 : row_width(1) + 1]
+    u[1] = h[1:]
     for n in range(2, vertex_order + 1):
-        need = row_width(n) + 1
+        lo = first[n - 1]
+        need = top + 1 - lo  # at most 0 once rows are empty: _conv then adds nothing
         # u_{n-1} plus the pair products with a < b, doubled, plus the middle square
-        w = u[n - 1][:need]
+        w = list(u[n - 1])
         for i in range(1, n // 2):
-            _conv(u[i], u[n - 1 - i], need, w)
+            _conv(u[i], u[n - 1 - i], need, w, first[i] + first[n - 1 - i] - lo)
         w = [2 * v for v in w]
         if n % 2:
-            _conv(u[n // 2], u[n // 2], need, w)
-        u[n] = _conv(h, w, need)[1:]
+            _conv(u[n // 2], u[n // 2], need, w, 2 * first[n // 2] - lo)
+        u[n] = _conv(h, w, need)[first[n] - lo :]
 
-    rows = [tuple([Fraction(0)] * (flux_order + 1))]
-    num, den = 1, 1  # a**n * b**n
+    zero = Fraction(0)
+    rows = [tuple([zero] * (flux_order + 1))]
+    num, den = 1, 1  # a**n
     for n in range(1, vertex_order + 1):
-        num *= a.numerator * b.numerator
-        den *= a.denominator * b.denominator
-        row, pn, pd = [], num, den
-        for p in range(flux_order + 1):
-            row.append(Fraction(u[n][p] * pn, pd))
+        num *= a.numerator
+        den *= a.denominator
+        row = [zero] * (flux_order + 1)
+        pn, pd = num * b.numerator ** first[n], den * b.denominator ** first[n]
+        for i, p in enumerate(range(s * first[n] - n, flux_order + 1, s)):
+            row[p] = Fraction(u[n][i] * pn, pd)
             pn *= b.numerator
             pd *= b.denominator
         rows.append(tuple(row))
@@ -359,10 +371,7 @@ def brute_force_table(law, vertex_order, flux_order):
         raise NonExactLaw(f"{law.describe()} has no exact coefficients")
     # a fully parked tree with n vertices and flux p holds exactly n + p
     # cars, so no vertex ever receives more than vertex_order + flux_order
-    support_top = law.finite_support()
-    if support_top is None:
-        support_top = vertex_order + flux_order
-    coeffs = law.exact_coefficients(support_top)
+    coeffs = law.exact_coefficients(vertex_order + flux_order)
     support = [(k, c) for k, c in enumerate(coeffs) if c > 0]
 
     rows = [[Fraction(0)] * (flux_order + 1) for _ in range(vertex_order + 1)]
@@ -372,9 +381,7 @@ def brute_force_table(law, vertex_order, flux_order):
             total = sum(k for k, _ in assignment)
             if total < n or total > n + flux_order:
                 continue
-            weight = Fraction(1)
-            for _, w in assignment:
-                weight *= w
+            counts = [0] * (flux_order + 1)  # parked shapes by flux
             for children in tables:
                 loads = [0] * n
                 parked = True
@@ -389,7 +396,14 @@ def brute_force_table(law, vertex_order, flux_order):
                         break
                     loads[i] = x
                 if parked:
-                    rows[n][loads[-1] - 1] += weight
+                    counts[loads[-1] - 1] += 1
+            if any(counts):
+                weight = Fraction(1)
+                for _, w in assignment:
+                    weight *= w
+                for p, count in enumerate(counts):
+                    if count:
+                        rows[n][p] += weight * count
     return FptTable(
         law_desc=law.describe(),
         vertex_order=vertex_order,

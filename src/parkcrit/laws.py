@@ -7,13 +7,16 @@ radius, its mean, and its coefficients.  Families are parametrized by the
 mean arrival count alpha, so sweeps across different families compare
 like for like.
 
-A finite law, binary0k among them, sums G, G', G'' and the tilted
-moments over its atoms (``_atoms``); geometric evaluates a closed form
-whose constants ``_consts`` states.  A law keeps only the floats of its
-constants, and a float t is evaluated from those.  Each is the float that
-the mixed Fraction-float expression rounds to, so a float t gets the same
-bits either way, and an exact t still gets Fractions.  Exact laws also
-give the exact coefficients that the enumeration code requires.
+A finite law, binary0k among them, keeps only its nonzero masses
+(``atoms``) and sums G, G', G'' and the tilted moments over them;
+geometric evaluates a closed form whose constants ``_consts`` states.  A
+law keeps only the floats of its constants, and a float t is evaluated
+from those.  Each is the float that the mixed Fraction-float expression
+rounds to, so a float t gets the same bits either way, and an exact t
+still gets Fractions.  Exact laws also
+give the exact coefficients that the enumeration code requires, and
+``integer_masses``, the form its weight tables run on: P(A = s j) =
+a b^j h[j] with integer h, zero off the multiples of the stride s.
 """
 from __future__ import annotations
 
@@ -69,6 +72,9 @@ def _as_param(value, what):
     return exact
 
 
+_ZERO = Fraction(0)
+
+
 class ArrivalLaw:
     """Interface shared by all arrival laws."""
 
@@ -122,25 +128,26 @@ class ArrivalLaw:
         return [Fraction(self.coefficient(k)) for k in range(K + 1)]
 
     def integer_masses(self, K):
-        """(h, a, b) with P(A = k) = a * b**k * h[k] for k = 0..K, every h[k] an int.
+        """(h, a, b, s) with P(A = s j) = a * b**j * h[j] for s j = 0..K, every
+        h[j] an int, and P(A = k) = 0 for k off the multiples of the stride s.
 
-        The default puts the masses over their common denominator d:
-        h[k] = d * P(A = k), a = 1/d and b = 1.
+        The default has s = 1 and puts the masses over their common
+        denominator d: h[k] = d * P(A = k), a = 1/d and b = 1.
         """
         mu = self.exact_coefficients(K)
         d = math.lcm(*(m.denominator for m in mu))
-        return [m.numerator * (d // m.denominator) for m in mu], Fraction(1, d), Fraction(1)
+        return [m.numerator * (d // m.denominator) for m in mu], Fraction(1, d), Fraction(1), 1
 
     def float_coefficients(self, K):
         """Coefficients 0..K as floats, each the float of the exact mass if there is one."""
         if not self.is_exact:
             return [float(self.coefficient(k)) for k in range(K + 1)]
-        h, a, b = self.integer_masses(K)
-        # a * b**k * h[k] as one ratio of ints, divided once: the same rounding
-        # as float(Fraction), without a Fraction's gcd at every k
-        num, den, out = a.numerator, a.denominator, []
-        for hk in h:
-            out.append(hk * num / den)
+        h, a, b, s = self.integer_masses(K)
+        # a * b**j * h[j] as one ratio of ints, divided once: the same rounding
+        # as float(Fraction), without a Fraction's gcd at every j
+        num, den, out = a.numerator, a.denominator, [0.0] * (K + 1)
+        for j, hj in enumerate(h):
+            out[s * j] = hj * num / den
             num *= b.numerator
             den *= b.denominator
         return out
@@ -182,16 +189,16 @@ class ArrivalLaw:
 
 
 class FiniteSupportLaw(ArrivalLaw):
-    """Arrival law with finitely many atoms.  The masses are exact
-    rationals, or floats where a family like binary0k has a float parameter."""
+    """Arrival law with finitely many atoms, kept as its nonzero masses
+    ``atoms`` = ((0, p_0), (k, p_k), ...) in increasing k.  The masses are
+    exact rationals, or floats where a family like binary0k has a float
+    parameter."""
 
-    __slots__ = ("probs", "_float_atoms")
+    __slots__ = ("atoms", "_float_atoms")
     kind = "finite"
 
     def __init__(self, probs):
         probs = [_as_exact(p, "probability") for p in probs]
-        while len(probs) > 1 and probs[-1] == 0:
-            probs.pop()
         for k, p in enumerate(probs):
             if p < 0:
                 raise NegativeProbability(f"mass at {k} is {p}")
@@ -205,20 +212,28 @@ class FiniteSupportLaw(ArrivalLaw):
                 "all mass on {0, 1}: no vertex ever overflows and the "
                 "process is trivially subcritical"
             )
-        self._set_masses(tuple(probs))
+        self._set_atoms(tuple((k, p) for k, p in enumerate(probs) if p))
 
-    def _set_masses(self, probs):
-        self.probs = probs
-        self._float_atoms = self._atoms(float)
+    def _set_atoms(self, atoms):
+        self.atoms = atoms
+        self._float_atoms = self._sums(float)
 
-    def _atoms(self, num=lambda c: c):
-        """(p_0, 0, atoms), num applied to each: the atoms are
-        (k, k (k - 1), p_k, k p_k, k (k - 1) p_k) for each k >= 1 with p_k != 0,
-        the terms that G, G', G'' and the tilted moments sum."""
-        return num(self.probs[0]), num(0), tuple(
-            (k, k * (k - 1), num(p), num(k * p), num(k * (k - 1) * p))
-            for k, p in enumerate(self.probs) if k and p
+    def _sums(self, num=lambda c: c):
+        """(p_0, 0, terms), num applied to each: the terms are
+        (k, k (k - 1), p_k, k p_k, k (k - 1) p_k) for each atom k >= 1,
+        what G, G', G'' and the tilted moments sum."""
+        (_, p0), *atoms = self.atoms
+        return num(p0), num(0), tuple(
+            (k, k * (k - 1), num(p), num(k * p), num(k * (k - 1) * p)) for k, p in atoms
         )
+
+    @property
+    def probs(self):
+        """The masses at 0..finite_support() as a tuple, built on each call."""
+        out = [_ZERO if self.is_exact else 0.0] * (self.finite_support() + 1)
+        for k, p in self.atoms:
+            out[k] = p
+        return tuple(out)
 
     @property
     def radius(self):
@@ -226,7 +241,7 @@ class FiniteSupportLaw(ArrivalLaw):
 
     @property
     def is_exact(self):
-        return isinstance(self.probs[0], Fraction)
+        return isinstance(self.atoms[0][1], Fraction)
 
     @property
     def mu0(self):
@@ -234,7 +249,7 @@ class FiniteSupportLaw(ArrivalLaw):
 
     def derivatives(self, t, order=2):
         self._check(t, order)
-        g0, g1, atoms = self._float_atoms if type(t) is float else self._atoms()
+        g0, g1, atoms = self._float_atoms if type(t) is float else self._sums()
         g2 = g1
         # term by term in k, as the mixed Fraction-float expression adds them
         for k, kk, p, kp, kkp in atoms:
@@ -250,7 +265,7 @@ class FiniteSupportLaw(ArrivalLaw):
         floats, each p_k t^k is taken over the largest, in logs."""
         if t < 0:
             self._check(t, 2)
-        g, s1, atoms = self._float_atoms if type(t) is float else self._atoms()
+        g, s1, atoms = self._float_atoms if type(t) is float else self._sums()
         s2 = s1
         try:
             for k, kk, p, _, _ in atoms:
@@ -274,21 +289,43 @@ class FiniteSupportLaw(ArrivalLaw):
         return s1 / g, s2 / g
 
     def coefficient(self, k):
-        if 0 <= k < len(self.probs):
-            return self.probs[k]
-        return Fraction(0) if self.is_exact else 0.0
+        for j, p in self.atoms:
+            if j == k:
+                return p
+        return _ZERO if self.is_exact else 0.0
+
+    def integer_masses(self, K):
+        """The stride s is the gcd of the atoms.  On two atoms {0, s},
+        a = p_0 and b = p_s / p_0, so h = [1, 1] and a table's rows count
+        decorated trees; on more, a = 1/d over the common denominator d of
+        the masses and b = 1, so h[j] = d p_{sj}."""
+        if not self.is_exact:
+            raise NonExactLaw(f"{self.describe()} has no exact coefficients")
+        s = math.gcd(*(k for k, _ in self.atoms))
+        if len(self.atoms) == 2:
+            (_, p0), (_, ps) = self.atoms
+            a, b, weights = p0, ps / p0, ((0, 1), (s, 1))
+        else:
+            d = math.lcm(*(p.denominator for _, p in self.atoms))
+            a, b = Fraction(1, d), Fraction(1)
+            weights = [(k, p.numerator * (d // p.denominator)) for k, p in self.atoms]
+        h = [0] * (K // s + 1)
+        for k, w in weights:
+            if k <= K:
+                h[k // s] = w
+        return h, a, b, s
 
     def mean(self):
-        return sum(k * p for k, p in enumerate(self.probs))
+        return sum(k * p for k, p in self.atoms)
 
     def finite_support(self):
-        return len(self.probs) - 1
+        return self.atoms[-1][0]
 
     def params(self):
         return {"probs": tuple(str(p) for p in self.probs)}
 
     def describe(self):
-        masses = ", ".join(f"{k}:{p}" for k, p in enumerate(self.probs) if p)
+        masses = ", ".join(f"{k}:{p}" for k, p in self.atoms)
         return f"finite({masses})"
 
 
@@ -309,7 +346,7 @@ class Binary0kLaw(FiniteSupportLaw):
             raise BadFamilyParameter(f"alpha / k = {alpha!r} / {k} rounds to a float of 0.0")
         self.alpha = alpha
         self.k = k
-        self._set_masses((1 - pk,) + (0,) * (k - 1) + (pk,))
+        self._set_atoms(((0, 1 - pk), (k, pk)))
 
     def mean(self):
         return self.alpha
@@ -421,7 +458,7 @@ class GeometricLaw(ArrivalLaw):
         if not self.is_exact:
             raise NonExactLaw(f"{self.describe()} has no exact coefficients")
         n, d = self.alpha.numerator, self.alpha.denominator
-        return [1] * (K + 1), Fraction(d, n + d), Fraction(n, n + d)
+        return [1] * (K + 1), Fraction(d, n + d), Fraction(n, n + d), 1
 
     def mean(self):
         return self.alpha

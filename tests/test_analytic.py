@@ -195,6 +195,20 @@ def test_search_ends_on_a_nan_margin():
         find_critical_time(_nan_from(0.0, math.inf))
 
 
+def test_search_refuses_a_nan_margin_inside_the_bracket():
+    # poisson(0.3) but NaN on (1.5, 1.9): the log-scale halving took the NaN
+    # for a negative margin and ended at t = 1.4999999999999445, where the
+    # true t_c is 1.953
+    base = poisson(0.3)
+
+    def derivs(t, order):
+        return (math.nan,) * (order + 1) if 1.5 < t < 1.9 else base.derivatives(t, order)
+
+    law = CustomAnalyticLaw(derivs, math.inf, base.mu0, 0.3, "poisson(0.3) with a NaN band")
+    with pytest.raises(NoSolution, match="margin is NaN"):
+        find_critical_time(law)
+
+
 def test_search_refuses_a_nan_margin_at_the_radius():
     # h = sqrt(2) up to the cap, NaN at the radius: it read evaluable there
     with pytest.raises(NoSolution, match="margin is NaN"):

@@ -103,6 +103,34 @@ def test_brute_force_agrees_with_series():
     check_against_oracle(B02, 4, 2)
 
 
+@st.composite
+def strided_laws(draw):
+    """A two-atom law on {0, k}, or a law on 0, s and more multiples of s = 2 or 3."""
+    if draw(st.booleans()):
+        support = [0, draw(st.integers(2, 7))]
+    else:
+        s = draw(st.sampled_from((2, 3)))
+        support = [0, s] + draw(st.lists(st.sampled_from((2 * s, 3 * s)), min_size=1, unique=True))
+    weights = [draw(st.integers(1, 9)) for _ in support]
+    probs = [0] * (max(support) + 1)
+    for k, w in zip(support, weights):
+        probs[k] = Fraction(w, sum(weights))
+    return make_finite_law(probs)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(law=strided_laws())
+def test_strided_recursion_matches_the_oracle(law):
+    # rows indexed by the units of the stride that a tree holds
+    assert first_mismatch(tutte_series(law, 6, 3), brute_force_table(law, 6, 3)) is None
+
+
+def test_oracle_reads_no_mass_beyond_the_table():
+    # no cell can hold the atom at 10^6: the oracle read all 10^6 + 1 masses, 8 s
+    table = check_against_oracle(binary0k(Fraction(1, 2), 10**6), 4, 2)
+    assert all(c == 0 for row in table.rows for c in row)
+
+
 def test_first_mismatch_reports_the_first_differing_cell():
     table = tutte_series(B02, vertex_order=3, flux_order=2)
     assert first_mismatch(table, brute_force_table(B02, 3, 2)) is None

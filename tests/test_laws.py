@@ -1,12 +1,14 @@
 """Arrival law constructors, validation, and generating function values."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parkcrit.analytic import classify
 from parkcrit.enumeration import tutte_series
 from parkcrit.errors import (
     BadFamilyParameter,
@@ -135,28 +137,54 @@ def test_geometric_exact_coefficients():
 EXACT_GEOMETRIC_ALPHAS = ["1/8", "123/10000", "7/3", "1/23", "999/1000"]
 
 
-@pytest.mark.parametrize(
-    "law",
-    [geometric(Fraction(a)) for a in EXACT_GEOMETRIC_ALPHAS]
-    + [
-        binary0k(Fraction(1, 23), 3),
-        make_finite_law([Fraction(93, 100), Fraction(3, 100), Fraction(2, 100), Fraction(2, 100)]),
-    ],
-    ids=str,
-)
+EXACT_FINITE_LAWS = [
+    binary0k(Fraction(1, 23), 3),
+    binary0k(Fraction(3, 7), 2),
+    make_finite_law([Fraction(93, 100), Fraction(3, 100), Fraction(2, 100), Fraction(2, 100)]),
+    make_finite_law([Fraction(5, 6), 0, Fraction(1, 10), 0, Fraction(1, 15)]),
+    make_finite_law([Fraction(7, 9)] + [0] * 2 + [Fraction(1, 6)] + [0] * 2 + [Fraction(1, 18)]),
+    make_finite_law([Fraction(2, 3), 0, 0, Fraction(1, 3)]),
+]
+EXACT_LAWS = [geometric(Fraction(a)) for a in EXACT_GEOMETRIC_ALPHAS] + EXACT_FINITE_LAWS
+
+
+@pytest.mark.parametrize("law", EXACT_LAWS, ids=str)
 def test_integer_masses_reproduce_exact_coefficients(law):
-    h, a, b = law.integer_masses(85)
-    assert len(h) == 86 and all(type(v) is int for v in h)
+    h, a, b, s = law.integer_masses(85)
+    assert len(h) == 85 // s + 1 and all(type(v) is int for v in h)
     mu = law.exact_coefficients(85)
-    assert all(a * b**k * h[k] == mu[k] for k in range(86))
+    assert all(mu[k] == (a * b ** (k // s) * h[k // s] if k % s == 0 else 0) for k in range(86))
 
 
 def test_geometric_integer_masses_are_counts():
-    h, a, b = geometric(Fraction(2, 5)).integer_masses(10)
-    assert h == [1] * 11
+    h, a, b, s = geometric(Fraction(2, 5)).integer_masses(10)
+    assert (h, s) == ([1] * 11, 1)
     assert (a, b) == (Fraction(5, 7), Fraction(2, 7))
     with pytest.raises(NonExactLaw):
         geometric(0.4).integer_masses(10)
+
+
+@pytest.mark.parametrize(
+    "law", [binary0k(Fraction(1, 14), 5), make_finite_law(["4/5", 0, 0, 0, 0, "1/5"])], ids=str
+)
+def test_two_atom_integer_masses_are_counts(law):
+    h, a, b, s = law.integer_masses(17)
+    assert (h, a, b, s) == ([1, 1, 0, 0], law.coefficient(0), law.coefficient(5) / law.coefficient(0), 5)
+    assert law.integer_masses(4) == ([1], a, b, 5)
+    with pytest.raises(NonExactLaw):
+        binary0k(0.3, 5).integer_masses(10)
+
+
+def test_finite_stride_is_the_gcd_of_the_support():
+    law = make_finite_law([Fraction(1, 2), 0, 0, 0, Fraction(1, 4), 0, Fraction(1, 4)])
+    h, a, b, s = law.integer_masses(12)
+    assert (h, a, b, s) == ([2, 0, 1, 1, 0, 0, 0], Fraction(1, 4), 1, 2)
+
+
+@pytest.mark.parametrize("law", EXACT_FINITE_LAWS, ids=str)
+def test_finite_float_coefficients_are_the_fractions_floats(law):
+    exact = law.exact_coefficients(200)
+    assert repr(law.float_coefficients(200)) == repr([float(m) for m in exact])
 
 
 @pytest.mark.parametrize("alpha", EXACT_GEOMETRIC_ALPHAS)
@@ -404,7 +432,20 @@ def test_binary0k_is_the_finite_law_of_its_masses(k, share):
         assert _outcome(law.tilted_moments, t) == _outcome(twin.tilted_moments, t)
     assert law.integer_masses(k + 3) == twin.integer_masses(k + 3)
     assert repr(law.float_coefficients(k + 3)) == repr(twin.float_coefficients(k + 3))
-    assert tutte_series(law, 4, 4).rows == tutte_series(twin, 4, 4).rows
+    assert tutte_series(law, 30, 5).rows == tutte_series(twin, 30, 5).rows
+
+
+def test_binary0k_with_a_far_atom_builds_at_once():
+    # the law kept a dense tuple of k + 1 masses: 0.15 s and 10^6 entries
+    def build():
+        start = time.perf_counter()
+        return binary0k(0.5, 10**6), time.perf_counter() - start
+
+    law, seconds = min((build() for _ in range(3)), key=lambda built: built[1])
+    assert seconds < 1e-3
+    assert (law.atoms, law.finite_support()) == (((0, 1 - 0.5e-6), (10**6, 0.5e-6)), 10**6)
+    assert law.coefficient(10**6) == 0.5e-6 and law.coefficient(17) == 0.0
+    assert classify(law).regime in ("subcritical", "critical", "supercritical")
 
 
 def test_binary0k_mass_must_have_a_nonzero_float():
