@@ -1,8 +1,10 @@
 """Monte Carlo simulation of parking on a depth-truncated binary tree.
 
-Each sample owns its own counter-based random stream, keyed by
-(seed << 64) + sample_index, and draws its arrival counts level by
-level starting from the root.  Two consequences, both load-bearing:
+Each sample owns its own random stream, an SFC64 generator seeded through
+SeedSequence with (seed << 64) + sample_index.  It draws the arrival
+counts of its whole tree in one call, root first, and takes each level as
+a view of that array.  Every draw gives as its first n values the values
+of a draw of n from the same stream.  Two consequences, both load-bearing:
 
 * results are bit-identical regardless of how samples are split across
   worker threads, and
@@ -10,25 +12,18 @@ level starting from the root.  Two consequences, both load-bearing:
   draws of the smaller depth and extends them, so estimates are
   monotone-coupled across depths sample by sample.
 
-Levels of at least 2048 nodes are drawn sparsely when few nodes get a
-car: for binary0k when P(A > 0) <= 1/16, for every other law when
-P(A > 0) <= 1/4.  Arrival sites are placed by iid geometric gaps, then
-one value per site is drawn from A | A > 0.  Smaller levels and denser
-laws draw one value per node.
-
-A sample's levels 0..10 hold 2047 nodes together, so one dense draw
-gives all of them and each level is a view of that block.  Every dense
-draw is elementwise over the sample's stream, and _sparse draws blocks
-below 2048 nodes densely, so the block holds the same values as one
-draw per level: the streams do not depend on how the levels are cut
-into calls.
+Trees are drawn sparsely when few nodes get a car: for binary0k when
+P(A > 0) <= 1/16, for every other law when P(A > 0) <= 1/4.  One sequence
+of iid geometric gaps places the arrival sites over the whole tree, and
+site j reads row j of the uniforms for its gap and its value of
+A | A > 0.  Denser laws draw one value per node.
 
 Loads are settled bottom up: load(v) = arrivals(v) + surplus of both
 children, surplus(u) = max(load(u) - 1, 0), each level's loads written
-over its arrivals.  sample_root_load settles each sample's levels of
-2048 nodes or more alone, down to its loads at level 10; its block of
-levels 0..10 then becomes its row of a batch of _BATCH samples, whose
-top levels settle together, a few calls on the whole batch per level.
+over its arrivals.  sample_root_load settles each sample's levels below
+level 10 alone, down to its loads at level 10; its levels 0..10 (2047
+nodes) then become its row of a batch of _BATCH samples, whose top levels
+settle together, a few calls on the whole batch per level.
 root_cluster_stats keeps every level's occupancy, so it settles each
 sample alone.  The truncation treats the nodes below the deepest level
 as absent, which only loses the flux they would push up; root-level
@@ -48,19 +43,18 @@ from .errors import BudgetExceeded, OutOfDomain, UnsampleableLaw
 
 NODE_BUDGET = 1e10
 CLUSTER_DEPTH_CAP = 22
-# Levels this big whose q = P(A > 0) is at most the cut-off are drawn by gaps.
-# At level size 2^16 (x86-64) gaps beat the dense draw for poisson and
-# geometric up to q ~ 0.3; binary0k's dense draw is a single float32
-# compare, so its crossover is lower.
-_SPARSE_MIN_SIZE = 2048
+# Trees whose q = P(A > 0) is at most the cut-off are drawn by gaps.  On a
+# 2^17-node tree (x86-64) gaps beat the dense draw up to q ~ 0.25-0.3 for
+# geometric, and still at q = 0.5 for poisson and at 0.2 for binary0k,
+# whose lower cut-off was set when each level drew its own gaps.
 _SPARSE_MAX_Q = 0.25
 _BINARY0K_SPARSE_MAX_Q = 0.0625
 _TABLE_TAIL = 2.0**-53  # mass of A | A > 0 left beyond a value table's end
-# Levels 0.._TOP hold _SPARSE_MIN_SIZE - 1 nodes together, so one dense draw
-# gives them all.  Small per-level calls cost their Python overhead and, with
-# several threads, a GIL hand-over each.
-_TOP = _SPARSE_MIN_SIZE.bit_length() - 2
-_BATCH = 64  # samples whose top levels are settled together
+# Levels 0.._TOP of a batch of _BATCH trees settle together.  Small per-level
+# calls cost their Python overhead and, with several threads, a GIL hand-over
+# each.
+_TOP = 10
+_BATCH = 64
 
 
 def _uniform_dtype(smallest_mass):
@@ -68,20 +62,18 @@ def _uniform_dtype(smallest_mass):
     return np.float32 if smallest_mass >= 2.0**-24 else np.float64
 
 
-def _threshold_sampler(masses, values):
-    masses = np.asarray(masses, dtype=np.float64)
+def _inverse_cdf(masses, values):
+    """u -> values[i] for the first i whose cumulative mass exceeds u."""
     cdf = np.cumsum(masses)
     vals = np.asarray(values, dtype=np.int32)
     top = len(vals) - 1
-    dtype = _uniform_dtype(masses[masses > 0].min())
 
-    def draw(rng, size):
-        u = rng.random(size, dtype=dtype)
+    def lookup(u):
         idx = np.searchsorted(cdf, u, side="right")
         np.minimum(idx, top, out=idx)
         return vals[idx]
 
-    return draw
+    return lookup
 
 
 def _positive_masses(law):
@@ -104,33 +96,38 @@ def _positive_masses(law):
     return masses[: int(np.argmax(beyond < _TABLE_TAIL * q))], q
 
 
-def _conditional_sampler(masses, q):
-    """Draw of A | A > 0 by an inverse-CDF table, from _positive_masses."""
-    return _threshold_sampler(np.divide(masses, q), range(1, len(masses) + 1))
+def _sparse(q, values):
+    """Draw by gaps between the sites where A > 0: about size * q rows, not size.
 
-
-def _sparse(dense, q, values):
-    """Draw levels of at least _SPARSE_MIN_SIZE nodes by gaps, smaller ones densely.
-
-    The gaps between arrival sites are iid Geometric(q), so a level costs
-    about size * q draws instead of size.  All gaps of a level are drawn
-    first, then values(rng, n) gives A | A > 0 at its n sites.
+    Site j reads row j of the float64 uniforms.  Its gap from site j - 1 is
+    1 + floor(log1p(-u) / log1p(-q)), which is Geometric(q), and its value
+    of A | A > 0 is values(w), or values itself when that is a constant.
+    Row j is always the same doubles of the stream, however the rows are
+    cut into blocks, so a bigger size keeps the sites of a smaller one and
+    adds more.
     """
+    log_miss = math.log1p(-q)
+    cols = 1 if isinstance(values, int) else 2
 
     def draw(rng, size):
-        if size < _SPARSE_MIN_SIZE:
-            return dense(rng, size)
         out = np.zeros(size, dtype=np.int32)
         lam = size * q
-        budget = int(lam + 6.0 * math.sqrt(lam) + 16.0)
-        # a gap past the level ends it; capping gaps there keeps cumsum from
-        # overflowing when q is tiny, and moves no site inside the level
-        pos = np.cumsum(np.minimum(rng.geometric(q, budget), size + 1))
-        while pos[-1] < size:
-            more = np.cumsum(np.minimum(rng.geometric(q, budget), size + 1)) + pos[-1]
-            pos = np.concatenate([pos, more])
-        sites = pos[pos <= size] - 1
-        out[sites] = values(rng, len(sites))
+        block = int(lam + 6.0 * math.sqrt(lam) + 16.0)
+        last = -1.0  # index of the last site placed
+        while last < size - 1:
+            rows = rng.random((block, cols))
+            sites = np.log1p(-rows[:, 0])
+            # a gap past the tree ends the draw; capping it there keeps the
+            # quotient finite however small q is
+            np.maximum(sites, (size + 1) * log_miss, out=sites)
+            sites /= log_miss
+            np.floor(sites, out=sites)
+            sites += 1.0
+            np.cumsum(sites, out=sites)
+            sites += last
+            n = int(np.searchsorted(sites, size - 1, side="right"))
+            out[sites[:n].astype(np.intp)] = values if cols == 1 else values(rows[:n, 1])
+            last = sites[-1]
         return out
 
     return draw
@@ -140,10 +137,10 @@ def make_sampler(law):
     """draw(rng, size) -> int32 arrival counts, or raise UnsampleableLaw.
 
     Each family has a dense draw, one value per node.  When q = P(A > 0) is
-    at most the cut-off, _sparse draws the big levels by gaps instead.
+    at most the cut-off, _sparse draws by gaps instead.  Either draw is a
+    prefix of any longer one from the same stream.
     """
     kind = law.kind
-    max_q = _SPARSE_MAX_Q
     if kind == "binary0k":
         pk, k = float(law.alpha) / law.k, law.k
         dtype = _uniform_dtype(pk)
@@ -151,38 +148,36 @@ def make_sampler(law):
         def dense(rng, size):
             return (rng.random(size, dtype=dtype) < pk).astype(np.int32) * k
 
-        def values(rng, n):
-            return k
-
-        q, max_q = pk, _BINARY0K_SPARSE_MAX_Q
-    elif kind == "poisson":
+        return _sparse(pk, k) if pk <= _BINARY0K_SPARSE_MAX_Q else dense
+    if kind == "poisson":
         a = law.alpha
 
         def dense(rng, size):
             return rng.poisson(a, size).astype(np.int32)
 
-        q = -math.expm1(-a)
-        if q <= max_q:  # a big mean would need a long table
-            values = _conditional_sampler(*_positive_masses(law))
+        q = -math.expm1(-a)  # a big mean would need a long table
     elif kind == "geometric":
         p = 1.0 / (1.0 + float(law.alpha))
 
         def dense(rng, size):
             return (rng.geometric(p, size) - 1).astype(np.int32)
 
-        def values(rng, n):
-            # memoryless: A | A > 0 is Geometric(p) on 1, 2, ...
-            return rng.geometric(p, n)
-
         q = float(law.alpha / (1 + law.alpha))
     elif kind in ("finite", "nongeneric_example"):
         masses, q = _positive_masses(law)
         table = law.float_coefficients(len(masses))
-        dense = _threshold_sampler(table, range(len(table)))
-        values = _conditional_sampler(masses, q)
+        lookup = _inverse_cdf(table, range(len(table)))
+        dtype = _uniform_dtype(min(m for m in table if m > 0))
+
+        def dense(rng, size):
+            return lookup(rng.random(size, dtype=dtype))
+
     else:
         raise UnsampleableLaw(f"no sampler for {law.describe()}")
-    return dense if q > max_q else _sparse(dense, q, values)
+    if q > _SPARSE_MAX_Q:
+        return dense
+    masses, q = _positive_masses(law)
+    return _sparse(q, _inverse_cdf(np.divide(masses, q), range(1, len(masses) + 1)))
 
 
 def _resolve_threads(threads):
@@ -208,7 +203,7 @@ def _check_run(depth, samples, seed, budget):
 
 
 def _sample_rng(seed, index):
-    return np.random.Generator(np.random.Philox(key=(seed << 64) + index))
+    return np.random.Generator(np.random.SFC64((seed << 64) + index))
 
 
 def _split(block, top):
@@ -217,16 +212,8 @@ def _split(block, top):
 
 
 def _draw_levels(draw, seed, index, depth):
-    """Arrival counts of one sample, level by level from the root down.
-
-    Levels 0..min(depth, _TOP) are views of one draw; _sparse draws that
-    block densely, so it matches one draw per level value for value.
-    """
-    rng = _sample_rng(seed, index)
-    top = min(depth, _TOP)
-    levels = _split(draw(rng, (2 << top) - 1), top)
-    levels.extend(draw(rng, 1 << lvl) for lvl in range(top + 1, depth + 1))
-    return levels
+    """Arrival counts of one sample, levels 0..depth as views of one draw of its tree."""
+    return _split(draw(_sample_rng(seed, index), (2 << depth) - 1), depth)
 
 
 def _settle(levels):

@@ -7,6 +7,7 @@ reruns; exact reproducibility assertions use fixed seeds.
 import hashlib
 import math
 import time
+import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -181,56 +182,54 @@ def test_cluster_stats_prefix_stable_at_batch_edges(law, depth):
             assert sum((sizes(samples + 1, threads) - short).values()) == 1
 
 
-# Seed 2026, depth 12, 40 samples.  The binary0k entries were recorded
-# before the draw-and-settle kernel was shared between sample_root_load and
-# root_cluster_stats: binary0k(1/5, k=3) draws its big levels densely,
-# binary0k(1/20) sparsely.  The other four were re-recorded when every law
-# with P(A > 0) <= 1/4 began to draw its levels of 2048 nodes or more by
-# gaps, and when nongeneric_example began to draw float64 uniforms.  Root
-# loads and clusters of these subcritical laws rarely reach levels 11 and
-# 12, so PINNED_LEVEL_DIGESTS below pins every drawn level as well.
+# Seed 2026, depth 12, 40 samples, recorded when each tree came to be drawn
+# in one call from an SFC64 stream: binary0k(1/5, k=3) draws densely, the
+# other five by gaps.  Root loads and clusters of these subcritical laws
+# rarely reach levels 11 and 12, so PINNED_LEVEL_DIGESTS below pins every
+# drawn level as well.
 PINNED_STREAMS = {
     "binary0k-dense": (
         binary0k(Fraction(1, 5), k=3),
-        [51, 75, 83, 53, 60, 57, 61, 78, 75, 59, 89, 97, 73, 63, 41, 89, 109, 72,
-         94, 83, 38, 68, 102, 65, 61, 66, 73, 42, 82, 100, 53, 45, 82, 61, 107,
-         100, 83, 89, 52, 77],
-        {n: 1 for n in (
-            457, 463, 505, 510, 529, 536, 542, 553, 563, 574, 578, 604, 629, 639,
-            641, 644, 655, 660, 665, 667, 668, 672, 682, 696, 699, 711, 723, 725,
-            731, 740, 741, 750, 764, 772, 782, 783, 784, 792, 794, 801)},
+        [121, 70, 89, 73, 79, 62, 74, 103, 57, 60, 93, 67, 80, 64, 94, 51, 86, 57,
+         59, 71, 45, 84, 89, 95, 83, 77, 100, 80, 102, 42, 77, 68, 74, 115, 77, 61,
+         68, 79, 49, 81],
+        {439: 1, 535: 1, 561: 1, 565: 1, 575: 1, 581: 1, 583: 1, 590: 1, 609: 1,
+         613: 1, 618: 1, 628: 1, 644: 1, 652: 1, 659: 1, 661: 1, 665: 1, 674: 2,
+         677: 1, 681: 1, 686: 1, 691: 1, 694: 1, 695: 1, 701: 2, 719: 1, 723: 1,
+         738: 1, 749: 1, 753: 1, 755: 1, 762: 1, 765: 1, 771: 1, 792: 1, 800: 1,
+         801: 1, 834: 1},
         40,
     ),
     "binary0k-sparse": (
         binary0k(Fraction(1, 20)),
-        [0] * 8 + [1] + [0] * 16 + [1, 0, 0, 0, 2] + [0] * 10,
-        {0: 37, 1: 1, 2: 1, 14: 1},
+        [0] * 23 + [1] + [0] * 15 + [2],
+        {0: 38, 1: 1, 8: 1},
         0,
     ),
     "poisson": (
         poisson(0.1),
-        [1, 0, 0, 0, 0, 0, 1] + [0] * 17 + [1] + [0] * 15,
-        {0: 37, 1: 3},
+        [2] + [0] * 11 + [1] + [0] * 10 + [1] + [0] * 15 + [1],
+        {0: 36, 1: 2, 2: 1, 3: 1},
         0,
     ),
     "geometric": (
         geometric(Fraction(1, 10)),
-        [1, 0, 0, 0, 0, 0, 1, 0, 0, 1] + [0] * 14 + [1] + [0] * 13 + [1, 0],
-        {0: 35, 1: 3, 2: 2},
+        [2] + [0] * 11 + [1] + [0] * 10 + [2] + [0] * 15 + [2],
+        {0: 36, 1: 2, 2: 1, 3: 1},
         0,
     ),
     "finite": (
         make_finite_law(
             [Fraction(49, 50), Fraction(1, 100), Fraction(1, 200), Fraction(1, 200)]
         ),
-        [0, 0, 1] + [0] * 6 + [1] + [0] * 6 + [2] + [0] * 21 + [1, 0],
-        {0: 36, 1: 1, 3: 2, 12: 1},
+        [1] + [0] * 18 + [2] + [0] * 19 + [3],
+        {0: 37, 1: 1, 3: 1, 8: 1},
         0,
     ),
     "nongeneric": (
         nongeneric_example(Fraction(1, 2)),
-        [1, 0, 0, 0, 0, 0, 1, 0, 0, 1] + [0] * 14 + [1] + [0] * 13 + [1, 0],
-        {0: 35, 1: 3, 2: 2},
+        [1] + [0] * 11 + [1] + [0] * 26 + [1],
+        {0: 37, 1: 2, 2: 1},
         0,
     ),
 }
@@ -248,14 +247,14 @@ def test_pinned_streams(name, threads):
 
 
 # sha256 of all 13 levels of the 40 samples above, as little-endian int32,
-# first 16 hex digits.  The binary0k digests are those of the parent sampler.
+# first 16 hex digits.
 PINNED_LEVEL_DIGESTS = {
-    "binary0k-dense": "8e4cbe8092eefaa0",
-    "binary0k-sparse": "e7cb60f324b79148",
-    "poisson": "e6d076745d660abf",
-    "geometric": "aa2c0b03be00238b",
-    "finite": "ea02f4fe10569e72",
-    "nongeneric": "f77aa2c232d3d4f2",
+    "binary0k-dense": "29ff24dce082d530",
+    "binary0k-sparse": "a6db85a0855dfc1b",
+    "poisson": "657d0e3d2f469567",
+    "geometric": "8235d6ebb221eccb",
+    "finite": "d305fef0c799f110",
+    "nongeneric": "d9844dce5167824d",
 }
 
 
@@ -269,23 +268,22 @@ def test_pinned_level_digests(name):
     assert digest.hexdigest()[:16] == PINNED_LEVEL_DIGESTS[name]
 
 
-# The six pinned laws, plus poisson(2), whose levels are all drawn densely.
+# The six pinned laws, plus poisson(2), whose trees are drawn densely.
 DRAW_LEVEL_LAWS = {name: entry[0] for name, entry in PINNED_STREAMS.items()}
 DRAW_LEVEL_LAWS["poisson-dense"] = poisson(2)
 
 
 @pytest.mark.parametrize("name", sorted(DRAW_LEVEL_LAWS))
-@pytest.mark.parametrize("depth", [0, 10, 11, 16])
-def test_draw_levels_match_one_draw_per_level(name, depth):
-    # _draw_levels draws the top levels in one call; the reference draws
-    # each level alone from the same stream
+@pytest.mark.parametrize("depth", range(18))
+def test_draw_levels_extend_to_the_next_depth(name, depth):
+    # the same (seed, index) at depth + 1 keeps every arrival of depth and
+    # draws one more level, so estimates are coupled across depths
     draw = make_sampler(DRAW_LEVEL_LAWS[name])
     for index in range(3):
-        rng = np.random.Generator(np.random.Philox(key=(2026 << 64) + index))
-        want = [draw(rng, 1 << lvl) for lvl in range(depth + 1)]
         got = _draw_levels(draw, 2026, index, depth)
-        assert len(got) == depth + 1
-        for lvl, (g, w) in enumerate(zip(got, want)):
+        deeper = _draw_levels(draw, 2026, index, depth + 1)
+        assert len(got) == depth + 1 and len(deeper) == depth + 2
+        for lvl, (g, w) in enumerate(zip(got, deeper)):
             assert g.tolist() == w.tolist(), (index, lvl)
 
 
@@ -406,15 +404,31 @@ class RecordingRng:
         return call
 
 
-class OnesRng(RecordingRng):
-    """Every geometric gap is 1, so every site is an arrival site."""
+class ZeroGapRng(RecordingRng):
+    """Every gap uniform is 0, so every node is an arrival site."""
 
-    def geometric(self, p, size):
-        self.calls.append(("geometric", size))
-        return np.ones(size, dtype=np.int64)
+    def random(self, size):
+        self.calls.append(("random", size))
+        rows = self.rng.random(size)
+        rows[:, 0] = 0.0
+        return rows
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """The RecordingRng of each sample that _draw_levels draws, in order."""
+    rngs, sample_rng = [], simulate._sample_rng
+
+    def recording(seed, index):
+        rngs.append(RecordingRng(sample_rng(seed, index)))
+        return rngs[-1]
+
+    monkeypatch.setattr(simulate, "_sample_rng", recording)
+    return rngs
 
 
 SPARSE_LAWS = {
+    "binary0k": binary0k(Fraction(1, 20)),
     "poisson": poisson(0.1),
     "geometric": geometric(Fraction(1, 10)),
     "finite": PINNED_STREAMS["finite"][0],
@@ -423,12 +437,16 @@ SPARSE_LAWS = {
 
 
 @pytest.mark.parametrize("name", sorted(SPARSE_LAWS))
-def test_sparse_level_has_the_arrival_law(name):
-    law, size = SPARSE_LAWS[name], 1 << 16
-    rng = RecordingRng(np.random.default_rng(31))
-    counts = np.bincount(make_sampler(law)(rng, size), minlength=12)
-    # gaps first, far fewer than one per node, then the values at the sites
-    assert rng.calls[0][0] == "geometric" and rng.calls[0][1] < size // 4
+def test_sparse_level_has_the_arrival_law(name, recorded):
+    law, depth = SPARSE_LAWS[name], 15
+    size = (2 << depth) - 1
+    tree = np.concatenate(_draw_levels(make_sampler(law), 31, 0, depth))
+    counts = np.bincount(tree, minlength=12)
+    # one block of rows, far fewer than one per node: a gap uniform per site,
+    # and a value uniform unless every site takes the same value
+    [(method, (rows, cols))] = recorded[0].calls
+    assert method == "random" and rows < size // 4
+    assert cols == (1 if name == "binary0k" else 2)
     for k, hits in enumerate(counts):
         p = float(law.coefficient(k))
         # each standard error floored at that of a bin expecting 25 hits
@@ -437,31 +455,31 @@ def test_sparse_level_has_the_arrival_law(name):
 
 
 def test_sparse_level_extends_its_gaps():
-    # gaps of 1 use up the first budget of gaps long before the level ends
+    # gaps of 1 use up the first block of rows long before the tree ends
     for law, support in ((binary0k(Fraction(1, 20)), {2}), (poisson(0.1), None)):
-        rng = OnesRng(np.random.default_rng(5))
+        rng = ZeroGapRng(np.random.default_rng(5))
         vals = make_sampler(law)(rng, 4096)
-        assert sum(name == "geometric" for name, _ in rng.calls) > 1
+        assert len(rng.calls) > 1
         assert vals.min() >= 1
         if support:
             assert set(np.unique(vals)) == support
 
 
 def test_sparse_level_with_vanishing_arrival_probability():
-    # gaps near 2^63 must not overflow into sites inside the level
-    for law in (binary0k(Fraction(1, 10**18)), poisson(1e-19), geometric(1e-19)):
-        assert not make_sampler(law)(np.random.default_rng(3), 1 << 16).any()
+    # gaps near 2^63, or past the largest float, must not overflow into sites
+    # inside the tree, nor overflow at all
+    for law in (binary0k(Fraction(1, 10**18)), poisson(1e-19), geometric(1e-19),
+                poisson(5e-324)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not make_sampler(law)(np.random.default_rng(3), 1 << 16).any()
 
 
-def test_dense_level_when_arrivals_are_common():
-    # P(A > 0) = 1 - exp(-2) is above the cut-off, so no gaps are drawn
-    rng = RecordingRng(np.random.default_rng(5))
-    make_sampler(poisson(2))(rng, 1 << 16)
-    assert rng.calls == [("poisson", 1 << 16)]
-    # and small levels of sparse laws are drawn densely too
-    rng = RecordingRng(np.random.default_rng(5))
-    make_sampler(poisson(0.1))(rng, 1024)
-    assert rng.calls == [("poisson", 1024)]
+def test_dense_level_when_arrivals_are_common(recorded):
+    # P(A > 0) = 1 - exp(-2) is above the cut-off, so the whole tree is one
+    # dense call
+    _draw_levels(make_sampler(poisson(2)), 2026, 0, 16)
+    assert recorded[0].calls == [("poisson", (2 << 16) - 1)]
 
 
 @pytest.mark.parametrize(
