@@ -287,6 +287,23 @@ def test_draw_levels_extend_to_the_next_depth(name, depth):
             assert g.tolist() == w.tolist(), (index, lvl)
 
 
+@pytest.mark.parametrize("name", sorted(DRAW_LEVEL_LAWS))
+@pytest.mark.parametrize("depth", [0, 10, 11, 16])
+def test_draw_levels_match_one_draw_per_level(name, depth):
+    # level lvl of a tree is the last 2^lvl values of a draw of the tree down
+    # to lvl, one draw per level, each from a fresh copy of the sample's stream
+    draw = make_sampler(DRAW_LEVEL_LAWS[name])
+    for index in range(3):
+        want = []
+        for lvl in range(depth + 1):
+            rng = np.random.Generator(np.random.SFC64((2026 << 64) + index))
+            want.append(draw(rng, (2 << lvl) - 1)[(1 << lvl) - 1 :])
+        got = _draw_levels(draw, 2026, index, depth)
+        assert len(got) == depth + 1
+        for lvl, (g, w) in enumerate(zip(got, want)):
+            assert g.tolist() == w.tolist(), (index, lvl)
+
+
 def test_input_validation():
     with pytest.raises(OutOfDomain):
         sample_root_load(B02, depth=-1, samples=10)
