@@ -60,7 +60,7 @@ def _time_terms(law, t):
     the boundary read; G is inf where evaluating it overflows, as binary0k's
     t^k does past the largest float."""
     try:
-        g = law.derivatives(t, 0)[0]
+        g = law.pgf(t)
     except OverflowError:
         g = math.inf
     return g, law.tilted_moments(t)[0]
@@ -305,7 +305,7 @@ def _empty_prob_at(law, t):
     1 / G(t) <= 1 where (t - 2)^2 is lost against 1, for a mean far below
     1e-8, where density_from_time can round above 1."""
     d = t - 2.0
-    return (1.0 + d * d / (4.0 * (t - 1.0))) / law.derivatives(t, 0)[0]
+    return (1.0 + d * d / (4.0 * (t - 1.0))) / law.pgf(t)
 
 
 @dataclass(frozen=True)

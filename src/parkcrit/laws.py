@@ -1,22 +1,23 @@
 """Car-arrival laws for the parking process on the infinite binary tree.
 
 A law is the distribution of the number of cars arriving at a single
-vertex.  Every law exposes its generating function G together with
-derivatives, t G'/G and t^2 G''/G (``tilted_moments``), its convergence
+vertex.  Every law exposes its generating function G (``pgf``), the
+tilted moments t G'/G and t^2 G''/G (``tilted_moments``), its convergence
 radius, its mean, and its coefficients.  Families are parametrized by the
 mean arrival count alpha, so sweeps across different families compare
 like for like.
 
 A finite law, binary0k among them, keeps only its nonzero masses
-(``atoms``) and sums G, G', G'' and the tilted moments over them;
-geometric evaluates a closed form whose constants ``_consts`` states.  A
-law keeps only the floats of its constants, and a float t is evaluated
-from those.  Each is the float that the mixed Fraction-float expression
-rounds to, so a float t gets the same bits either way, and an exact t
-still gets Fractions.  Exact laws also
-give the exact coefficients that the enumeration code requires, and
-``integer_masses``, the form its weight tables run on: P(A = s j) =
-a b^j h[j] with integer h, zero off the multiples of the stride s.
+(``atoms``) and sums G and the tilted moments over them; geometric
+evaluates a closed form whose constants ``_consts`` states.  A law keeps
+only the floats of its constants, and a float t is evaluated from those.
+Each is the float that the mixed Fraction-float expression rounds to, so
+a float t gets the same bits either way, and an exact t still gets
+Fractions.  nongeneric_example and custom laws divide their G' and G''
+by G (``_tilted``).  Exact laws also give the exact coefficients that
+the enumeration code requires, and ``integer_masses``, the form its
+weight tables run on: P(A = s j) = a b^j h[j] with integer h, zero off
+the multiples of the stride s.
 """
 from __future__ import annotations
 
@@ -75,12 +76,17 @@ def _as_param(value, what):
 _ZERO = Fraction(0)
 
 
+def _tilted(t, g0, g1, g2):
+    """(t G'/G, t^2 G''/G) from G, G' and G'' at t."""
+    # t * t first would overflow where t * G''/G need not, and inf * 0 is NaN
+    return t * g1 / g0, t * (t * g2 / g0)
+
+
 class ArrivalLaw:
     """Interface shared by all arrival laws."""
 
     __slots__ = ()  # each law lists its fields: caches keep thousands of laws alive
     kind = "abstract"
-    max_order = 2  # G, G', G'': all that the regime decision asks for
 
     @property
     def radius(self):
@@ -96,11 +102,8 @@ class ArrivalLaw:
         """Probability of zero arrivals, as a float."""
         return float(self.coefficient(0))
 
-    def derivatives(self, t, order=2):
-        """(G(t), G'(t), ..., G^(order)(t)) for order in 0..max_order.
-
-        Exact when t and the law are.
-        """
+    def pgf(self, t):
+        """G(t), exact when t and the law are."""
         raise NotImplementedError
 
     def tilted_moments(self, t):
@@ -109,13 +112,10 @@ class ArrivalLaw:
         These are the means of A and A (A - 1) under the law tilted by
         t^A, P_t(A = k) = P(A = k) t^k / G(t), so neither decreases in t,
         and both are of order 1 where the regime is decided, whatever the
-        scale of G.  The default divides derivatives(t); a law whose G or
-        G'' can leave the floats gives them in a form that does not.
-        Exact when t and the law are.
+        scale of G.  A law whose G or G'' can leave the floats gives them
+        in a form that does not.  Exact when t and the law are.
         """
-        g0, g1, g2 = self.derivatives(t, 2)
-        # t * t first would overflow where t * G''/G need not, and inf * 0 is NaN
-        return t * g1 / g0, t * (t * g2 / g0)
+        raise NotImplementedError
 
     def coefficient(self, k):
         """Probability of exactly k arrivals."""
@@ -130,13 +130,8 @@ class ArrivalLaw:
     def integer_masses(self, K):
         """(h, a, b, s) with P(A = s j) = a * b**j * h[j] for s j = 0..K, every
         h[j] an int, and P(A = k) = 0 for k off the multiples of the stride s.
-
-        The default has s = 1 and puts the masses over their common
-        denominator d: h[k] = d * P(A = k), a = 1/d and b = 1.
-        """
-        mu = self.exact_coefficients(K)
-        d = math.lcm(*(m.denominator for m in mu))
-        return [m.numerator * (d // m.denominator) for m in mu], Fraction(1, d), Fraction(1), 1
+        Only exact laws can comply."""
+        raise NonExactLaw(f"{self.describe()} has no exact coefficients")
 
     def float_coefficients(self, K):
         """Coefficients 0..K as floats, each the float of the exact mass if there is one."""
@@ -179,11 +174,7 @@ class ArrivalLaw:
     def __repr__(self):
         return self.describe()
 
-    def _check(self, t, order):
-        if not 0 <= order <= self.max_order:
-            raise OutOfDomain(
-                f"derivative order {order!r} is outside 0..{self.max_order}"
-            )
+    def _check(self, t):
         if t < 0:
             raise OutOfDomain(f"generating function argument {t!r} is negative")
 
@@ -216,16 +207,17 @@ class FiniteSupportLaw(ArrivalLaw):
 
     def _set_atoms(self, atoms):
         self.atoms = atoms
-        self._float_atoms = self._sums(float)
+        self._float_atoms = p0, _, terms = self._sums(float)
+        # G, the search and the samplers run on these floats
+        if not (p0 and all(p for _, _, p in terms)):
+            k = next(k for k, p in atoms if not float(p))
+            raise BadFamilyParameter(f"the mass at {k} rounds to a float of 0.0")
 
     def _sums(self, num=lambda c: c):
-        """(p_0, 0, terms), num applied to each: the terms are
-        (k, k (k - 1), p_k, k p_k, k (k - 1) p_k) for each atom k >= 1,
-        what G, G', G'' and the tilted moments sum."""
+        """(p_0, 0, terms), num applied to each mass: the terms (k, k (k - 1),
+        p_k), one per atom k >= 1, are what G and the tilted moments sum."""
         (_, p0), *atoms = self.atoms
-        return num(p0), num(0), tuple(
-            (k, k * (k - 1), num(p), num(k * p), num(k * (k - 1) * p)) for k, p in atoms
-        )
+        return num(p0), num(0), tuple((k, k * (k - 1), num(p)) for k, p in atoms)
 
     @property
     def probs(self):
@@ -247,28 +239,24 @@ class FiniteSupportLaw(ArrivalLaw):
     def mu0(self):
         return self._float_atoms[0]
 
-    def derivatives(self, t, order=2):
-        self._check(t, order)
-        g0, g1, atoms = self._float_atoms if type(t) is float else self._sums()
-        g2 = g1
+    def pgf(self, t):
+        self._check(t)
+        g, _, atoms = self._float_atoms if type(t) is float else self._sums()
         # term by term in k, as the mixed Fraction-float expression adds them
-        for k, kk, p, kp, kkp in atoms:
-            g0 += p * t**k
-            g1 += kp * t ** (k - 1)
-            if kk:
-                g2 += kkp * t ** (k - 2)
-        return (g0, g1, g2)[: order + 1]
+        for k, _, p in atoms:
+            g += p * t**k
+        return g
 
     def tilted_moments(self, t):
         """The sums of k p_k t^k and k (k - 1) p_k t^k over G, the sum of
         p_k t^k, from one power per atom.  Where t^k or a sum leaves the
         floats, each p_k t^k is taken over the largest, in logs."""
         if t < 0:
-            self._check(t, 2)
+            self._check(t)
         g, s1, atoms = self._float_atoms if type(t) is float else self._sums()
         s2 = s1
         try:
-            for k, kk, p, _, _ in atoms:
+            for k, kk, p in atoms:
                 z = p * t**k
                 g += z
                 s1 += k * z
@@ -278,7 +266,7 @@ class FiniteSupportLaw(ArrivalLaw):
         if g + s1 + s2 < math.inf:
             return s1 / g, s2 / g
         p0, s1, atoms = self._float_atoms
-        logs = [(k, kk, math.log(p) + k * math.log(t)) for k, kk, p, _, _ in atoms if p]
+        logs = [(k, kk, math.log(p) + k * math.log(t)) for k, kk, p in atoms]
         top = max(x for _, _, x in logs)
         g, s2 = p0 * math.exp(-top), s1
         for k, kk, x in logs:
@@ -342,8 +330,6 @@ class Binary0kLaw(FiniteSupportLaw):
         if not 0 < alpha < k:
             raise BadFamilyParameter(f"binary0k mean must lie in (0, {k}), got {alpha!r}")
         pk = alpha / k
-        if not float(pk):
-            raise BadFamilyParameter(f"alpha / k = {alpha!r} / {k} rounds to a float of 0.0")
         self.alpha = alpha
         self.k = k
         self._set_atoms(((0, 1 - pk), (k, pk)))
@@ -360,7 +346,7 @@ class Binary0kLaw(FiniteSupportLaw):
 class PoissonLaw(ArrivalLaw):
     """Poisson arrivals with mean alpha; G(t) = exp(alpha (t - 1))."""
 
-    __slots__ = ("alpha", "_alpha_repr", "_alpha_sq")
+    __slots__ = ("alpha", "_alpha_repr")
     kind = "poisson"
 
     def __init__(self, alpha):
@@ -369,20 +355,18 @@ class PoissonLaw(ArrivalLaw):
             raise BadFamilyParameter(f"poisson mean must be positive, got {alpha!r}")
         self.alpha = float(alpha)
         self._alpha_repr = alpha
-        self._alpha_sq = self.alpha * self.alpha  # inf, not OverflowError, for a huge alpha
 
     @property
     def radius(self):
         return math.inf
 
-    def derivatives(self, t, order=2):
-        self._check(t, order)
-        g = math.exp(self.alpha * (float(t) - 1.0))
-        return (g, g * self.alpha, g * self._alpha_sq)[: order + 1]
+    def pgf(self, t):
+        self._check(t)
+        return math.exp(self.alpha * (float(t) - 1.0))
 
     def tilted_moments(self, t):
         if t < 0:
-            self._check(t, 2)
+            self._check(t)
         u = self.alpha * t
         return u, u * u
 
@@ -412,9 +396,9 @@ class GeometricLaw(ArrivalLaw):
         self._float_consts = tuple(float(c) for c in self._consts())
 
     def _consts(self):
-        """1 + a, a and 2a: G = 1/(1 + a - a t), G' = G a G, G'' = G' 2a G."""
+        """1 + a and a: G = 1/(1 + a - a t), and t G'/G = a t G."""
         a = self.alpha
-        return (1 + a, a, 2 * a)
+        return (1 + a, a)
 
     @property
     def radius(self):
@@ -424,27 +408,24 @@ class GeometricLaw(ArrivalLaw):
     def is_exact(self):
         return isinstance(self.alpha, Fraction)
 
-    def _terms(self, t, order):
-        """(1 + a - a t, a, 2a) at t, refusing t at or beyond the radius."""
-        self._check(t, order)
-        one_plus_a, a, two_a = self._float_consts if type(t) is float else self._consts()
+    def _terms(self, t):
+        """(1 + a - a t, a) at t, refusing t at or beyond the radius."""
+        self._check(t)
+        one_plus_a, a = self._float_consts if type(t) is float else self._consts()
         denom = one_plus_a - a * t
         if denom <= 0:
             raise EvaluationBeyondRadius(
                 f"argument {t!r} is at or beyond the radius "
                 f"{(1 + self.alpha) / self.alpha}"
             )
-        return denom, a, two_a
+        return denom, a
 
-    def derivatives(self, t, order=2):
-        denom, a, two_a = self._terms(t, order)
-        g = 1 / denom
-        g1 = g * a * g
-        return (g, g1, g1 * two_a * g)[: order + 1]
+    def pgf(self, t):
+        return 1 / self._terms(t)[0]
 
     def tilted_moments(self, t):
         """(a t G, 2 (a t G)^2), from one division."""
-        denom, a, _ = self._terms(t, 2)
+        denom, a = self._terms(t)
         r = a * t / denom
         return r, 2 * r * r
 
@@ -496,7 +477,6 @@ class NongenericExampleLaw(ArrivalLaw):
 
     __slots__ = ("mix", "_mix_f")
     kind = "nongeneric_example"
-    max_order = 3
 
     def __init__(self, mix=1):
         mix = _as_param(mix, "mix")
@@ -509,25 +489,25 @@ class NongenericExampleLaw(ArrivalLaw):
     def radius(self):
         return 3.0
 
-    def derivatives(self, t, order=2):
-        self._check(t, order)
+    def _at(self, t):
+        """(G, G', G'') at t, all three finite at the radius."""
+        self._check(t)
         t = float(t)
         if t > 3.0:
             raise EvaluationBeyondRadius(f"argument {t!r} exceeds the radius 3")
         u = (3.0 - t) / 2.0
         m = self._mix_f
-        out = [1.0 - m + m * (1.0 + (1.0 + t * t) / 26.0 - (u ** (7.0 / 3.0)) / 13.0)]
-        if order >= 1:
-            out.append(m * (t / 13.0 + (7.0 / 78.0) * u ** (4.0 / 3.0)))
-        if order >= 2:
-            out.append(m * (1.0 / 13.0 - (7.0 / 117.0) * u ** (1.0 / 3.0)))
-        if order >= 3:
-            if u == 0.0:
-                raise EvaluationBeyondRadius(
-                    "third derivative diverges at the radius"
-                )
-            out.append(m * (7.0 / 702.0) * u ** (-2.0 / 3.0))
-        return tuple(out)
+        return (
+            1.0 - m + m * (1.0 + (1.0 + t * t) / 26.0 - (u ** (7.0 / 3.0)) / 13.0),
+            m * (t / 13.0 + (7.0 / 78.0) * u ** (4.0 / 3.0)),
+            m * (1.0 / 13.0 - (7.0 / 117.0) * u ** (1.0 / 3.0)),
+        )
+
+    def pgf(self, t):
+        return self._at(t)[0]
+
+    def tilted_moments(self, t):
+        return _tilted(t, *self._at(t))
 
     def coefficient(self, k):
         m = self._mix_f
@@ -553,7 +533,7 @@ class NongenericExampleLaw(ArrivalLaw):
 
 
 class CustomAnalyticLaw(ArrivalLaw):
-    """Escape hatch: a law given only through an evaluator for G.
+    """Escape hatch: a law given only through derivs(t) -> (G, G', G'') at a float t.
 
     Useful for exercising classifier branches that no packaged family
     reaches.  Not exact, not samplable, no coefficient access beyond mu0.
@@ -577,10 +557,15 @@ class CustomAnalyticLaw(ArrivalLaw):
     def mu0(self):
         return self._mu0
 
-    def derivatives(self, t, order=2):
-        self._check(t, order)
-        out = self._derivs(float(t), order)
-        return tuple(float(v) for v in out)
+    def _at(self, t):
+        self._check(t)
+        return tuple(float(v) for v in self._derivs(float(t)))
+
+    def pgf(self, t):
+        return self._at(t)[0]
+
+    def tilted_moments(self, t):
+        return _tilted(t, *self._at(t))
 
     def coefficient(self, k):
         if k == 0:

@@ -20,10 +20,12 @@ A | A > 0.  Denser laws draw one value per node.
 
 Loads are settled bottom up: load(v) = arrivals(v) + surplus of both
 children, surplus(u) = max(load(u) - 1, 0), each level's loads written
-over its arrivals.  sample_root_load settles each sample's levels below
-level 10 alone, down to its loads at level 10; its levels 0..10 (2047
-nodes) then become its row of a batch of _BATCH samples, whose top levels
-settle together, a few calls on the whole batch per level.
+over its arrivals, in int32: a run whose loads could pass 2^31 - 1 is
+refused before its first draw (_check_loads).  sample_root_load settles
+each sample's levels below level 10 alone, down to its loads at level
+10; its levels 0..10 (2047 nodes) then become its row of a batch of
+_BATCH samples, whose top levels settle together, a few calls on the
+whole batch per level.
 root_cluster_stats keeps every level's occupancy, so it settles each
 sample alone.  The truncation treats the nodes below the deepest level
 as absent, which only loses the flux they would push up; root-level
@@ -55,6 +57,8 @@ _TABLE_TAIL = 2.0**-53  # mass of A | A > 0 left beyond a value table's end
 # each.
 _TOP = 10
 _BATCH = 64
+_LOAD_MAX = 2**31 - 1  # loads settle in int32
+_LOG_TAIL = -64.0 * math.log(2.0)  # log of the overflow risk a tree may take
 
 
 def _uniform_dtype(smallest_mass):
@@ -133,12 +137,20 @@ def _sparse(q, values):
     return draw
 
 
+def _largest(draw, value):
+    """draw, marked with the largest value it gives, or None if it has none."""
+    draw.largest = value
+    return draw
+
+
 def make_sampler(law):
     """draw(rng, size) -> int32 arrival counts, or raise UnsampleableLaw.
 
     Each family has a dense draw, one value per node.  When q = P(A > 0) is
     at most the cut-off, _sparse draws by gaps instead.  Either draw is a
-    prefix of any longer one from the same stream.
+    prefix of any longer one from the same stream.  draw.largest is the
+    largest value it can give: None for the dense poisson and geometric
+    draws, which have none.
     """
     kind = law.kind
     if kind == "binary0k":
@@ -148,21 +160,21 @@ def make_sampler(law):
         def dense(rng, size):
             return (rng.random(size, dtype=dtype) < pk).astype(np.int32) * k
 
-        return _sparse(pk, k) if pk <= _BINARY0K_SPARSE_MAX_Q else dense
+        return _largest(_sparse(pk, k) if pk <= _BINARY0K_SPARSE_MAX_Q else dense, k)
     if kind == "poisson":
         a = law.alpha
 
         def dense(rng, size):
             return rng.poisson(a, size).astype(np.int32)
 
-        q = -math.expm1(-a)  # a big mean would need a long table
+        q, largest = -math.expm1(-a), None  # a big mean would need a long table
     elif kind == "geometric":
         p = 1.0 / (1.0 + float(law.alpha))
 
         def dense(rng, size):
             return (rng.geometric(p, size) - 1).astype(np.int32)
 
-        q = float(law.alpha / (1 + law.alpha))
+        q, largest = float(law.alpha / (1 + law.alpha)), None
     elif kind in ("finite", "nongeneric_example"):
         masses, q = _positive_masses(law)
         table = law.float_coefficients(len(masses))
@@ -172,12 +184,58 @@ def make_sampler(law):
         def dense(rng, size):
             return lookup(rng.random(size, dtype=dtype))
 
+        largest = len(table) - 1
     else:
         raise UnsampleableLaw(f"no sampler for {law.describe()}")
     if q > _SPARSE_MAX_Q:
-        return dense
+        return _largest(dense, largest)
     masses, q = _positive_masses(law)
-    return _sparse(q, _inverse_cdf(np.divide(masses, q), range(1, len(masses) + 1)))
+    draw = _sparse(q, _inverse_cdf(np.divide(masses, q), range(1, len(masses) + 1)))
+    return _largest(draw, len(masses))
+
+
+def _log_sum_tail(law, n, x):
+    """Chernoff bound on log P(S >= x), S the sum of n draws of a poisson
+    or geometric law, for x above the mean of S (0.0 at or below it).
+
+    poisson: S is Poisson(lam), lam = n alpha, and P(S >= x) <=
+    e^-lam (e lam / x)^x.  geometric: with r = alpha / (1 + alpha),
+    E[e^(s A)] = (1 - r) / (1 - r e^s); e^s = x / (r (n + x)) gives
+    P(S >= x) <= ((n + x) / (n (1 + alpha)))^n (alpha (n + x) / (x (1 + alpha)))^x.
+    """
+    alpha = float(law.alpha)
+    if x <= n * alpha:
+        return 0.0
+    if law.kind == "poisson":
+        lam = n * alpha
+        return x * math.log(lam / x) + x - lam
+    return (n * math.log((n + x) / (n * (1.0 + alpha)))
+            + x * math.log(alpha * (n + x) / (x * (1.0 + alpha))))
+
+
+def _check_loads(law, draw, depth):
+    """Refuse a run whose loads could leave int32, before any tree is drawn.
+
+    A load is at most the load of the root of a tree whose n = 2^(depth+1) - 1
+    nodes all draw the largest value M: n (M - 1) + 1, certain where the
+    draw has one.  The dense poisson and geometric draws have none; a load
+    is at most the sum S of a tree's arrivals, and the run is refused
+    unless a Chernoff bound puts P(S > 2^31 - 1) at most 2^-64 per tree.
+    """
+    n = (2 << depth) - 1
+    if draw.largest is None:
+        if _log_sum_tail(law, n, _LOAD_MAX + 1.0) <= _LOG_TAIL:
+            return
+        worst = "a sum of arrivals that may exceed it"
+    else:
+        most = n * (draw.largest - 1) + 1
+        if most <= _LOAD_MAX:
+            return
+        worst = f"up to {most}"
+    raise BudgetExceeded(
+        f"{law.describe()} at depth {depth}: loads settle in int32 "
+        f"(at most {_LOAD_MAX}), and {n} nodes can give {worst}"
+    )
 
 
 def _resolve_threads(threads):
@@ -283,6 +341,7 @@ def sample_root_load(law, depth, samples, seed=0, threads=None, budget=NODE_BUDG
     threads = _resolve_threads(threads)
     _check_run(depth, samples, seed, budget)
     draw = make_sampler(law)
+    _check_loads(law, draw, depth)
     parts = _run_chunks(_root_load_chunk, draw, depth, seed, samples, threads)
     return np.concatenate(parts)
 
@@ -392,6 +451,7 @@ def root_cluster_stats(law, depth, samples, seed=0, threads=None, budget=NODE_BU
     t0 = time.perf_counter()
     _check_run(depth, samples, seed, budget)
     draw = make_sampler(law)
+    _check_loads(law, draw, depth)
     results = _run_chunks(_cluster_chunk, draw, depth, seed, samples, threads)
     sizes = np.concatenate([r[0] for r in results])
     censored = np.concatenate([r[1] for r in results])

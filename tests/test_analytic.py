@@ -183,7 +183,7 @@ def test_means_at_the_ends_of_the_floats_get_a_regime(law, regime):
 def _nan_from(start, radius):
     """G = 1 below start and NaN from there on."""
     return CustomAnalyticLaw(
-        lambda t, order: ((1.0,) + (0.0,) * order) if t < start else (math.nan,) * (order + 1),
+        lambda t: (1.0, 0.0, 0.0) if t < start else (math.nan,) * 3,
         radius, 0.5, 0.4, f"NaN from {start}",
     )
 
@@ -201,8 +201,9 @@ def test_search_refuses_a_nan_margin_inside_the_bracket():
     # true t_c is 1.953
     base = poisson(0.3)
 
-    def derivs(t, order):
-        return (math.nan,) * (order + 1) if 1.5 < t < 1.9 else base.derivatives(t, order)
+    def derivs(t):
+        g = base.pgf(t)
+        return (math.nan,) * 3 if 1.5 < t < 1.9 else (g, 0.3 * g, 0.3 * 0.3 * g)
 
     law = CustomAnalyticLaw(derivs, math.inf, base.mu0, 0.3, "poisson(0.3) with a NaN band")
     with pytest.raises(NoSolution, match="margin is NaN"):
@@ -240,7 +241,11 @@ def test_kernel_margin_is_the_margin_over_g_squared():
     assert kernel_margin(B02_CRIT, 0) == 2
     # exact at an exact t
     for t in (Fraction(1, 2), Fraction(3, 2), 3):
-        g0, g1, g2 = B02_CRIT.derivatives(t, 2)
+        g0, g1, g2 = (
+            sum(math.perm(k, j) * p * t ** (k - j) for k, p in B02_CRIT.atoms if k >= j)
+            for j in range(3)
+        )
+        assert B02_CRIT.pgf(t) == g0
         assert kernel_margin(B02_CRIT, t) == (2 * (g0 - t * g1) ** 2 - t * t * g0 * g2) / g0**2
 
 
@@ -736,7 +741,7 @@ def test_nongeneric_diluted_is_subcritical_by_radius_test():
 def test_margin_positive_forever_exhausts_budget():
     # constant pgf: margin is 2 everywhere, so doubling t runs into inf
     law = CustomAnalyticLaw(
-        derivs=lambda t, order: (1.0,) + (0.0,) * order,
+        derivs=lambda t: (1.0, 0.0, 0.0),
         radius=math.inf,
         mu_zero=1.0,
         mean=0.0,
@@ -749,9 +754,9 @@ def test_margin_positive_forever_exhausts_budget():
 def _flat_law(radius, visited):
     """G = 1 everywhere: the margin is 2 at every t the search visits."""
 
-    def derivs(t, order):
+    def derivs(t):
         visited.append(t)
-        return (1.0,) + (0.0,) * order
+        return (1.0, 0.0, 0.0)
 
     return CustomAnalyticLaw(derivs, radius, 0.5, 0.4, f"flat to {radius}")
 
@@ -1042,12 +1047,12 @@ def test_root_agrees_with_bisection(family, data):
 
 
 def _unevaluable_at(radius):
-    def derivs(t, order=2):
+    def derivs(t):
         if t >= radius:
             from parkcrit.errors import EvaluationBeyondRadius
 
             raise EvaluationBeyondRadius("synthetic boundary")
-        return (1.0,) + (0.0,) * order
+        return (1.0, 0.0, 0.0)
 
     return CustomAnalyticLaw(
         derivs=derivs, radius=radius, mu_zero=0.5, mean=0.4, name=f"wall at {radius}"

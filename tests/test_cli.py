@@ -346,6 +346,26 @@ def test_family_parameter_beyond_float_range_is_an_input_error(capsys, argv):
     assert "input error (BadFamilyParameter)" in err
 
 
+def test_finite_mass_whose_float_is_zero_is_an_input_error(capsys):
+    # printed "input error: max() arg is an empty sequence", with no code
+    tiny = 10**400
+    code, out, err = run_cli(capsys, "analyze", "--finite", f"{tiny - 1}/{tiny}", "0", f"1/{tiny}")
+    assert code == 2
+    assert out == ""
+    assert "input error (BadFamilyParameter): the mass at 2 rounds to a float of 0.0" in err
+
+
+def test_simulate_loads_beyond_int32_are_an_input_error(capsys):
+    # k = 2^32 ended in a raw OverflowError traceback
+    code, out, err = run_cli(
+        capsys, "simulate", "--family", "binary0k", "--alpha", "1/2", "--k", str(2**32),
+        "--depth", "2", "--samples", "3",
+    )
+    assert code == 2
+    assert out == ""
+    assert "input error (BudgetExceeded)" in err and "int32" in err
+
+
 SIMULATE = ("simulate", "--family", "poisson", "--alpha", "0.1")
 ENUMERATE = ("enumerate", "--family", "binary0k", "--alpha", "1/14")
 

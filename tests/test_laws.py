@@ -36,11 +36,9 @@ def test_finite_law_basics():
     assert law.mean() == Fraction(1, 4) + Fraction(2, 8) + Fraction(3, 8)
     assert law.radius == math.inf
     assert law.is_exact
-    g, g1, g2 = law.derivatives(Fraction(2))
-    # direct polynomial evaluation at t = 2
-    assert g == Fraction(5, 2)
-    assert g1 == Fraction(1, 4) + Fraction(1, 2) + Fraction(3, 2)
-    assert g2 == Fraction(1, 4) + Fraction(3, 2)
+    # direct polynomial evaluation at t = 2: G = 5/2, G' = 9/4, G'' = 7/4
+    assert law.pgf(Fraction(2)) == Fraction(5, 2)
+    assert law.tilted_moments(Fraction(2)) == (Fraction(9, 5), Fraction(14, 5))
 
 
 def test_finite_law_trims_trailing_zeros():
@@ -63,7 +61,9 @@ def test_finite_law_validation():
 def test_negative_time_rejected():
     law = binary0k(Fraction(1, 14))
     with pytest.raises(OutOfDomain):
-        law.derivatives(-1)
+        law.pgf(-1)
+    with pytest.raises(OutOfDomain):
+        law.tilted_moments(-1)
 
 
 def test_binary0k_mass_placement():
@@ -74,8 +74,7 @@ def test_binary0k_mass_placement():
     assert law.coefficient(2) == Fraction(1, 28)
     assert law.mean() == Fraction(1, 14)
     assert law.is_exact
-    g, g1, g2 = law.derivatives(Fraction(3))
-    assert g == Fraction(9, 7)
+    assert law.pgf(Fraction(3)) == Fraction(9, 7)
 
 
 def test_binary0k_parameter_checks():
@@ -99,11 +98,8 @@ def test_binary0k_series_matches_coefficients():
 def test_poisson_values():
     alpha = 0.7
     law = poisson(alpha)
-    g, g1, g2 = law.derivatives(1.3)
-    base = math.exp(alpha * 0.3)
-    assert g == pytest.approx(base, rel=1e-15)
-    assert g1 == pytest.approx(alpha * base, rel=1e-15)
-    assert g2 == pytest.approx(alpha**2 * base, rel=1e-15)
+    assert law.pgf(1.3) == pytest.approx(math.exp(alpha * 0.3), rel=1e-15)
+    assert law.tilted_moments(1.3) == pytest.approx((alpha * 1.3, (alpha * 1.3) ** 2), rel=1e-15)
     assert law.mean() == alpha
     assert law.radius == math.inf
     assert law.coefficient(3) == pytest.approx(math.exp(-alpha) * alpha**3 / 6, rel=1e-12)
@@ -115,14 +111,15 @@ def test_geometric_values():
     alpha = 0.25
     law = geometric(alpha)
     assert law.radius == pytest.approx((1 + alpha) / alpha)
-    g, g1, g2 = law.derivatives(2.0)
     d = 1 + alpha - alpha * 2.0
-    assert g == pytest.approx(1 / d)
-    assert g1 == pytest.approx(alpha / d**2)
-    assert g2 == pytest.approx(2 * alpha**2 / d**3)
+    assert law.pgf(2.0) == pytest.approx(1 / d)
+    # t G'/G = t a / d and t^2 G''/G = 2 t^2 a^2 / d^2
+    assert law.tilted_moments(2.0) == pytest.approx((2 * alpha / d, 8 * alpha**2 / d**2))
     assert law.mean() == pytest.approx(alpha)
     with pytest.raises(EvaluationBeyondRadius):
-        law.derivatives(5.0)
+        law.pgf(5.0)
+    with pytest.raises(EvaluationBeyondRadius):
+        law.tilted_moments(5.0)
 
 
 def test_geometric_exact_coefficients():
@@ -205,8 +202,7 @@ def test_nongeneric_example_normalization():
     # probabilities sum to 1 and the pgf is 1 at t = 1
     total = sum(law.coefficient(k) for k in range(200))
     assert total == pytest.approx(1.0, abs=1e-12)
-    g, _, _ = law.derivatives(1.0)
-    assert g == pytest.approx(1.0, abs=1e-14)
+    assert law.pgf(1.0) == pytest.approx(1.0, abs=1e-14)
     assert law.mean() == pytest.approx(1 / 6)
     assert law.radius == 3.0
 
@@ -245,27 +241,38 @@ def test_nongeneric_coefficients_keep_the_bits_of_the_recurrence():
 
 def test_nongeneric_example_third_derivative_blows_up_at_radius():
     law = nongeneric_example(1)
-    # order 3 exists inside the disk but not at the boundary point
-    assert len(law.derivatives(2.9, order=3)) == 4
-    with pytest.raises(EvaluationBeyondRadius):
-        law.derivatives(3.0, order=3)
-    with pytest.raises(OutOfDomain):
-        law.derivatives(1.0, order=4)
-    # second derivatives stay finite at the radius itself
-    g, g1, g2 = law.derivatives(3.0)
-    assert math.isfinite(g) and math.isfinite(g1) and math.isfinite(g2)
+    # G and the tilted moments stay finite at the radius itself, and beyond
+    # it the law is not evaluated
+    assert math.isfinite(law.pgf(3.0))
+    assert all(math.isfinite(m) for m in law.tilted_moments(3.0))
+    for beyond in (3.0 + 1e-12, 4):
+        with pytest.raises(EvaluationBeyondRadius):
+            law.pgf(beyond)
+        with pytest.raises(EvaluationBeyondRadius):
+            law.tilted_moments(beyond)
+
+    # G'' = v G / t^2 is finite at 3, but its slope over [3 - h, 3] grows
+    # like h^(-2/3): the third derivative diverges at the radius
+    def g2(t):
+        return law.tilted_moments(t)[1] * law.pgf(t) / (t * t)
+
+    slopes = [(g2(3.0) - g2(3.0 - h)) / h for h in (1e-3, 1e-6, 1e-9)]
+    assert slopes[0] > 0
+    assert slopes[1] / slopes[0] == pytest.approx(100.0, rel=1e-3)
+    assert slopes[2] / slopes[1] == pytest.approx(100.0, rel=1e-2)
 
 
 def test_custom_analytic_law():
     law = CustomAnalyticLaw(
-        derivs=lambda t, order: tuple(math.exp(t - 1) for _ in range(order + 1)),
+        derivs=lambda t: (math.exp(t - 1),) * 3,
         radius=math.inf,
         mu_zero=math.exp(-1),
         mean=1.0,
         name="unit poisson",
     )
-    g, g1, g2 = law.derivatives(1.0)
-    assert g == g1 == g2 == 1.0
+    assert law.pgf(1.0) == 1.0
+    assert law.tilted_moments(1.0) == (1.0, 1.0)
+    assert law.tilted_moments(Fraction(3)) == pytest.approx((3.0, 9.0), rel=1e-15)
     assert not law.is_exact
     with pytest.raises(NonExactLaw):
         law.exact_coefficients(3)
@@ -290,7 +297,8 @@ def _reference_derivatives(law, t, order):
     """G, G', ... at t by the mixed Fraction-float expressions of the exact path.
 
     A float t used to go through these for every law; the float constants a
-    law now computes once must reproduce them bit for bit.
+    law now computes once must reproduce G bit for bit, and nongeneric's
+    tilted moments must be the quotients of its G, G' and G'' bit for bit.
     """
     if law.kind == "finite":
         out = []
@@ -353,25 +361,32 @@ def test_float_path_matches_mixed_expressions_bit_for_bit(law):
     cap = min(1e6, law.radius * (1 - 1e-12))
     ts = [1e-6 * 1.1**i for i in range(int(math.log(cap / 1e-6, 1.1)) + 1)]
     for t in ts + [cap]:
-        for order in range(3):
-            try:
-                want = _reference_derivatives(law, t, order)
-            except OverflowError:  # exp overflows far out for poisson
-                with pytest.raises(OverflowError):
-                    law.derivatives(t, order)
-                continue
-            got = law.derivatives(t, order)
-            assert all(type(v) is float for v in got)
-            # float.hex tells 0.0 from -0.0, which == does not
-            assert [v.hex() for v in got] == [v.hex() for v in want], (t, order)
+        try:
+            want = _reference_derivatives(law, t, 2)
+        except OverflowError:  # exp overflows far out for poisson
+            with pytest.raises(OverflowError):
+                law.pgf(t)
+            continue
+        _assert_same_bits(law, t, want)
+
+
+def _assert_same_bits(law, t, want):
+    got = law.pgf(t)
+    assert type(got) is float
+    # float.hex tells 0.0 from -0.0, which == does not
+    assert got.hex() == want[0].hex(), t
+    if law.kind == "nongeneric_example":
+        g0, g1, g2 = want
+        quotients = (t * g1 / g0, t * (t * g2 / g0))
+        assert [v.hex() for v in law.tilted_moments(t)] == [v.hex() for v in quotients], t
 
 
 @pytest.mark.parametrize("law", [law for law in FLOAT_PATH_LAWS if law.is_exact], ids=repr)
 def test_exact_laws_stay_exact_at_exact_t(law):
     for t in (Fraction(1, 3), 2, Fraction(7, 2)):
-        got = law.derivatives(t)
-        assert all(type(v) is Fraction for v in got)
-        assert got == _reference_derivatives(law, t, 2)
+        got = law.pgf(t)
+        assert type(got) is Fraction
+        assert got == _reference_derivatives(law, t, 0)[0]
 
 
 @pytest.mark.parametrize("law", FLOAT_PATH_LAWS, ids=repr)
@@ -379,7 +394,7 @@ def test_tilted_moments_are_the_scaled_derivatives(law):
     # t G'/G and t^2 G''/G; the packaged laws write them without forming G,
     # so they agree with the quotients to rounding, not bit for bit
     for t in (1e-3, 0.5, 1.0, 2.0, min(7.5, law.radius * (1 - 1e-9))):
-        g0, g1, g2 = law.derivatives(t, 2)
+        g0, g1, g2 = _reference_derivatives(law, t, 2)
         u, v = law.tilted_moments(t)
         assert u == pytest.approx(t * g1 / g0, rel=1e-13, abs=1e-300)
         assert v == pytest.approx(t * t * g2 / g0, rel=1e-13, abs=1e-300)
@@ -388,7 +403,8 @@ def test_tilted_moments_are_the_scaled_derivatives(law):
 @pytest.mark.parametrize("law", [law for law in FLOAT_PATH_LAWS if law.is_exact], ids=repr)
 def test_tilted_moments_exact_at_exact_t(law):
     for t in (Fraction(1, 3), 2):
-        g0, g1, g2 = law.derivatives(t, 2)
+        g0, g1, g2 = _reference_derivatives(law, t, 2)
+        assert all(type(m) is Fraction for m in law.tilted_moments(t))
         assert law.tilted_moments(t) == (t * g1 / g0, t * t * g2 / g0)
 
 
@@ -427,8 +443,7 @@ def test_binary0k_is_the_finite_law_of_its_masses(k, share):
     law = binary0k(k * share, k)
     twin = make_finite_law([1 - share] + [0] * (k - 1) + [share])
     for t in (0.0, 1e-3, 0.7, 1.0, 2.5, 1e3, 1e11, 1e200, Fraction(2, 3), 3):
-        for order in range(3):
-            assert _outcome(law.derivatives, t, order) == _outcome(twin.derivatives, t, order)
+        assert _outcome(law.pgf, t) == _outcome(twin.pgf, t)
         assert _outcome(law.tilted_moments, t) == _outcome(twin.tilted_moments, t)
     assert law.integer_masses(k + 3) == twin.integer_masses(k + 3)
     assert repr(law.float_coefficients(k + 3)) == repr(twin.float_coefficients(k + 3))
@@ -470,30 +485,21 @@ FLOAT_PARAMETER_LAWS = [law for law in FLOAT_PATH_LAWS if not law.is_exact] + [
 def test_float_laws_at_int_t_match_mixed_expressions_bit_for_bit(law):
     # an int t goes through the exact constants, which are floats here
     for t in (t for t in (0, 1, 2, 3, 7) if t < law.radius):
-        for order in range(3):
-            got = law.derivatives(t, order)
-            want = _reference_derivatives(law, t, order)
-            assert [v.hex() for v in got] == [v.hex() for v in want], (t, order)
+        _assert_same_bits(law, t, _reference_derivatives(law, t, 2))
 
 
-@pytest.mark.parametrize(
-    "law",
-    [
-        make_finite_law([Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)]),
-        binary0k(Fraction(1, 14)),
-        binary0k(0.3, k=3),
-        poisson(0.37),
-        geometric(Fraction(1, 8)),
-        geometric(0.05),
-    ],
-    ids=repr,
-)
-def test_orders_beyond_two_are_refused(law):
-    for t in (0.5, Fraction(1, 2)):
-        with pytest.raises(OutOfDomain):
-            law.derivatives(t, order=3)
-        with pytest.raises(OutOfDomain):
-            law.derivatives(t, order=-1)
+def test_finite_mass_whose_float_is_zero_is_refused():
+    # the mass at 2 had no float: the log path of tilted_moments raised a raw
+    # ValueError from max() over no atoms
+    tiny = Fraction(1, 10**400)
+    with pytest.raises(BadFamilyParameter, match="mass at 2 rounds to a float of 0.0"):
+        make_finite_law([1 - tiny, 0, tiny])
+    # binary0k's mass at 0, 1 - alpha/k, is tiny when alpha is all but k
+    with pytest.raises(BadFamilyParameter, match="mass at 0 rounds to a float of 0.0"):
+        binary0k(2 - tiny, 2)
+    # a mass whose float is subnormal is a law
+    law = make_finite_law([1 - Fraction(1, 10**320), 0, Fraction(1, 10**320)])
+    assert law.tilted_moments(1e200)[0] > 0.0
 
 
 # exact values whose float is inf or 0.0 are refused too: G, the scan and the

@@ -331,6 +331,59 @@ def test_budget_that_caps_nothing_is_refused_before_sampling(monkeypatch, run, d
         run(B02, depth=depth, samples=10**6, budget=budget)
 
 
+@pytest.mark.parametrize("run", [sample_root_load, estimate_root_law, root_cluster_stats])
+@pytest.mark.parametrize(
+    "law, depth",
+    [(poisson(3e8), 3), (geometric(1e8), 4), (binary0k(Fraction(1, 2), 2**32), 2)],
+    ids=repr,
+)
+def test_loads_beyond_int32_are_refused_before_any_draw(monkeypatch, run, law, depth):
+    # loads settle in int32: poisson(3e8) wrapped to about 2.05e8 a sample
+    # where the root load is about 4.5e9, geometric(1e8) gave negative loads
+    # and k = 2^32 raised a raw OverflowError; numpy 1.24 may only warn
+    def refuse(*args):
+        raise AssertionError("a tree was drawn")
+
+    monkeypatch.setattr(simulate, "_draw_levels", refuse)
+    with pytest.raises(BudgetExceeded, match="int32"):
+        run(law, depth, 3, seed=1)
+
+
+def test_int32_bound_is_the_worst_tree():
+    # one node drawing k = 2^31 - 1 fits, k = 2^31 does not
+    k = 2**31 - 1
+    loads = sample_root_load(binary0k(k - Fraction(1, 2), k), depth=0, samples=4, seed=0)
+    assert loads.tolist() == [2**31 - 1] * 4
+    with pytest.raises(BudgetExceeded, match="up to 2147483648"):
+        sample_root_load(binary0k(Fraction(1, 2), 2**31), depth=0, samples=4, seed=0)
+    # three nodes that all draw k give the root 3 k - 2, which is 2^31 - 1
+    # at k = 715827883: that k runs and settles exactly, k + 1 is refused
+    k = 715827883
+    loads = sample_root_load(binary0k(k - Fraction(1, 2), k), depth=1, samples=4, seed=0)
+    assert loads.tolist() == [2**31 - 1] * 4
+    with pytest.raises(BudgetExceeded, match="up to 2147483650"):
+        sample_root_load(binary0k(k + Fraction(1, 2), k + 1), depth=1, samples=4, seed=0)
+
+
+def test_tail_bound_of_the_dense_draws():
+    # poisson and geometric draw without a largest value: a run is refused
+    # unless the tail of the tree's sum past 2^31 - 1 is below 2^-64, about
+    # e^-44; below the bound the loads are the sums, not int32 wraps
+    x = 2.0**31
+    for near, far in [(poisson(x - 8 * math.sqrt(x)), poisson(x - 12 * math.sqrt(x))),
+                      (geometric(x / 30), geometric(x / 80))]:
+        # P(A >= 2^31) is about e^-35 and e^-30 for the near laws
+        with pytest.raises(BudgetExceeded, match="int32"):
+            sample_root_load(near, depth=0, samples=4, seed=1)
+        loads = sample_root_load(far, depth=0, samples=4, seed=1)
+        assert loads.min() > 0 and loads.max() < x
+    loads = sample_root_load(poisson(1e8), depth=3, samples=4, seed=1)
+    # 15 nodes with about 1e8 cars each: every node but the root keeps one
+    assert np.all(np.abs(loads - (15e8 - 14)) < 6 * math.sqrt(15e8))
+    loads = sample_root_load(geometric(1e6), depth=3, samples=4, seed=1)
+    assert loads.min() > 0 and loads.mean() == pytest.approx(15e6, rel=0.6)
+
+
 def test_estimate_matches_analytic_empty_prob():
     law = binary0k(0.05)
     stats = estimate_root_law(law, depth=12, samples=3000, seed=11)
@@ -528,7 +581,7 @@ def test_uniforms_resolve_masses_below_2_to_the_minus_24():
 
 def test_unsampleable_law():
     law = CustomAnalyticLaw(
-        derivs=lambda t, order: (1.0,) + (0.0,) * order,
+        derivs=lambda t: (1.0, 0.0, 0.0),
         radius=math.inf,
         mu_zero=1.0,
         mean=0.0,
