@@ -19,21 +19,33 @@ site j reads row j of the uniforms for its gap and its value of
 A | A > 0.  Denser laws draw one value per node.
 
 Loads are settled bottom up: load(v) = arrivals(v) + surplus of both
-children, surplus(u) = max(load(u) - 1, 0), each level's loads written
-over its arrivals, in int32: a run whose loads could pass 2^31 - 1 is
-refused before its first draw (_check_loads).  sample_root_load settles
-each sample's levels below level 10 alone, down to its loads at level
-10; its levels 0..10 (2047 nodes) then become its row of a batch of
-_BATCH samples, whose top levels settle together, a few calls on the
-whole batch per level.
-root_cluster_stats keeps every level's occupancy, so it settles each
-sample alone.  The truncation treats the nodes below the deepest level
-as absent, which only loses the flux they would push up; root-level
-estimates converge from below as depth grows.
+children, surplus(u) = max(load(u) - 1, 0), each level's loads (less 2,
+see _settle) written over its arrivals, in int32: a run whose loads could
+pass 2^31 - 1 is refused before its first draw (_check_loads).
+
+Each chunk of samples (one per worker thread) allocates its arrays once,
+through draw.workspace, and draws and settles its trees a group at a time
+in them.  A group holds G trees, the largest power of two up to _BATCH
+whose trees and draw arrays fit in _GROUP_BYTES (2 MiB): 16 trees up to
+depth 13, and at depth 16 two poisson(0.1) or four binary0k(0.05) trees
+in sample_root_load.  One numpy call then covers a group: the sparse
+draw's gap arithmetic, value lookup and placement, and each level of the
+settle.  Fewer calls per tree cost less interpreter time, and with
+several threads fewer GIL hand-overs.  sample_root_load settles a group's
+levels below level 10; their levels 0..10 (2047 nodes: arrivals above
+level 10, loads at it) then become rows of a batch of _BATCH samples,
+whose top levels settle together.  Its sparse trees deeper than level 10
+leave out their deepest level, half their nodes: each site there hands
+its surplus to its parent as it is placed.  root_cluster_stats settles a
+group's whole trees and keeps every level's occupancy.  The truncation
+treats the nodes below the deepest level as absent, which only loses the
+flux they would push up; root-level estimates converge from below as
+depth grows.
 """
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -44,6 +56,7 @@ import numpy as np
 from .errors import BudgetExceeded, OutOfDomain, UnsampleableLaw
 
 NODE_BUDGET = 1e10
+LOAD_BINS = 1024  # estimate_root_law's histograms have a bin per load below it
 CLUSTER_DEPTH_CAP = 22
 # Trees whose q = P(A > 0) is at most the cut-off are drawn by gaps.  On a
 # 2^17-node tree (x86-64) gaps beat the dense draw up to q ~ 0.25-0.3 for
@@ -56,7 +69,18 @@ _TABLE_TAIL = 2.0**-53  # mass of A | A > 0 left beyond a value table's end
 # calls cost their Python overhead and, with several threads, a GIL hand-over
 # each.
 _TOP = 10
-_BATCH = 64
+_BATCH = 16
+# Trees of a chunk are drawn and settled in groups (see above).  A group's
+# working set is capped, since it multiplies with the threads and adds to
+# the peak RSS: with 2 MiB, a two-thread depth-16 run stays within 1% of
+# the peak RSS of drawing one tree at a time.
+_GROUP_BYTES = 2 << 20
+# The settle's max(y, -1) takes its -1 from this array, a row at a time:
+# numpy's maximum has no vector loop for a scalar, and is 3x slower with one.
+_MINUS_ONES = np.full(1 << 13, -1, dtype=np.int32)
+_MINUS_ONES.flags.writeable = False
+# Workspace arrays this large get pages of their own (_own_pages)
+_OWN_PAGES = 1 << 16
 _LOAD_MAX = 2**31 - 1  # loads settle in int32
 _LOG_TAIL = -64.0 * math.log(2.0)  # log of the overflow risk a tree may take
 
@@ -66,16 +90,23 @@ def _uniform_dtype(smallest_mass):
     return np.float32 if smallest_mass >= 2.0**-24 else np.float64
 
 
-def _inverse_cdf(masses, values):
-    """u -> values[i] for the first i whose cumulative mass exceeds u."""
-    cdf = np.cumsum(masses)
-    vals = np.asarray(values, dtype=np.int32)
-    top = len(vals) - 1
+def _inverse_cdf(masses, base):
+    """lookup(u, out) writes into out, for each u, base + i for the first i
+    whose cumulative mass exceeds u, or base + len(masses) - 1 if none does."""
+    # no u passes the last cut, and a table of one value has a second cut too
+    cdf = np.append(np.cumsum(masses)[:-1], [np.inf, np.inf])
+    # arrays, not scalars: numpy 1.x would compare float32 u with a float64
+    # scalar in float32, and searchsorted compares in float64
+    first, second = cdf[:1], cdf[1:2]
 
-    def lookup(u):
-        idx = np.searchsorted(cdf, u, side="right")
-        np.minimum(idx, top, out=idx)
-        return vals[idx]
+    def lookup(u, out):
+        # nearly every u falls below the second cut, and one comparison
+        # places it; the rest are searched
+        np.greater_equal(u, first, out=out)
+        out += base
+        far = np.flatnonzero(u >= second)
+        out.flat[far] = base + np.searchsorted(cdf, u.flat[far], side="right")
+        return out
 
     return lookup
 
@@ -83,7 +114,9 @@ def _inverse_cdf(masses, values):
 def _positive_masses(law):
     """(P(A = k) for k = 1..K, P(A > 0) as the sum of all positive masses).
 
-    K is the first cut leaving less than _TABLE_TAIL of P(A > 0) beyond it.
+    K is the first cut leaving less than _TABLE_TAIL of P(A > 0) beyond it,
+    and at least 1: where P(A > 0) is subnormal, _TABLE_TAIL of it rounds to
+    0, and no cut leaves less than that.
     Unbounded laws are expanded until a term falls below 2^-64 of the first;
     the laws sampled here decay geometrically, so what lies past that is
     negligible.
@@ -97,50 +130,161 @@ def _positive_masses(law):
             masses.append(float(law.coefficient(len(masses) + 1)))
     beyond = np.append(np.cumsum(masses[::-1])[::-1], 0.0)  # beyond[j]: mass of k > j
     q = math.fsum(masses)
-    return masses[: int(np.argmax(beyond < _TABLE_TAIL * q))], q
+    return masses[: max(1, int(np.argmax(beyond < _TABLE_TAIL * q)))], q
 
 
-def _sparse(q, values):
+def _own_pages(shape, dtype):
+    """np.empty(shape, dtype), but an array of _OWN_PAGES or more bytes gets
+    anonymous pages of its own, which go back to the system with it.
+
+    From malloc, a chunk's workspace stayed in glibc's heap after its run:
+    freeing a large mapping raises glibc's mmap threshold, so later arrays
+    come from the heap, which keeps up to twice that threshold free.  That
+    left about 1 MB more peak RSS in a two-thread depth-16 run.  Fresh pages
+    cost page faults, about 0.9 ms per MB on a 2-core x86-64 VM, which small
+    arrays, such as those of a draw(rng, size) of a small tree, are spared.
+    """
+    n = math.prod(shape)
+    size = n * np.dtype(dtype).itemsize
+    if size < _OWN_PAGES:
+        return np.empty(shape, dtype)
+    return np.frombuffer(mmap.mmap(-1, size), dtype, n).reshape(shape)
+
+
+def _group_size(tree_bytes, most):
+    """Trees drawn and settled together: the largest power of two whose
+    working set fits _GROUP_BYTES, capped at `most` and at _BATCH, so that a
+    whole number of groups fills a batch."""
+    group = 1
+    while 2 * group <= min(most, _BATCH) and 2 * group * tree_bytes <= _GROUP_BYTES:
+        group *= 2
+    return group
+
+
+def _sampler(workspace, largest):
+    """draw(rng, size), with draw.workspace and draw.largest.
+
+    workspace(size, most, fold) -> (group, fill) allocates the arrays of a
+    group of up to `group` <= most trees of `size` nodes; fill(rngs) draws
+    tree i from rngs[i] into them and returns the trees as the rows of an
+    int32 view.  With fold, a sparse draw keeps the trees without their
+    deepest level, whose surplus it adds to the level above (_sparse); a
+    dense draw keeps every level.  draw(rng, size) is one whole tree from a
+    workspace of its own.
+    """
+
+    def draw(rng, size):
+        return workspace(size, 1, False)[1]([rng])[0]
+
+    draw.workspace, draw.largest = workspace, largest
+    return draw
+
+
+def _dense(fill_tree, largest):
+    """A draw of one value per node: fill_tree(rng, tree) writes a whole tree."""
+
+    def workspace(size, most, fold):
+        group = _group_size(4 * size, most)
+        trees = _own_pages((group, size), np.int32)
+
+        def fill(rngs):
+            for rng, tree in zip(rngs, trees):
+                fill_tree(rng, tree)
+            return trees[: len(rngs)]
+
+        return group, fill
+
+    return _sampler(workspace, largest)
+
+
+def _sparse(q, values, largest):
     """Draw by gaps between the sites where A > 0: about size * q rows, not size.
 
     Site j reads row j of the float64 uniforms.  Its gap from site j - 1 is
     1 + floor(log1p(-u) / log1p(-q)), which is Geometric(q), and its value
-    of A | A > 0 is values(w), or values itself when that is a constant.
+    of A | A > 0 is a lookup of u, or values itself when that is a constant.
     Row j is always the same doubles of the stream, however the rows are
     cut into blocks, so a bigger size keeps the sites of a smaller one and
-    adds more.
+    adds more.  Each tree of a group reads its first block of rows from its
+    own stream into its own lane, and the lanes take their gaps, sites and
+    values together; a tree whose block ends inside it draws on alone.
+
+    A folded tree leaves out its deepest level, half its nodes.  A site
+    there with value v has load v and surplus v - 1, which is added to its
+    parent's arrivals: the parent's load is then complete.
     """
     log_miss = math.log1p(-q)
     cols = 1 if isinstance(values, int) else 2
 
-    def draw(rng, size):
-        out = np.zeros(size, dtype=np.int32)
+    def workspace(size, most, fold):
         lam = size * q
         block = int(lam + 6.0 * math.sqrt(lam) + 16.0)
-        last = -1.0  # index of the last site placed
-        while last < size - 1:
-            rows = rng.random((block, cols))
-            sites = np.log1p(-rows[:, 0])
+        kept = size // 2 if fold and size > 1 else size  # nodes kept per tree
+        # per tree: its kept nodes, a spare slot, and per row its uniforms,
+        # its site and its value, if it has its own
+        group = _group_size(4 * (kept + 1) + block * (12 * cols + 4), most)
+        trees = _own_pages((group, kept + 1), np.int32)
+        flat = trees.reshape(-1)
+        rows = _own_pages((group, block, cols), np.float64)
+        at = _own_pages((group, block), np.intp)
+        gaps = at.view(np.float64)  # the sites, while they are reckoned in floats
+        vals = _own_pages((group, block if cols == 2 else 0), np.int32)
+        lanes = (kept + 1) * np.arange(group)[:, None]  # where each tree starts in flat
+
+        def place(lo, hi, last):
+            """Place the block of rows lo..hi after sites `last`; the last site of each."""
+            u, s, i, v = rows[lo:hi], gaps[lo:hi], at[lo:hi], vals[lo:hi]
+            if cols == 2:
+                np.copyto(s, u[..., 1])  # comparisons are slow on a strided column
+                values(s, v)
+            np.negative(u[..., 0], out=s)
+            np.log1p(s, out=s)
             # a gap past the tree ends the draw; capping it there keeps the
             # quotient finite however small q is
-            np.maximum(sites, (size + 1) * log_miss, out=sites)
-            sites /= log_miss
-            np.floor(sites, out=sites)
-            sites += 1.0
-            np.cumsum(sites, out=sites)
-            sites += last
-            n = int(np.searchsorted(sites, size - 1, side="right"))
-            out[sites[:n].astype(np.intp)] = values if cols == 1 else values(rows[:n, 1])
-            last = sites[-1]
-        return out
+            np.maximum(s, (size + 1) * log_miss, out=s)
+            s /= log_miss
+            # the sites add up in int64; summed in floats they would be the
+            # same up to 2^53, and past the tree all land in the spare slot
+            np.floor(s, out=i, casting="unsafe")
+            i += 1
+            i[:, 0] += last
+            np.cumsum(i, axis=1, out=i)
+            ends = i[:, -1].tolist()
+            if kept < size:
+                # the sites on the deepest level, and their parents in flat
+                deep = (i >= kept) & (i < size)
+                if cols == 2:
+                    deep &= v > 1  # a value of 1 has no surplus
+                deep = np.flatnonzero(deep)
+                parents = (i.flat[deep] - 1) >> 1
+                parents += (lo + deep // block) * (kept + 1)
+                # int32, as flat: numpy's add.at is 20-40x slower with a
+                # scalar or another dtype
+                if cols == 2:
+                    surplus = v.flat[deep] - 1
+                else:
+                    surplus = np.full(len(deep), values - 1, dtype=np.int32)
+            np.minimum(i, kept, out=i)  # sites past what is kept land in the spare slot
+            i += lanes[lo:hi]
+            flat[i] = values if cols == 1 else v
+            if kept < size:
+                np.add.at(flat, parents, surplus)
+            return ends
 
-    return draw
+        def fill(rngs):
+            n = len(rngs)
+            trees[:n].fill(0)
+            for rng, u in zip(rngs, rows):
+                rng.random((block, cols), out=u)
+            for j, last in enumerate(place(0, n, -1)):
+                while last < size - 1:
+                    rngs[j].random((block, cols), out=rows[j])
+                    last = place(j, j + 1, last)[0]
+            return trees[:n, :kept]
 
+        return group, fill
 
-def _largest(draw, value):
-    """draw, marked with the largest value it gives, or None if it has none."""
-    draw.largest = value
-    return draw
+    return _sampler(workspace, largest)
 
 
 def make_sampler(law):
@@ -150,48 +294,50 @@ def make_sampler(law):
     at most the cut-off, _sparse draws by gaps instead.  Either draw is a
     prefix of any longer one from the same stream.  draw.largest is the
     largest value it can give: None for the dense poisson and geometric
-    draws, which have none.
+    draws, which have none.  draw.workspace draws groups of trees into
+    arrays that a chunk of samples reuses (_sampler).
     """
     kind = law.kind
     if kind == "binary0k":
         pk, k = float(law.alpha) / law.k, law.k
         dtype = _uniform_dtype(pk)
 
-        def dense(rng, size):
-            return (rng.random(size, dtype=dtype) < pk).astype(np.int32) * k
+        def dense(rng, tree):
+            np.multiply(rng.random(len(tree), dtype=dtype) < pk, k, out=tree)
 
-        return _largest(_sparse(pk, k) if pk <= _BINARY0K_SPARSE_MAX_Q else dense, k)
+        return _sparse(pk, k, k) if pk <= _BINARY0K_SPARSE_MAX_Q else _dense(dense, k)
     if kind == "poisson":
         a = law.alpha
 
-        def dense(rng, size):
-            return rng.poisson(a, size).astype(np.int32)
+        def dense(rng, tree):
+            tree[:] = rng.poisson(a, len(tree))
 
         q, largest = -math.expm1(-a), None  # a big mean would need a long table
     elif kind == "geometric":
         p = 1.0 / (1.0 + float(law.alpha))
 
-        def dense(rng, size):
-            return (rng.geometric(p, size) - 1).astype(np.int32)
+        def dense(rng, tree):
+            tree[:] = rng.geometric(p, len(tree))
+            tree -= 1
 
         q, largest = float(law.alpha / (1 + law.alpha)), None
     elif kind in ("finite", "nongeneric_example"):
         masses, q = _positive_masses(law)
         table = law.float_coefficients(len(masses))
-        lookup = _inverse_cdf(table, range(len(table)))
+        lookup = _inverse_cdf(table, 0)
         dtype = _uniform_dtype(min(m for m in table if m > 0))
 
-        def dense(rng, size):
-            return lookup(rng.random(size, dtype=dtype))
+        def dense(rng, tree):
+            lookup(rng.random(len(tree), dtype=dtype), tree)
 
         largest = len(table) - 1
     else:
         raise UnsampleableLaw(f"no sampler for {law.describe()}")
     if q > _SPARSE_MAX_Q:
-        return _largest(dense, largest)
+        return _dense(dense, largest)
     masses, q = _positive_masses(law)
-    draw = _sparse(q, _inverse_cdf(np.divide(masses, q), range(1, len(masses) + 1)))
-    return _largest(draw, len(masses))
+    lookup = _inverse_cdf(np.divide(masses, q), 1)
+    return _sparse(q, lookup, len(masses))
 
 
 def _log_sum_tail(law, n, x):
@@ -269,47 +415,59 @@ def _split(block, top):
     return [block[..., (1 << lvl) - 1 : (2 << lvl) - 1] for lvl in range(top + 1)]
 
 
-def _draw_levels(draw, seed, index, depth):
-    """Arrival counts of one sample, levels 0..depth as views of one draw of its tree."""
-    return _split(draw(_sample_rng(seed, index), (2 << depth) - 1), depth)
+def _groups(draw, depth, seed, start, stop, fold=False):
+    """The trees of samples start..stop, a group at a time, as the rows of one
+    array that every group reuses, and their levels (_sampler's fold)."""
+    group, fill = draw.workspace((2 << depth) - 1, stop - start, fold)
+    for a in range(start, stop, group):
+        trees = fill([_sample_rng(seed, i) for i in range(a, min(a + group, stop))])
+        levels = _split(trees, trees.shape[1].bit_length() - 1)
+        levels[-1] -= 2  # the loads of the deepest level kept, less 2 (_settle)
+        yield trees, levels
 
 
 def _settle(levels):
-    """Loads per level, deepest first, each written over its level's arrivals.
+    """Loads less 2 per level, deepest first, each written over its level's arrivals.
 
-    The levels may hold one tree or, along their last axis, a batch of them.
+    The deepest level must hold its loads less 2 already.  With y = load - 2,
+    a node's surplus max(load - 1, 0) is max(y, -1) + 1, so a parent's load
+    less 2 is its arrivals plus max(y, -1) of both children, one pass over
+    the children fewer than taking their surplus.  The levels may hold one
+    tree or, along their last axis, a batch of them.
     """
     x = levels[-1]
     yield x
-    for load in reversed(levels[:-1]):
-        np.subtract(x, 1, out=x)
-        np.maximum(x, 0, out=x)
-        np.add(load, x[..., 0::2], out=load)
-        np.add(load, x[..., 1::2], out=load)
-        x = load
+    for y in reversed(levels[:-1]):
+        # a view: a level's width is a power of two
+        cut = x.reshape(x.shape[:-1] + (-1, min(x.shape[-1], len(_MINUS_ONES))))
+        np.maximum(cut, _MINUS_ONES[: cut.shape[-1]], out=cut)
+        np.add(y, x[..., 0::2], out=y)
+        np.add(y, x[..., 1::2], out=y)
+        x = y
         yield x
 
 
 def _root_load_chunk(draw, depth, seed, start, stop):
-    # each sample settles its levels below `top` alone, then its block of
-    # levels 0..top (arrivals above top, loads at top) becomes its row of a
-    # batch, and the batch settles those levels together
+    # each group of trees settles its levels below `top` together; then its
+    # levels 0..top (arrivals above top, loads at top), the first `width`
+    # nodes of each tree, become its rows of a batch, and the batch settles
+    # those levels together
     top = min(depth, _TOP)
-    rows = np.empty((min(_BATCH, stop - start), (2 << top) - 1), dtype=np.int32)
+    width = (2 << top) - 1
+    batch = _own_pages((min(_BATCH, stop - start), width), np.int32)
     out = np.empty(stop - start, dtype=np.int64)
-    for a in range(start, stop, _BATCH):
-        batch = rows[: stop - a]
-        for row, i in zip(batch, range(a, stop)):
-            # levels stays bound until the next sample is drawn: freeing the
-            # big arrays before that draw made depth-18 binary0k runs 1.5x
-            # slower (glibc malloc, 2-core x86-64)
-            levels = _draw_levels(draw, seed, i, depth)
-            for _ in _settle(levels[top:]):
-                pass
-            np.concatenate(levels[: top + 1], out=row)
-        for x in _settle(_split(batch, top)):
+    done = 0
+    # trees deeper than the batch leave out their deepest level
+    for trees, levels in _groups(draw, depth, seed, start, stop, fold=depth > top):
+        for _ in _settle(levels[top:]):
             pass
-        out[a - start : a - start + len(batch)] = x[:, 0]
+        row = done % _BATCH
+        batch[row : row + len(trees)] = trees[:, :width]
+        done += len(trees)
+        if done % _BATCH == 0 or done == stop - start:
+            for x in _settle(_split(batch[: row + len(trees)], top)):
+                pass
+            out[done - len(x) : done] = x[:, 0] + 2
     return out
 
 
@@ -371,11 +529,12 @@ class RunStats:
 
 @dataclass(frozen=True)
 class SimulationStats(RunStats):
-    root_load_counts: tuple  # histogram over the root load, index = load
+    root_load_counts: tuple  # histogram over the root loads below LOAD_BINS, index = load
+    root_load_tail: int  # samples whose root load is LOAD_BINS or more
     empty_prob_hat: float
     empty_prob_ci: float  # normal-approximation 95 percent half width
     mean_load: float
-    flux_probs: tuple  # estimated P(root flux = k)
+    flux_probs: tuple  # estimated P(root flux = k), for k below LOAD_BINS - 1
 
     def flux_standard_error(self, k):
         p = self.flux_probs[k] if k < len(self.flux_probs) else 0.0
@@ -383,12 +542,20 @@ class SimulationStats(RunStats):
 
 
 def estimate_root_law(law, depth, samples, seed=0, threads=None, budget=NODE_BUDGET):
-    """Simulate and summarize the root load and flux distributions."""
+    """Simulate and summarize the root load and flux distributions.
+
+    The histograms stop at LOAD_BINS = 1024: root_load_counts has a bin for
+    each load below it and flux_probs one for each flux below 1023, and
+    root_load_tail counts the samples beyond them.  mean_load takes every
+    sample at its own load.
+    """
     threads = _resolve_threads(threads)
     t0 = time.perf_counter()
     loads = sample_root_load(law, depth, samples, seed, threads, budget)
     elapsed = time.perf_counter() - t0
-    counts = np.bincount(loads)
+    counts = np.bincount(np.minimum(loads, LOAD_BINS))
+    tail = int(counts[LOAD_BINS]) if len(counts) > LOAD_BINS else 0
+    counts = counts[:LOAD_BINS]
     n = float(samples)
     p_hat = counts[0] / n
     flux = [float((counts[0] + (counts[1] if len(counts) > 1 else 0)) / n)]
@@ -400,6 +567,7 @@ def estimate_root_law(law, depth, samples, seed=0, threads=None, budget=NODE_BUD
         seed=seed,
         threads=threads,
         root_load_counts=tuple(int(c) for c in counts),
+        root_load_tail=tail,
         empty_prob_hat=float(p_hat),
         empty_prob_ci=1.96 * _standard_error(p_hat, n),
         mean_load=float(loads.mean()),
@@ -422,18 +590,23 @@ class ClusterStats(RunStats):
 def _cluster_chunk(draw, depth, seed, start, stop):
     sizes = np.zeros(stop - start, dtype=np.int64)
     censored = np.zeros(stop - start, dtype=bool)
-    for j, i in enumerate(range(start, stop)):
-        levels = _draw_levels(draw, seed, i, depth)
-        occupied = [x > 0 for x in _settle(levels)][::-1]
-        mask = occupied[0]  # the cluster's vertices on the current level
-        for level in occupied[1:]:
-            hits = int(mask.sum())
-            if not hits:
+    done = 0
+    for trees, levels in _groups(draw, depth, seed, start, stop):
+        # each level's occupancy, root first, in bits: bytes would add a
+        # quarter to the arrays of a group
+        occupied = [np.packbits(x > -2, axis=-1) for x in _settle(levels)][::-1]
+        size = sizes[done : done + len(trees)]
+        mask = occupied[0] > 0  # each tree's cluster vertices on the current level
+        for lvl in range(1, depth + 1):
+            hits = mask.sum(axis=1)
+            if not hits.any():
                 break
-            sizes[j] += hits
-            mask = np.repeat(mask, 2) & level
-        sizes[j] += mask.sum()
-        censored[j] = mask.any()
+            size += hits
+            level = np.unpackbits(occupied[lvl], axis=-1, count=1 << lvl).view(bool)
+            mask = np.repeat(mask, 2, axis=1) & level
+        size += mask.sum(axis=1)
+        censored[done : done + len(trees)] = mask.any(axis=1)
+        done += len(trees)
     return sizes, censored
 
 

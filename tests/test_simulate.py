@@ -27,7 +27,6 @@ from parkcrit.laws import (
     poisson,
 )
 from parkcrit.simulate import (
-    _draw_levels,
     _positive_masses,
     estimate_root_law,
     make_sampler,
@@ -36,6 +35,11 @@ from parkcrit.simulate import (
 )
 
 B02 = binary0k(Fraction(1, 14))
+
+
+def draw_levels(draw, seed, index, depth):
+    """Arrival counts of one sample, levels 0..depth as views of one draw of its tree."""
+    return simulate._split(draw(simulate._sample_rng(seed, index), (2 << depth) - 1), depth)
 
 
 def test_depth_zero_is_the_arrival_law():
@@ -87,9 +91,10 @@ def test_cluster_stats_prefix_stable_in_sample_count():
 
 # Both kinds of binary0k law: the sparse one leaves most root loads at 0, the
 # dense one gives every sample its own load.  The sample counts straddle the
-# settle batch of 64 samples and the splits over 2 and 3 threads.
+# groups of trees drawn and settled together (a power of two, 16 at most),
+# the settle batch of 16 samples and the splits over 2 and 3 threads.
 STREAM_LAWS = [B02, binary0k(Fraction(1, 5), k=3)]
-BATCH_EDGES = (1, 63, 64, 65, 130)
+BATCH_EDGES = (1, 2, 3, 15, 16, 17, 33, 130)
 
 
 @pytest.mark.parametrize("law", STREAM_LAWS, ids=str)
@@ -144,7 +149,7 @@ def test_sample_prefix_stable_at_batch_edges(law, depth):
     # and each equals its tree settled alone, a level at a time
     draw = make_sampler(law)
     for i, got in enumerate(long):
-        levels = _draw_levels(draw, 3, i, depth)
+        levels = draw_levels(draw, 3, i, depth)
         load = levels[-1].astype(np.int64)
         for arrivals in reversed(levels[:-1]):
             surplus = np.maximum(load - 1, 0)
@@ -263,7 +268,7 @@ def test_pinned_level_digests(name):
     draw = make_sampler(PINNED_STREAMS[name][0])
     digest = hashlib.sha256()
     for i in range(40):
-        for x in _draw_levels(draw, 2026, i, 12):
+        for x in draw_levels(draw, 2026, i, 12):
             digest.update(x.astype("<i4").tobytes())
     assert digest.hexdigest()[:16] == PINNED_LEVEL_DIGESTS[name]
 
@@ -280,8 +285,8 @@ def test_draw_levels_extend_to_the_next_depth(name, depth):
     # draws one more level, so estimates are coupled across depths
     draw = make_sampler(DRAW_LEVEL_LAWS[name])
     for index in range(3):
-        got = _draw_levels(draw, 2026, index, depth)
-        deeper = _draw_levels(draw, 2026, index, depth + 1)
+        got = draw_levels(draw, 2026, index, depth)
+        deeper = draw_levels(draw, 2026, index, depth + 1)
         assert len(got) == depth + 1 and len(deeper) == depth + 2
         for lvl, (g, w) in enumerate(zip(got, deeper)):
             assert g.tolist() == w.tolist(), (index, lvl)
@@ -298,7 +303,7 @@ def test_draw_levels_match_one_draw_per_level(name, depth):
         for lvl in range(depth + 1):
             rng = np.random.Generator(np.random.SFC64((2026 << 64) + index))
             want.append(draw(rng, (2 << lvl) - 1)[(1 << lvl) - 1 :])
-        got = _draw_levels(draw, 2026, index, depth)
+        got = draw_levels(draw, 2026, index, depth)
         assert len(got) == depth + 1
         for lvl, (g, w) in enumerate(zip(got, want)):
             assert g.tolist() == w.tolist(), (index, lvl)
@@ -340,11 +345,12 @@ def test_budget_that_caps_nothing_is_refused_before_sampling(monkeypatch, run, d
 def test_loads_beyond_int32_are_refused_before_any_draw(monkeypatch, run, law, depth):
     # loads settle in int32: poisson(3e8) wrapped to about 2.05e8 a sample
     # where the root load is about 4.5e9, geometric(1e8) gave negative loads
-    # and k = 2^32 raised a raw OverflowError; numpy 1.24 may only warn
+    # and k = 2^32 raised a raw OverflowError; numpy 1.24 may only warn.
+    # Every tree is drawn from its own stream, so no stream may be made.
     def refuse(*args):
         raise AssertionError("a tree was drawn")
 
-    monkeypatch.setattr(simulate, "_draw_levels", refuse)
+    monkeypatch.setattr(simulate, "_sample_rng", refuse)
     with pytest.raises(BudgetExceeded, match="int32"):
         run(law, depth, 3, seed=1)
 
@@ -477,16 +483,16 @@ class RecordingRng:
 class ZeroGapRng(RecordingRng):
     """Every gap uniform is 0, so every node is an arrival site."""
 
-    def random(self, size):
+    def random(self, size, out=None):
         self.calls.append(("random", size))
-        rows = self.rng.random(size)
+        rows = self.rng.random(size, out=out)
         rows[:, 0] = 0.0
         return rows
 
 
 @pytest.fixture
 def recorded(monkeypatch):
-    """The RecordingRng of each sample that _draw_levels draws, in order."""
+    """The RecordingRng of each sample that draw_levels draws, in order."""
     rngs, sample_rng = [], simulate._sample_rng
 
     def recording(seed, index):
@@ -510,7 +516,7 @@ SPARSE_LAWS = {
 def test_sparse_level_has_the_arrival_law(name, recorded):
     law, depth = SPARSE_LAWS[name], 15
     size = (2 << depth) - 1
-    tree = np.concatenate(_draw_levels(make_sampler(law), 31, 0, depth))
+    tree = np.concatenate(draw_levels(make_sampler(law), 31, 0, depth))
     counts = np.bincount(tree, minlength=12)
     # one block of rows, far fewer than one per node: a gap uniform per site,
     # and a value uniform unless every site takes the same value
@@ -548,7 +554,7 @@ def test_sparse_level_with_vanishing_arrival_probability():
 def test_dense_level_when_arrivals_are_common(recorded):
     # P(A > 0) = 1 - exp(-2) is above the cut-off, so the whole tree is one
     # dense call
-    _draw_levels(make_sampler(poisson(2)), 2026, 0, 16)
+    draw_levels(make_sampler(poisson(2)), 2026, 0, 16)
     assert recorded[0].calls == [("poisson", (2 << 16) - 1)]
 
 
@@ -615,3 +621,167 @@ def test_cluster_size_one_matches_the_weight_table():
 def test_cluster_depth_cap():
     with pytest.raises(BudgetExceeded):
         root_cluster_stats(B02, depth=23, samples=10)
+
+
+# --- the grouped kernel against one tree at a time ----------------------------
+
+def gap_tree(rng, size, q, value):
+    """A sparse tree drawn one block of rows at a time, with its sites summed
+    in floats and its values found by a binary search: row j's first uniform
+    sets the gap to site j, its second, if value is a table, the site's
+    value."""
+    tree = np.zeros(size, dtype=np.int32)
+    log_miss = math.log1p(-q)
+    cols = 1 if isinstance(value, int) else 2
+    last = -1.0
+    while last < size - 1:
+        rows = rng.random((1000, cols))
+        gaps = np.maximum(np.log1p(-rows[:, 0]), (size + 1) * log_miss)
+        sites = np.cumsum(np.floor(gaps / log_miss) + 1.0) + last
+        inside = sites <= size - 1
+        if cols == 1:
+            tree[sites[inside].astype(np.intp)] = value
+        else:
+            masses, values = value
+            cdf = np.cumsum(masses)
+            idx = np.minimum(np.searchsorted(cdf, rows[inside, 1], side="right"), len(cdf) - 1)
+            tree[sites[inside].astype(np.intp)] = values[idx]
+        last = sites[-1]
+    return tree
+
+
+def table(law):
+    """The masses of A | A > 0 and their values, as the sparse draw reads them."""
+    masses, q = _positive_masses(law)
+    return q, (np.divide(masses, q), np.arange(1, len(masses) + 1))
+
+
+POISSON_Q, POISSON_TABLE = table(poisson(0.1))
+FINITE_Q, FINITE_TABLE = table(PINNED_STREAMS["finite"][0])
+# law, and its tree of `size` nodes drawn from rng
+REFERENCE_LAWS = {
+    "sparse-one-column": (B02, lambda rng, size: gap_tree(rng, size, 1 / 28, 2)),
+    "sparse-poisson": (
+        poisson(0.1), lambda rng, size: gap_tree(rng, size, POISSON_Q, POISSON_TABLE)),
+    "sparse-finite": (
+        PINNED_STREAMS["finite"][0],
+        lambda rng, size: gap_tree(rng, size, FINITE_Q, FINITE_TABLE)),
+    "dense-binary0k": (
+        binary0k(Fraction(1, 5), k=3),
+        lambda rng, size: (rng.random(size, dtype=np.float32) < 0.2 / 3).astype(np.int32) * 3),
+    "dense-poisson": (poisson(0.5), lambda rng, size: rng.poisson(0.5, size)),
+}
+
+
+def settled_alone(tree, depth):
+    """(root load, cluster size, censored) of one tree, settled a level at a time."""
+    levels = [tree[(1 << lvl) - 1 : (2 << lvl) - 1].astype(np.int64) for lvl in range(depth + 1)]
+    loads = [levels[-1]]
+    for arrivals in reversed(levels[:-1]):
+        surplus = np.maximum(loads[0] - 1, 0)
+        loads.insert(0, arrivals + surplus[0::2] + surplus[1::2])
+    cluster, size = loads[0] > 0, 0
+    for lvl in range(depth + 1):
+        size += int(cluster.sum())
+        if lvl < depth:
+            cluster = np.repeat(cluster, 2) & (loads[lvl + 1] > 0)
+    return int(loads[0][0]), size, bool(cluster.any())
+
+
+def reference_run(law, depth, samples, seed, rng_of=None):
+    """Root loads, cluster size counts and censored count, one tree at a time."""
+    draw = REFERENCE_LAWS[law][1]
+    rng_of = rng_of or (lambda i: np.random.Generator(np.random.SFC64((seed << 64) + i)))
+    runs = [settled_alone(draw(rng_of(i), (2 << depth) - 1), depth) for i in range(samples)]
+    sizes = Counter(size for _, size, _ in runs)
+    counts = tuple(sizes[n] for n in range(max(sizes) + 1))
+    return [load for load, _, _ in runs], counts, sum(c for _, _, c in runs)
+
+
+# Sample counts by depth: a group holds up to 16 trees of depth 10 or 11,
+# 2 of depth 16 and 1 of depth 18; 130 and 35 straddle the settle batch of
+# 16, and split over 2 to 4 threads they leave part groups.
+REFERENCE_SAMPLES = {0: 130, 1: 130, 10: 130, 11: 130, 16: 35, 18: 5}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_LAWS))
+@pytest.mark.parametrize("depth", sorted(REFERENCE_SAMPLES))
+def test_grouped_runs_match_one_tree_at_a_time(name, depth):
+    law, samples = REFERENCE_LAWS[name][0], REFERENCE_SAMPLES[depth]
+    loads, counts, censored = reference_run(name, depth, samples, seed=77)
+    for threads in (1, 2, 3, 4):
+        got = sample_root_load(law, depth, samples, seed=77, threads=threads)
+        assert got.tolist() == loads, threads
+        stats = root_cluster_stats(law, depth, samples, seed=77, threads=threads)
+        assert (stats.size_counts, stats.censored) == (counts, censored), threads
+    for samples in (n for n in BATCH_EDGES if n < samples):
+        got = sample_root_load(law, depth, samples, seed=77, threads=2)
+        assert got.tolist() == loads[:samples], samples
+
+
+@pytest.mark.parametrize("name", ["sparse-one-column", "sparse-poisson"])
+def test_a_tree_whose_first_block_ends_inside_it_draws_on_alone(monkeypatch, name):
+    # sample 1 reads gap uniforms of 0: every node is a site, so its first
+    # block of rows ends far inside its tree, while the rest of its group
+    # places each tree's sites from one block.  At depth 11 sample_root_load
+    # folds the deepest level into the one above, and root_cluster_stats
+    # keeps it.
+    law, depth, rngs = REFERENCE_LAWS[name][0], 11, {}
+
+    def rng_of(i):
+        rng = np.random.Generator(np.random.SFC64((5 << 64) + i))
+        return ZeroGapRng(rng) if i == 1 else RecordingRng(rng)
+
+    def recording(seed, index):
+        rngs[index] = rng_of(index)
+        return rngs[index]
+
+    loads, counts, censored = reference_run(name, depth, 4, seed=5, rng_of=rng_of)
+    monkeypatch.setattr(simulate, "_sample_rng", recording)
+    assert sample_root_load(law, depth, 4, seed=5).tolist() == loads
+    calls = [len(rngs[i].calls) for i in range(4)]
+    assert calls[1] > 1 and calls[:1] + calls[2:] == [1, 1, 1]
+    stats = root_cluster_stats(law, depth, 4, seed=5)
+    assert (stats.size_counts, stats.censored) == (counts, censored)
+    assert counts[-1] == 1 and censored == 1  # the tree of sites fills to the bottom
+
+
+@pytest.mark.parametrize(
+    "law",
+    [poisson(0.1), poisson(0.25), poisson(1e-6), geometric(Fraction(1, 10)),
+     PINNED_STREAMS["finite"][0], nongeneric_example(Fraction(1, 2))],
+    ids=str,
+)
+def test_cut_lookup_matches_a_binary_search(law):
+    # u below the second cut takes its value from one comparison; the rest
+    # must find what a binary search over the whole table finds
+    masses, q = _positive_masses(law)
+    for table, base in ((np.divide(masses, q), 1), (masses[:1], 1), (masses[:2], 1),
+                        (law.float_coefficients(len(masses)), 0)):
+        cdf = np.cumsum(table)
+        lookup = simulate._inverse_cdf(table, base)
+        for dtype in (np.float64, np.float32):
+            u = np.concatenate([[0.0], cdf, [np.nextafter(1.0, 0.0)],
+                                np.random.default_rng(8).random(10**5)]).astype(dtype)
+            want = base + np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+            assert lookup(u, np.empty(len(u), np.int32)).tolist() == want.tolist()
+            rows = u[:100_000].reshape(2, -1)
+            got = lookup(rows, np.empty(rows.shape, np.int32))
+            assert got.reshape(-1).tolist() == want[:100_000].tolist()
+
+
+def test_root_load_histogram_stops_at_load_bins():
+    # poisson(1e5) at depth 3 gives root loads near 1.5e6: a bin per load
+    # took 1.5 million bins for 4 samples
+    stats = estimate_root_law(poisson(1e5), 3, 4, seed=1)
+    loads = sample_root_load(poisson(1e5), 3, 4, seed=1)
+    assert stats.root_load_counts == (0,) * simulate.LOAD_BINS
+    assert stats.root_load_tail == 4
+    assert stats.flux_probs == (0.0,) * (simulate.LOAD_BINS - 1)
+    assert stats.mean_load == loads.mean()
+    # poisson(70) gives 15 nodes about 1050 cars and the root about 1036
+    loads = sample_root_load(poisson(70), 3, 60, seed=2)
+    stats = estimate_root_law(poisson(70), 3, 60, seed=2)
+    assert 0 < stats.root_load_tail == np.sum(loads >= simulate.LOAD_BINS) < 60
+    assert stats.root_load_counts == tuple(
+        int(np.sum(loads == k)) for k in range(simulate.LOAD_BINS))
