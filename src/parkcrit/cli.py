@@ -277,6 +277,7 @@ def _cmd_enumerate(args):
         "source": table.source,
         "oracle_checked": bool(args.oracle),
         "entries": entries,
+        "max_row_bits": list(table.row_bits),
     }
     _emit(args, payload, [])
     return 0

@@ -16,7 +16,7 @@ Both require a law with exact rational coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -173,7 +173,9 @@ class FptTable:
     """Weights of fully parked trees: rows[n][p] for n vertices, flux p.
 
     Row 0 is identically zero and kept only so that rows[n] lines up
-    with vertex count n.  Entries are exact Fractions.
+    with vertex count n.  Entries are exact Fractions.  row_bits[n] is the
+    bit length of the largest int in row n of the recursion that built
+    the table; it is empty for other tables and is not part of the CSV.
     """
 
     law_desc: str
@@ -181,6 +183,7 @@ class FptTable:
     flux_order: int  # largest p
     rows: tuple
     source: str
+    row_bits: tuple = field(default=(), compare=False)
 
     def coefficient(self, n, p):
         return self.rows[n][p]
@@ -230,6 +233,8 @@ class FptTable:
                     cell = Fraction(num, den)
                 except (ValueError, ZeroDivisionError) as exc:
                     raise EnumerationError(f"bad table row: {line!r}") from exc
+                if cell < 0:
+                    raise EnumerationError(f"table file has a negative weight: {line!r}")
                 if (n, p) in cells:
                     raise EnumerationError(f"table file repeats the ({n}, {p}) entry")
                 cells[(n, p)] = cell
@@ -238,6 +243,10 @@ class FptTable:
             big_p = int(meta["flux_order"])
         except (KeyError, ValueError) as exc:
             raise EnumerationError("table file is missing its order metadata") from exc
+        if big_n < 1 or big_p < 0:
+            raise EnumerationError(
+                f"table file has orders ({big_n}, {big_p}); a table needs at least (1, 0)"
+            )
         rows = [tuple([Fraction(0)] * (big_p + 1))]
         for n in range(1, big_n + 1):
             row = []
@@ -260,27 +269,77 @@ class FptTable:
         )
 
 
-def _conv(a, b, out_len, out=None, start=0):
-    """Add the product a * b, entered at index start, into out[:out_len]
-    (new zeros if None): out[start + k] gains the sum of a[i] b[j] over
-    i + j = k.
+def _packed_rows(h, first):
+    """Rows u_0 .. u_N of the recursion, row n starting at M = first[n], and
+    the bit length of each row's largest int.
 
-    A table row begins at the first M its trees can hold, so a product of
-    two rows enters the sum it feeds at an offset, start.  Only nonzero
-    pairs are multiplied.
+    Each row is kept both as a list and packed into one int, entry k of
+    u_n (at M = first[n] + k) in slot k; every slot has the same width, so
+    a product of two packed rows is the packed product of the rows.  Every
+    entry and every h[j] is >= 0, so no slot borrows and carries only move
+    upward: once each slot below need (the slots a row can reach) is wide
+    enough for the entry it ends holding, masking off the slots above it
+    leaves every entry exact.  An entry of w is a sum of at most
+    (n + 1) * need products, each below 2**(bits of u_i + bits of u_j), and
+    an entry of h * w a sum of at most len(h) of those times an h[j], which
+    bounds the slot width.  When that bound outgrows the width, the slots
+    widen by about a quarter, and each row is packed again when a product
+    next uses it.
     """
-    if out is None:
-        out = [0] * out_len
-    width = max(out_len - start, 0)
-    b_nonzero = [(j, bj) for j, bj in enumerate(b[:width]) if bj]
-    for i, ai in enumerate(a[:width], start):
-        if ai:
-            room = out_len - i
-            for j, bj in b_nonzero:
-                if j >= room:
-                    break
-                out[i + j] += ai * bj
-    return out
+    top, vertex_order = len(h) - 1, len(first) - 1
+    rows = [[]] * (vertex_order + 1)
+    bits = [0] * (vertex_order + 1)
+    packed = [0] * (vertex_order + 1)
+    packed_at = [0] * (vertex_order + 1)  # the slot width in bytes each row was packed at
+    rows[1] = h[1:]
+    bits[1] = max(rows[1], default=0).bit_length()
+    h_bits = (max(h) * len(h)).bit_length()
+    size, h_packed = 0, 0  # the slot width in bytes, and h packed at it
+
+    def pack(row):
+        return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in row), "little")
+
+    def row_at_width(i):
+        if packed_at[i] != size:
+            packed[i], packed_at[i] = pack(rows[i]), size
+        return packed[i]
+
+    def low(x, slots):
+        """x cut to its lowest slots."""
+        return x & (1 << slots * width) - 1
+
+    for n in range(2, vertex_order + 1):
+        count = top + 1 - first[n]
+        if count <= 0:
+            break  # first[n] only grows, so this row and all later ones are empty
+        lo = first[n - 1]
+        need = top + 1 - lo
+        # bits[0] = 0 stands for the term 2 u_{n-1}
+        widest = max(bits[i] + bits[n - 1 - i] for i in range(n // 2 + 1))
+        slot_bits = widest + ((n + 1) * need).bit_length() + h_bits + 1
+        if slot_bits > 8 * size:
+            size = (slot_bits + slot_bits // 4) // 8 + 1
+            h_packed = pack(h)
+        width = 8 * size
+        # u_{n-1} plus the pair products with a < b, doubled, plus the middle
+        # square; a product enters w at start = need - reach slots
+        w = row_at_width(n - 1)
+        for i in range(1, n // 2):
+            reach = need - first[i] - first[n - 1 - i] + lo
+            if reach > 0:
+                x, y = low(row_at_width(i), reach), low(row_at_width(n - 1 - i), reach)
+                w += low(x * y, reach) << (need - reach) * width
+        w <<= 1
+        reach = need - 2 * first[n // 2] + lo
+        if n % 2 and reach > 0:
+            x = low(row_at_width(n // 2), reach)
+            w += low(x * x, reach) << (need - reach) * width
+        row = low(w * low(h_packed, need) >> (first[n] - lo) * width, count)
+        data = row.to_bytes(count * size, "little")
+        rows[n] = [int.from_bytes(data[k : k + size], "little") for k in range(0, len(data), size)]
+        bits[n] = max(rows[n]).bit_length()
+        packed[n], packed_at[n] = row, size
+    return rows, bits
 
 
 def tutte_series(law, vertex_order, flux_order):
@@ -301,9 +360,11 @@ def tutte_series(law, vertex_order, flux_order):
     to the same M = (N + P) // s; a tighter cut would corrupt the top
     rows.
 
-    The recursion runs on plain ints; cell (n, p) is the int
-    u_n[(n + p) / s] * a**n * b**((n + p) / s), made a Fraction only then,
-    and zero where s does not divide n + p.
+    The recursion runs on plain ints, each row packed into one int so that
+    a product of two rows is one big-int multiplication (_packed_rows);
+    cell (n, p) is the int u_n[(n + p) / s] * a**n * b**((n + p) / s), made
+    a Fraction only then, and zero where s does not divide n + p.  The
+    table's row_bits[n] is the bit length of the largest int of u_n.
     """
     vertex_order = _order(vertex_order, "vertex order")
     flux_order = _order(flux_order, "flux order")
@@ -312,22 +373,8 @@ def tutte_series(law, vertex_order, flux_order):
     if not law.is_exact:
         raise NonExactLaw(f"{law.describe()} has no exact coefficients")
     h, a, b, s = law.integer_masses(vertex_order + flux_order)
-    top = len(h) - 1  # the largest M of every row
     first = [-(-n // s) for n in range(vertex_order + 1)]  # row n starts at M = first[n]
-
-    u = [None] * (vertex_order + 1)
-    u[1] = h[1:]
-    for n in range(2, vertex_order + 1):
-        lo = first[n - 1]
-        need = top + 1 - lo  # at most 0 once rows are empty: _conv then adds nothing
-        # u_{n-1} plus the pair products with a < b, doubled, plus the middle square
-        w = list(u[n - 1])
-        for i in range(1, n // 2):
-            _conv(u[i], u[n - 1 - i], need, w, first[i] + first[n - 1 - i] - lo)
-        w = [2 * v for v in w]
-        if n % 2:
-            _conv(u[n // 2], u[n // 2], need, w, 2 * first[n // 2] - lo)
-        u[n] = _conv(h, w, need)[first[n] - lo :]
+    u, row_bits = _packed_rows(h, first)
 
     zero = Fraction(0)
     rows = [tuple([zero] * (flux_order + 1))]
@@ -348,6 +395,7 @@ def tutte_series(law, vertex_order, flux_order):
         flux_order=flux_order,
         rows=tuple(rows),
         source="recursion",
+        row_bits=tuple(row_bits),
     )
 
 

@@ -282,6 +282,8 @@ def test_enumerate_json_entries(capsys):
     doc = json.loads(out)
     cells = {(e["n"], e["p"]): e for e in doc["entries"]}
     assert cells[(2, 0)]["weight"] == "27/392"
+    # rows u_0, u_1 = [1, 0] and u_2 = [2, 2] of the recursion, in units of k = 2 cars
+    assert doc["max_row_bits"] == [0, 1, 2]
 
 
 def test_simulate_json(capsys):
@@ -422,12 +424,16 @@ def test_verify_rejects_corrupted_table(tmp_path, capsys):
     assert code == 0
     table = path.read_text()
     corruptions = {
-        # a wrong weight, a repeated cell whose last copy is right, and a
-        # cell beyond the declared orders (3, 2)
+        # a wrong weight, a repeated cell whose last copy is right, a cell
+        # beyond the declared orders (3, 2), a negative weight and an order
+        # below (1, 0)
         "entry (2, 0) is 1/14, recomputed 27/392": table.replace("2,0,27,392", "2,0,28,392"),
         "EnumerationError: table file repeats the (1, 0) entry":
             table.replace("\n1,0,", "\n1,0,999,1\n1,0,", 1),
         "EnumerationError: table file has the (9, 9) entry": table + "9,9,5,7\n",
+        "EnumerationError: table file has a negative weight": table.replace("1,1,1,28", "1,1,1,-28"),
+        "EnumerationError: table file has orders (3, -1)":
+            table.replace("flux_order: 2", "flux_order: -1"),
     }
     for detail, text in corruptions.items():
         path.write_text(text)
@@ -578,7 +584,7 @@ def key_paths(obj, prefix=""):
         (
             ("enumerate",) + B0K + ("1/14", "--vertex-order", "2", "--flux-order", "1"),
             LAW_KEYS + ["vertex_order", "flux_order", "source", "oracle_checked", "entries",
-                        "entries[].n", "entries[].p", "entries[].weight"],
+                        "entries[].n", "entries[].p", "entries[].weight", "max_row_bits"],
         ),
         (
             ("flux",) + B0K + ("1/20", "--order", "4"),

@@ -201,6 +201,8 @@ def test_csv_round_trip(tmp_path):
     assert back.vertex_order == table.vertex_order
     assert back.flux_order == table.flux_order
     assert back.law_desc == table.law_desc
+    # row_bits describe how the table was computed and stay out of the CSV
+    assert back.row_bits == () and table.row_bits and back == table
 
 
 def test_csv_rejects_garbage(tmp_path):
@@ -210,6 +212,23 @@ def test_csv_rejects_garbage(tmp_path):
         FptTable.read_csv(path)
     path.write_text("# fully parked tree weight table\n")
     with pytest.raises(EnumerationError):
+        FptTable.read_csv(path)
+
+
+def test_csv_refuses_orders_below_one_vertex(tmp_path):
+    # this used to read as FptTable(vertex_order=-2, ...) with no rows
+    path = tmp_path / "bad.csv"
+    path.write_text("# vertex_order: -2\n# flux_order: 1\nn,p,numerator,denominator\n")
+    with pytest.raises(EnumerationError, match="orders"):
+        FptTable.read_csv(path)
+
+
+@pytest.mark.parametrize("cell", ["1,0,-1,2", "1,0,1,-2"])
+def test_csv_refuses_negative_weights(tmp_path, cell):
+    # each of these used to read as the weight -1/2
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# vertex_order: 1\n# flux_order: 0\nn,p,numerator,denominator\n{cell}\n")
+    with pytest.raises(EnumerationError, match="negative"):
         FptTable.read_csv(path)
 
 
@@ -240,6 +259,117 @@ LARGE_TABLE_DIGESTS = [
 def test_large_tables_pinned(law, n, digest):
     csv = tutte_series(law, n, 5).csv_text()
     assert hashlib.sha256(csv.encode()).hexdigest()[:16] == digest
+
+
+def conv(a, b, out_len, out=None, start=0):
+    """Add the product a * b, entered at index start, into out[:out_len]
+    (new zeros if None): out[start + k] gains the sum of a[i] b[j] over
+    i + j = k.  Only nonzero pairs are multiplied."""
+    if out is None:
+        out = [0] * out_len
+    width = max(out_len - start, 0)
+    b_nonzero = [(j, bj) for j, bj in enumerate(b[:width]) if bj]
+    for i, ai in enumerate(a[:width], start):
+        if ai:
+            room = out_len - i
+            for j, bj in b_nonzero:
+                if j >= room:
+                    break
+                out[i + j] += ai * bj
+    return out
+
+
+def reference_rows(h, s, vertex_order):
+    """The rows u_n of tutte_series's recursion on lists of ints, one
+    product of two entries at a time: the reference for tables beyond the
+    oracle's reach."""
+    top = len(h) - 1
+    first = [-(-n // s) for n in range(vertex_order + 1)]
+    u = [[]] * (vertex_order + 1)
+    u[1] = h[1:]
+    for n in range(2, vertex_order + 1):
+        lo = first[n - 1]
+        need = top + 1 - lo
+        w = list(u[n - 1])
+        for i in range(1, n // 2):
+            conv(u[i], u[n - 1 - i], need, w, first[i] + first[n - 1 - i] - lo)
+        w = [2 * v for v in w]
+        if n % 2:
+            conv(u[n // 2], u[n // 2], need, w, 2 * first[n // 2] - lo)
+        u[n] = conv(h, w, need)[first[n] - lo :]
+    return u
+
+
+def assert_matches_reference(law, vertex_order, flux_order):
+    """tutte_series's cells against u_n[M] a**n b**M from the reference rows,
+    and its row_bits against the reference rows' largest ints."""
+    table = tutte_series(law, vertex_order, flux_order)
+    h, a, b, s = law.integer_masses(vertex_order + flux_order)
+    u = reference_rows(h, s, vertex_order)
+    rows = [[Fraction(0)] * (flux_order + 1) for _ in range(vertex_order + 1)]
+    for n in range(1, vertex_order + 1):
+        first = -(-n // s)  # row n starts at M = ceil(n / s)
+        for p in range(flux_order + 1):
+            if (n + p) % s == 0:
+                m = (n + p) // s
+                rows[n][p] = u[n][m - first] * a**n * b**m
+    assert table.rows == tuple(map(tuple, rows))
+    assert table.row_bits == tuple(max(row, default=0).bit_length() for row in u)
+    return table
+
+
+@st.composite
+def exact_laws(draw):
+    """A finite law with denominators up to 2**31 - 1 on the multiples of a
+    stride 1-4, a geometric law whose b has a numerator above 1, or binary0k
+    with k <= 7."""
+    kind = draw(st.sampled_from(("finite", "geometric", "binary0k")))
+    if kind == "finite":
+        s = draw(st.integers(1, 4))
+        support = [0] + draw(st.lists(st.integers(1, 5), min_size=1, max_size=4, unique=True))
+        if s * max(support) < 2:
+            support.append(2)  # all mass on {0, 1} is refused
+        weights = [draw(st.integers(1, (2**31 - 1) // 5)) for _ in support]
+        probs = [Fraction(0)] * (s * max(support) + 1)
+        for k, w in zip(support, weights):
+            probs[s * k] = Fraction(w, sum(weights))
+        return make_finite_law(probs)
+    if kind == "geometric":
+        alpha = st.builds(Fraction, st.integers(2, 9), st.integers(1, 30))
+        return geometric(draw(alpha.filter(lambda f: f.numerator > 1)))
+    k = draw(st.integers(2, 7))
+    return binary0k(Fraction(draw(st.integers(1, 9)), draw(st.integers(10, 40))), k)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(law=exact_laws(), vertex_order=st.integers(1, 45), flux_order=st.integers(0, 8))
+def test_packed_rows_match_the_reference_recursion(law, vertex_order, flux_order):
+    assert_matches_reference(law, vertex_order, flux_order)
+
+
+def test_slots_widen_as_rows_grow():
+    # every row multiplies by h[0] = 2**31 - 8, so each gains about 31 bits
+    # and the slots, at most a quarter wider than the bound that set them,
+    # widen six times by n = 12
+    d = 2**31 - 1
+    law = make_finite_law([Fraction(d - 7, d), Fraction(3, d), Fraction(2, d), Fraction(2, d)])
+    table = assert_matches_reference(law, 12, 3)
+    assert table.row_bits[2] < 40 and table.row_bits[12] > 250
+
+
+@pytest.mark.parametrize(
+    "law, vertex_order, flux_order, last_nonempty",
+    [
+        (binary0k(Fraction(1, 14), 4), 6, 1, 4),  # rows 5 and 6 would start past M = 7 // 4
+        (binary0k(Fraction(1, 14), 9), 5, 2, 0),  # stride past N + P: every row is empty
+        (geometric(Fraction(2, 5)), 1, 0, 1),
+    ],
+)
+def test_tables_with_empty_rows_or_one_cell(law, vertex_order, flux_order, last_nonempty):
+    table = assert_matches_reference(law, vertex_order, flux_order)
+    assert all(bits == 0 for bits in table.row_bits[last_nonempty + 1 :])
+    assert all(c == 0 for row in table.rows[last_nonempty + 1 :] for c in row)
+    assert len(table.rows) == vertex_order + 1
 
 
 @pytest.mark.parametrize("orders", [(2.5, 3), (3, 2.5), ("3", 1), (3.0, 1)])
