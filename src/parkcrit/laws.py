@@ -374,6 +374,12 @@ class PoissonLaw(ArrivalLaw):
         a = self.alpha
         return math.exp(-a + k * math.log(a) - math.lgamma(k + 1)) if k else math.exp(-a)
 
+    def float_coefficients(self, K):
+        """coefficient(k) for k = 0..K, with log(alpha) taken once."""
+        a = self.alpha
+        log_a, exp, lgamma = math.log(a), math.exp, math.lgamma
+        return [exp(-a)] + [exp(-a + k * log_a - lgamma(k + 1)) for k in range(1, K + 1)]
+
     def mean(self):
         return self.alpha
 
@@ -433,6 +439,14 @@ class GeometricLaw(ArrivalLaw):
         a = self.alpha
         base = 1 / (1 + a) if isinstance(a, Fraction) else 1.0 / (1 + a)
         return base * (a / (1 + a)) ** k
+
+    def float_coefficients(self, K):
+        if self.is_exact:
+            return super().float_coefficients(K)
+        # coefficient(k) for a float alpha, with the base and the ratio taken once
+        a = self.alpha
+        base, ratio = 1.0 / (1 + a), a / (1 + a)
+        return [base * ratio**k for k in range(K + 1)]
 
     def integer_masses(self, K):
         """With alpha = n/d in lowest terms, P(A = k) = d/(n+d) * (n/(n+d))**k: h is all ones."""
@@ -515,6 +529,16 @@ class NongenericExampleLaw(ArrivalLaw):
         if k == 0:
             return 1.0 - m + m * base
         return m * base
+
+    def float_coefficients(self, K):
+        """coefficient(k) for k = 0..K, reading the binomial table once."""
+        m, c = self._mix_f, -_NONGEN_C
+        _nongen_binomial(K)
+        out = [m * (c * b) for b in _NONGEN_BINOMIAL[: K + 1]]
+        out[0] = 1.0 - m + m * self._base_coefficient(0)
+        if K >= 2:
+            out[2] = m * self._base_coefficient(2)
+        return out
 
     @staticmethod
     def _base_coefficient(k):

@@ -8,12 +8,15 @@ shows up as a drift from these constants.
 import dataclasses
 import hashlib
 import math
+import operator
+import sys
+import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from parkcrit import analytic
@@ -35,6 +38,7 @@ from parkcrit.analytic import (
 from parkcrit.errors import (
     BracketFailure,
     IterationCapExceeded,
+    NegativeCoefficient,
     NoRootWithinBudget,
     NoSolution,
     NotCritical,
@@ -115,18 +119,41 @@ def _patch_report(monkeypatch, **fields):
     monkeypatch.setattr(analytic, "classify", lambda law: dataclasses.replace(true(law), **fields))
 
 
-def test_flux_refuses_entries_that_are_not_probabilities(monkeypatch):
-    # P(flux = 0) = sqrt(p / mu0) overflows to inf
+# below the first block, on one block, and over several
+_BLOCK_ORDERS = [analytic._FLUX_BLOCK - 1, 40, 3 * analytic._FLUX_BLOCK + 5]
+
+
+@pytest.mark.parametrize("order", _BLOCK_ORDERS)
+def test_flux_refuses_entries_that_are_not_probabilities(monkeypatch, order):
+    # P(flux = 0) = sqrt(p / mu0) overflows to inf, and every later entry is
+    # NaN: the blocks carry that through without a numpy warning
     _patch_report(monkeypatch, empty_prob=math.inf)
-    with pytest.raises(NoSolution, match=r"P\(flux = 0\) came out inf"):
-        flux_distribution(B02_SUB)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoSolution, match=r"P\(flux = 0\) came out inf"):
+            flux_distribution(B02_SUB, order)
 
 
-def test_flux_refuses_a_mass_above_one(monkeypatch):
+@pytest.mark.parametrize("order", _BLOCK_ORDERS + [200])
+def test_flux_refuses_an_overflow_without_a_warning(monkeypatch, order):
+    # an empty_prob of 1e-6 makes the entries grow until, at order 200, the
+    # blocks' products overflow: numpy must not warn, and the error is the
+    # one the first bad entry gives at any order
+    _patch_report(monkeypatch, empty_prob=1e-6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NegativeCoefficient, match=r"P\(flux = 4\) came out -8322929\.4"):
+            flux_distribution(B02_SUB, order)
+
+
+@pytest.mark.parametrize("order", [60] + _BLOCK_ORDERS[1:])
+def test_flux_refuses_a_mass_above_one(monkeypatch, order):
     # an empty_prob 2% low gives entries in [0, 1] that sum to 1 + 3.2e-11
     _patch_report(monkeypatch, empty_prob=0.98 * classify(poisson(0.1)).empty_prob)
-    with pytest.raises(NoSolution, match=r"flux mass 1\.00000000003\d* exceeds 1"):
-        flux_distribution(poisson(0.1), 60)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoSolution, match=r"flux mass 1\.00000000003\d* exceeds 1"):
+            flux_distribution(poisson(0.1), order)
 
 
 def test_critical_quantities_refuses_empty_prob_outside_unit_interval(monkeypatch):
@@ -442,7 +469,10 @@ def test_alpha_c_negative_tol_exhausts_the_cap(monkeypatch):
 # laws report no crit_density since.  binary0k("0.013", 3), binary0k("0.3", 30)
 # and the finite laws were re-recorded when binary0k became a finite law and
 # every finite law came to sum k p_k t^k and k (k - 1) p_k t^k over G for its
-# tilted moments: each moved float is within 1e-12 relative of its old value
+# tilted moments: each moved float is within 1e-12 relative of its old value.
+# Every flux digest but geometric(0.05)'s was re-recorded when the entries
+# from the first block on came from block solves: each moved entry is within
+# 1e-31 of the recurrence's
 PINNED_FIELDS = (
     "critical_time", "crit_density", "gf_at_crit", "lhs", "rhs", "gap",
     "empty_prob", "occupied_no_flux_prob",
@@ -456,7 +486,7 @@ PINNED_EXACT_LAWS = {
             "0x1.4d82b446159f3p+0", "0x1.360ad118567ccp-2",
             "0x1.d664b560044e6p-1", "0x1.a9d4f6385b600p-5",
         ),
-        "b70ac8a63d3cac7f",
+        "b9f2e6531c0bcc00",
     ),
     ("binary0k", ("1/14", 2)): (
         "critical",
@@ -466,7 +496,7 @@ PINNED_EXACT_LAWS = {
             "0x1.ffffffffffd60p-1", "0x0.0p+0",
             "0x1.c000000000001p-1", "0x1.3dc3d6b1c4798p-4",
         ),
-        "61400fa6cc73707d",
+        "590a703bc37f584b",
     ),
     ("binary0k", ("0.013", 3)): (
         "subcritical",
@@ -476,7 +506,7 @@ PINNED_EXACT_LAWS = {
             "0x1.b30405c277bcfp-1", "0x1.7fbd8c0baeb42p-2",
             "0x1.ef4fe34d01f65p-1", "0x1.2bd30a31973a0p-6",
         ),
-        "2971e5f650dfa67c",
+        "3d7eb7c2b8fb1e4b",
     ),
     ("binary0k", ("0.3", 30)): (
         "supercritical",
@@ -496,7 +526,7 @@ PINNED_EXACT_LAWS = {
             "0x1.b89e85984db42p-1", "0x1.afa801327b3a8p-3",
             "0x1.e0b10a8dfd661p-1", "0x1.471a78028f3f0p-5",
         ),
-        "8314d2ef9049f106",
+        "a35ebd492445de5f",
     ),
     ("finite", ("0.985", "0.005", "0", "0.006", "0.004")): (
         "supercritical",
@@ -516,7 +546,7 @@ PINNED_EXACT_LAWS = {
             "0x1.0000000000000p+0", "0x0.0p+0",
             "0x1.b000000000000p-1", "0x1.0b529158d5900p-3",
         ),
-        "e6aca060909adf63",
+        "8a84bfb75e6670fe",
     ),
     ("geometric", ("1/10",)): (
         "subcritical",
@@ -526,7 +556,7 @@ PINNED_EXACT_LAWS = {
             "0x1.5555555555555p+0", "0x1.5555555555554p-2",
             "0x1.c4e3a050533c6p-1", "0x1.a13882e6cffa0p-4",
         ),
-        "482f5b9cb85a9c53",
+        "a235656706b2c12a",
     ),
     ("nongeneric_example", ("1/10",)): (
         "subcritical",
@@ -536,7 +566,7 @@ PINNED_EXACT_LAWS = {
             "0x1.0000000000000p+0", "0x1.cb08d3dcb08d4p-2",
             "0x1.f6e92d352e9d4p-1", "0x1.13fa3cc6ca840p-6",
         ),
-        "5731b6846527f18b",
+        "cc116ba8c5de4e59",
     ),
     ("binary0k", (0.05, 2)): (
         "subcritical",
@@ -546,7 +576,7 @@ PINNED_EXACT_LAWS = {
             "0x1.4d82b446159f3p+0", "0x1.360ad118567ccp-2",
             "0x1.d664b560044e6p-1", "0x1.a9d4f6385b600p-5",
         ),
-        "b70ac8a63d3cac7f",
+        "b9f2e6531c0bcc00",
     ),
     ("binary0k", (0.3, 3)): (
         "supercritical",
@@ -566,7 +596,7 @@ PINNED_EXACT_LAWS = {
             "0x1.6c3ef314ef1eap+1", "0x1.031f19c69c62cp+0",
             "0x1.c95db352c0cb6p-1", "0x1.9adbc470522c0p-4",
         ),
-        "d99071058f9de552",
+        "33eea1de3bb5f315",
     ),
     ("poisson", (3 - 2 * math.sqrt(2),)): (
         "critical",
@@ -576,7 +606,7 @@ PINNED_EXACT_LAWS = {
             "0x1.6a09e667f3bd7p+0", "0x1.c000000000000p-50",
             "0x1.986fd998db4a8p-1", "0x1.6748857a84db0p-3",
         ),
-        "758d9394f8fafaf3"
+        "b43e3bc18bafdef6"
     ),
     ("geometric", (0.05,)): (
         "subcritical",
@@ -596,7 +626,7 @@ PINNED_EXACT_LAWS = {
             "0x1.0000000000000p+0", "0x0.0p+0",
             "0x1.b000000000000p-1", "0x1.0b529158d5900p-3",
         ),
-        "5375b1dfe8c68da9",
+        "c8e6661f2b5fe450",
     ),
 }
 
@@ -671,8 +701,35 @@ def test_empty_prob_matches_60_digits(kind, args):
         assert abs(Decimal(classify(law).empty_prob) - p) <= Decimal("2.5e-16")
 
 
+def reference_flux(law, order):
+    """P(flux = k) for k = 0..order by flux_distribution's recurrence alone,
+    q_n from q_0..q_{n-1} at every n, with its clipping of small negatives:
+    the reference for the block solves, which give the same head."""
+    p = classify(law).empty_prob
+    support = law.finite_support()
+    top = order if support is None else min(order, support)
+    g = law.float_coefficients(top)
+    while g[-1] == 0.0:
+        g.pop()
+    g0, g_rest = g[0], g[1:]
+    q0 = math.sqrt(p / law.mu0)
+    den = 2.0 * g0 * q0
+    q, s = [q0], [q0 * q0]
+    for n in range(1, order + 1):
+        r = 2.0 * sum(map(operator.mul, q[1 : (n + 1) // 2], reversed(q)), 0.0)
+        if n % 2 == 0:
+            r += q[n // 2] * q[n // 2]
+        c = q[n - 1] - g0 * r - sum(map(operator.mul, g_rest, reversed(s)), 0.0)
+        if n == 1:
+            c -= p
+        qn = c / den
+        q.append(qn)
+        s.append(2.0 * q0 * qn + r)
+    return [0.0 if v < 0.0 else v for v in q]
+
+
 def _decimal_flux(law, order, digits=60):
-    """flux_distribution's recurrence run in decimal at the given digits.
+    """reference_flux's recurrence run in decimal at the given digits.
 
     It starts from the same float p, coefficients and q_0 = sqrt(p / mu0)
     (the value classify reports too), so the difference from the float
@@ -1070,3 +1127,70 @@ def test_unevaluable_large_radius_is_undecided():
     assert classify(_unevaluable_at(2.5)).regime == "undecided"
     with pytest.raises(NoSolution):
         flux_distribution(_unevaluable_at(2.5))
+
+
+_B = analytic._FLUX_BLOCK
+# below, at and just past B and 2 B, or anywhere up to 220
+_FLUX_ORDERS = st.one_of(
+    st.sampled_from([_B - 1, _B, _B + 1, 2 * _B - 1, 2 * _B, 2 * _B + 1]), st.integers(2, 220)
+)
+# each family up to about its alpha_c, so most draws are subcritical
+_SUBCRITICAL_LAWS = {
+    "poisson": _decades(-9, -0.8).map(poisson),
+    "geometric": _decades(-9, -0.95).map(geometric),
+    "binary0k": st.tuples(_decades(-9, -1.2), st.integers(2, 30)).map(lambda ak: binary0k(*ak)),
+    "nongeneric_example": _decades(-9, 0).map(nongeneric_example),
+    "finite": st.tuples(st.integers(5000, 10**5), st.lists(st.integers(0, 100), min_size=2, max_size=6))
+    .filter(lambda w: sum(w[1][1:]) > 0)
+    .map(lambda w: make_finite_law([Fraction(x, w[0] + sum(w[1])) for x in [w[0], *w[1]]])),
+}
+_CRITICAL_LAWS = [B02_CRIT, GEO_CRIT, POI_CRIT, nongeneric_example(1)]
+
+
+def _assert_blocks_match_reference(law, order):
+    got = flux_distribution(law, order).probs
+    ref = reference_flux(law, order)
+    assert [v.hex() for v in got[:_B]] == [v.hex() for v in ref[:_B]], (law, order)
+    assert max((abs(a - b) for a, b in zip(got[_B:], ref[_B:])), default=0.0) <= 1e-16, (law, order)
+
+
+def test_flux_imports_numpy_only_for_the_blocks(monkeypatch):
+    # below B the recurrence is all there is; the blocks import numpy
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    assert flux_distribution(B02_SUB, _B - 1).probs == tuple(reference_flux(B02_SUB, _B - 1))
+    with pytest.raises(ImportError):
+        flux_distribution(B02_SUB, _B)
+
+
+@pytest.mark.parametrize("family", list(_SUBCRITICAL_LAWS))
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_flux_blocks_match_the_recurrence(family, data):
+    # bit for bit below B, where the recurrence is all there is
+    law = data.draw(_SUBCRITICAL_LAWS[family])
+    assume(classify(law).regime == "subcritical")
+    _assert_blocks_match_reference(law, data.draw(_FLUX_ORDERS))
+
+
+@pytest.mark.parametrize("law", _CRITICAL_LAWS, ids=str)
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(order=_FLUX_ORDERS)
+def test_flux_blocks_match_the_recurrence_at_criticality(law, order):
+    assert classify(law).regime == "critical"
+    _assert_blocks_match_reference(law, order)
+
+
+# first 16 hex digits of the sha256 of the float.hex strings of
+# flux_distribution(law, 200).probs: the block solves sum in a fixed order,
+# so these hold on every CPU and numpy version
+PINNED_FLUX_200 = {
+    "poisson": (poisson(Fraction(1, 20)), "18cfb612afb6aafc"),
+    "nongeneric_example": (nongeneric_example(1), "537f06b1f9bda271"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_FLUX_200))
+def test_flux_at_order_200_pinned(name):
+    law, digest = PINNED_FLUX_200[name]
+    probs = flux_distribution(law, 200).probs
+    assert hashlib.sha256(" ".join(p.hex() for p in probs).encode()).hexdigest()[:16] == digest

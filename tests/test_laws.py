@@ -197,6 +197,21 @@ def test_float_coefficients_of_a_float_law():
     assert law.float_coefficients(30) == [law.coefficient(k) for k in range(31)]
 
 
+_FLOAT_LAWS = st.one_of(
+    st.floats(min_value=-9, max_value=9).map(lambda e: poisson(10.0**e)),
+    st.floats(min_value=-9, max_value=9).map(lambda e: geometric(10.0**e)),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True).map(nongeneric_example),
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(law=_FLOAT_LAWS, K=st.integers(0, 250))
+def test_float_coefficients_are_the_coefficients(law, K):
+    # the one-list paths of the laws without exact masses give coefficient(k)'s floats
+    got = law.float_coefficients(K)
+    assert [v.hex() for v in got] == [float(law.coefficient(k)).hex() for k in range(K + 1)]
+
+
 def test_nongeneric_example_normalization():
     law = nongeneric_example(1)
     # probabilities sum to 1 and the pgf is 1 at t = 1
