@@ -40,6 +40,7 @@ REL_ROOT_TOL = 1e-13
 ITER_CAP = 200
 CACHE_SIZE = 1024  # laws remembered by classify and find_critical_time
 SQRT2 = math.sqrt(2.0)
+LOG2 = math.log(2.0)
 
 
 def kernel_margin(law, t):
@@ -674,18 +675,90 @@ _DEFAULT_BRACKETS = {
     "geometric": (1e-6, 50.0),
 }
 
+_NEWTON_H = 1e-7  # forward-difference step in log(t - 2) and log alpha
+_NEWTON_CAP = 10  # Newton steps before find_alpha_c falls back; 4-6 converge
+
+
+def _newton_alpha_c(make, lo, hi):
+    """alpha in [lo, hi] where the paper's critical system holds, by
+    Newton's method, or None if the iteration fails.
+
+    With (u, v) = make(alpha).tilted_moments(t), the law is critical when
+    sqrt(2) (1 - u) = sqrt(v) and t - 2 = (t - 1) u.  A solution has
+    0 < u <= 1, so t > 2, where the second equation is
+    u = (t - 2) / (t - 1), 1 - u = 1 / (t - 1), and the pair reads, in logs,
+
+        log v = log 2 - 2 log(t - 1),   log u = log(t - 2) - log(t - 1).
+
+    Newton solves this form in (log(t - 2), log alpha), so t > 2 > 1 and
+    alpha > 0 hold by construction.  u and v grow like alpha t^k until the
+    tilted law sits on its top atom, where they saturate: the plain
+    equations go flat there and a Newton step overshoots, while their logs
+    stay close to linear, and exactly so for poisson.  The Jacobian is a
+    forward difference with step _NEWTON_H in both logs.  The start is
+    alpha = lo, below the saturation, and t = 2.25, or halfway from 2 to
+    G's radius if that is nearer.  Each step's alpha is clipped to
+    [lo, hi]; its t is kept.  Newton stops once both steps are at most
+    1e-10 and returns alpha with the last step applied.  It gives up on a
+    step that is not finite or after _NEWTON_CAP steps; evaluation errors,
+    such as a t at or past the radius, propagate.
+    """
+    log_lo, log_hi = math.log(lo), math.log(hi)
+
+    def system(d, law):  # the log form at t = 2 + d
+        t = 2.0 + d
+        u, v = law.tilted_moments(t)
+        log_t1 = math.log(t - 1.0)
+        return math.log(v) - LOG2 + 2.0 * log_t1, math.log(u) - math.log(d) + log_t1
+
+    alpha, law = lo, make(lo)
+    d = min(0.25, 0.5 * (law.radius - 2.0))
+    if not d > 0.0:
+        return None
+    f1, f2 = system(d, law)
+    for _ in range(_NEWTON_CAP):
+        g1, g2 = system(d + d * _NEWTON_H, law)
+        h1, h2 = system(d, make(alpha + alpha * _NEWTON_H))
+        j11, j21, j12, j22 = g1 - f1, g2 - f2, h1 - f1, h2 - f2  # H times the Jacobian
+        det = (j11 * j22 - j12 * j21) / _NEWTON_H
+        dy, ds = (f2 * j12 - f1 * j22) / det, (f1 * j21 - f2 * j11) / det
+        if not (math.isfinite(dy) and math.isfinite(ds)):
+            return None
+        if abs(dy) <= 1e-10 and abs(ds) <= 1e-10:
+            return alpha + alpha * math.expm1(ds)
+        s = math.log(alpha)
+        d, alpha = d * math.exp(dy), alpha * math.exp(min(max(ds, log_lo - s), log_hi - s))
+        law = make(alpha)
+        f1, f2 = system(d, law)
+    return None
+
 
 def find_alpha_c(family, k=None, lo=None, hi=None, tol=1e-9, want_trace=False):
     """Critical mean arrival count of a one-parameter family.
 
-    The family must be subcritical at lo and supercritical at hi.  The
-    signed criticality gap is bisected in log alpha while hi/lo > 1.5,
-    then _root (ITP) narrows the bracket to at most tol.  Returns the
-    midpoint, or (midpoint, trace) with the list of (alpha, gap) pairs
-    evaluated when want_trace is set.  The default brackets take 15-17
-    gap evaluations at tol 1e-9 to 1e-11, where bisection took 33-45.
-    nongeneric_example is refused: no mix in (0, 1] is supercritical,
-    and so is a tol that is not finite.
+    The family must be subcritical at lo and supercritical at hi.  Returns
+    alpha_c, the midpoint of a bracket of width at most tol whose ends
+    have signed criticality gaps (_regime_gap) of opposite signs, or
+    (alpha_c, trace) when want_trace is set, trace being the (alpha, gap)
+    pairs that decided it.
+
+    First _newton_alpha_c solves the paper's critical system in (t, alpha).
+    Its alpha is accepted when lo <= alpha - tol/2, alpha + tol/2 <= hi,
+    and the gap is positive at alpha - tol/2 and negative at alpha + tol/2:
+    two critical-time searches, the same as classify runs.  The regime is
+    monotone along each family, so the regimes at lo and hi follow and are
+    not searched.  The trace is then the two flank pairs.  The default
+    brackets take 40-50 tilted_moments calls in all, where the bracket
+    search below took 216-267.
+
+    Otherwise the bracket search decides, and the trace is its pairs only:
+    when Newton gives up, raises a coded error or meets a NaN, when its
+    alpha lies outside the bracket or within tol/2 of an end, or when a
+    flank has the wrong sign, as for a tol that is not positive.  It
+    checks the ends, halves the bracket in log alpha while hi/lo > 1.5,
+    then _root (ITP) narrows it to at most tol; a negative tol runs until
+    ITER_CAP.  nongeneric_example is refused: no mix in (0, 1] is
+    supercritical, and so is a tol that is not finite.
     """
     if not math.isfinite(tol):
         raise OutOfDomain(f"bracket width {tol!r} is not finite")
@@ -704,6 +777,16 @@ def find_alpha_c(family, k=None, lo=None, hi=None, tol=1e-9, want_trace=False):
     b = default[1] if hi is None else float(hi)
     if not a < b:
         raise BracketFailure(f"empty bracket ({a!r}, {b!r})")
+
+    half = 0.5 * tol
+    try:
+        alpha_c = _newton_alpha_c(make, a, b)
+        if alpha_c is not None and a <= alpha_c - half and alpha_c + half <= b:
+            trace = [(x, _regime_gap(make(x))) for x in (alpha_c - half, alpha_c + half)]
+            if trace[0][1] > 0.0 > trace[1][1]:
+                return (alpha_c, trace) if want_trace else alpha_c
+    except (ParkingModelError, ArithmeticError, ValueError):
+        pass  # the bracket search below decides, and reports what it meets
 
     trace = []
 

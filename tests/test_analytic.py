@@ -405,19 +405,21 @@ def test_alpha_c_bracket_failure():
         find_alpha_c("binary0k", k=2, lo=0.2, hi=0.5)
 
 
-# (float.hex of alpha_c, gap evaluations in the trace) per (family, k, tol),
-# recorded when the regime gap became t - 2 - (t - 1) t G'/G, the paper's
-# gap over G(t_c), found by the bracket search from t = 1; binary0k k = 3 at
-# 1e-9 moved one ulp when binary0k became a finite law
+# (float.hex of alpha_c, pairs in the trace) per (family, k, tol), recorded
+# when find_alpha_c began to solve the critical system by Newton's method:
+# the trace is the two flanks.  poisson's is the correctly rounded
+# 3 - 2 sqrt(2) (the float expression 3 - 2 * math.sqrt(2) is 7 ulps below
+# it) and geometric's is 1/8; binary0k's are one ulp below float(1/14) and
+# two ulps above the correctly rounded k = 3 closed form
 PINNED_ALPHA_C = {
-    ("binary0k", 2, 1e-9): ("0x1.24924925ab1a6p-4", 15),
-    ("binary0k", 2, 1e-11): ("0x1.2492492467160p-4", 17),
-    ("binary0k", 3, 1e-9): ("0x1.8c69c03c8c39fp-6", 15),
-    ("binary0k", 3, 1e-11): ("0x1.8c69c039259dcp-6", 17),
-    ("poisson", None, 1e-9): ("0x1.5f619982c4396p-3", 16),
-    ("poisson", None, 1e-11): ("0x1.5f619980b7a0cp-3", 17),
-    ("geometric", None, 1e-9): ("0x1.0000000791f0ap-3", 16),
-    ("geometric", None, 1e-11): ("0x1.ffffffffd408fp-4", 17),
+    ("binary0k", 2, 1e-9): ("0x1.2492492492491p-4", 2),
+    ("binary0k", 2, 1e-11): ("0x1.2492492492491p-4", 2),
+    ("binary0k", 3, 1e-9): ("0x1.8c69c039d5802p-6", 2),
+    ("binary0k", 3, 1e-11): ("0x1.8c69c039d5802p-6", 2),
+    ("poisson", None, 1e-9): ("0x1.5f619980c4337p-3", 2),
+    ("poisson", None, 1e-11): ("0x1.5f619980c4337p-3", 2),
+    ("geometric", None, 1e-9): ("0x1.0000000000000p-3", 2),
+    ("geometric", None, 1e-11): ("0x1.0000000000000p-3", 2),
 }
 
 # the same, recorded while find_alpha_c bisected the whole bracket
@@ -451,6 +453,110 @@ def test_alpha_c_refuses_a_tol_that_is_not_finite(tol):
     # an infinite tol used to return the bracket midpoint, a NaN one ran as 0
     with pytest.raises(OutOfDomain, match="not finite"):
         find_alpha_c("poisson", tol=tol)
+
+
+def _binary0k_alpha_c(k):
+    """The closed form of binary0k's alpha_c, as criterion 2 states it."""
+    s = math.sqrt((k + 7) / (k - 1))
+    inner = (k - 1) * (k + 4) + k * math.sqrt((k + 7) * (k - 1))
+    return k / (1 + 2 ** (-k - 2) * (3 + s) ** k * inner)
+
+
+def _family(family, k):
+    """(make, closed-form alpha_c) of a family that find_alpha_c brackets."""
+    if family == "binary0k":
+        return (lambda a: binary0k(a, k)), _binary0k_alpha_c(k)
+    return {"poisson": (poisson, 3 - 2 * math.sqrt(2)), "geometric": (geometric, 1 / 8)}[family]
+
+
+# (lo, hi) ranges as multiples of alpha_c: perfbench's sweeps draw theirs
+# log-uniformly from the first pair
+_BRACKET_SHAPES = {
+    "sweep": ((0.02, 0.5), (2.0, 50.0)),
+    "narrow": ((0.5, 0.999), (1.001, 1.5)),
+    "wide": ((1e-6, 0.02), (50.0, 1e6)),
+}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    case=st.sampled_from([("binary0k", k) for k in range(2, 9)] + [("poisson", None), ("geometric", None)]),
+    shape=st.sampled_from(list(_BRACKET_SHAPES)),
+    u=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    tol=st.sampled_from([1e-9, 1e-8]),
+)
+def test_alpha_c_is_flanked_by_both_regimes(case, shape, u, tol):
+    # the answer is Newton's, and the midpoint of a bracket of width tol
+    # whose ends classify on either side of critical.  Below tol = 1e-9
+    # both ends can fall inside classify's band of 1e-9 on the gap and read
+    # critical, as they did before Newton
+    family, k = case
+    make, target = _family(family, k)
+    lo, hi = (target * a * (b / a) ** x for (a, b), x in zip(_BRACKET_SHAPES[shape], u))
+    if family == "binary0k":
+        hi = min(hi, k * 0.999)
+    alpha_c, trace = find_alpha_c(family, k=k, lo=lo, hi=hi, tol=tol, want_trace=True)
+    assert classify(make(alpha_c - tol / 2)).regime != "supercritical"
+    assert classify(make(alpha_c + tol / 2)).regime == "supercritical"
+    assert abs(alpha_c - target) <= 1e-9
+    (below, g_below), (above, g_above) = trace  # Newton's, not the fallback's
+    assert (below, above) == (alpha_c - tol / 2, alpha_c + tol / 2)
+    assert g_below > 0.0 > g_above
+
+
+@pytest.mark.parametrize("family, k", [("binary0k", 2), ("poisson", None), ("geometric", None)])
+def test_alpha_c_newton_keeps_alpha_in_the_bracket(family, k):
+    # unclipped, Newton's steps from lo overshoot this bracket's hi by
+    # 1.4-1.7 times; only the difference step may pass hi
+    make, target = _family(family, k)
+    lo, hi, seen = 0.9 * target, 1.01 * target, []
+    alpha_c = analytic._newton_alpha_c(lambda a: seen.append(a) or make(a), lo, hi)
+    assert abs(alpha_c - target) <= 1e-12 * target
+    assert lo <= min(seen) and max(seen) <= hi * (1 + 2 * analytic._NEWTON_H)
+
+
+@pytest.mark.parametrize("family, k", [("binary0k", 2), ("binary0k", 5), ("poisson", None)])
+def test_alpha_c_bracket_wholly_on_one_side(family, k):
+    _, target = _family(family, k)
+    with pytest.raises(BracketFailure, match="not supercritical"):
+        find_alpha_c(family, k=k, lo=target / 10, hi=target / 2)
+    with pytest.raises(BracketFailure, match="not subcritical"):
+        find_alpha_c(family, k=k, lo=target * 2, hi=target * 3)
+
+
+@pytest.mark.parametrize("family, k", [("binary0k", 2), ("poisson", None), ("geometric", None)])
+def test_alpha_c_near_the_bracket_end_falls_back(family, k):
+    # Newton's alpha is within tol/2 of lo, so its lower flank leaves the
+    # bracket and the bracket search decides, from the ends
+    _, target = _family(family, k)
+    tol = 1e-9
+    lo = target - tol / 4
+    alpha_c, trace = find_alpha_c(family, k=k, lo=lo, hi=2 * target, tol=tol, want_trace=True)
+    assert [x for x, _ in trace[:2]] == [lo, 2 * target] and len(trace) > 2
+    assert abs(alpha_c - target) <= tol
+
+
+@pytest.mark.parametrize(
+    "newton",
+    [None, math.nan, 1e-9, 60.0, 40.0],
+    ids=["gives-up", "nan", "below-lo", "above-hi", "supercritical-flanks"],
+)
+def test_alpha_c_forced_fallback_comes_from_root(monkeypatch, newton):
+    # Newton gives up, meets a NaN, lands outside the bracket [1e-4, 50] or
+    # lands inside it where both flanks are supercritical
+    roots, root = [], analytic._root
+
+    def spied_root(*args, **kw):
+        x = root(*args, **kw)
+        roots.append((kw.get("width"), x))  # only find_alpha_c passes a width
+        return x
+
+    monkeypatch.setattr(analytic, "_newton_alpha_c", lambda make, lo, hi: newton)
+    monkeypatch.setattr(analytic, "_root", spied_root)
+    alpha_c, trace = find_alpha_c("poisson", tol=1e-9, want_trace=True)
+    assert (1e-9, alpha_c) in roots
+    assert len(trace) > 2 and trace[0][0] == 1e-4 and trace[1][0] == 50.0
+    assert abs(alpha_c - (3 - 2 * math.sqrt(2))) <= 1e-9
 
 
 def test_alpha_c_negative_tol_exhausts_the_cap(monkeypatch):
@@ -1029,12 +1135,19 @@ def test_fixed_point_search_evaluation_count(monkeypatch, kind, args):
 
 
 @pytest.mark.parametrize(
-    "family, k", [("binary0k", 2), ("binary0k", 5), ("poisson", None), ("geometric", None)]
+    "family, k",
+    [("binary0k", 2), ("binary0k", 3), ("binary0k", 5), ("binary0k", 8), ("poisson", None),
+     ("geometric", None)],
 )
-def test_alpha_c_evaluation_count(family, k):
-    # bisection took 33-38 gap evaluations at the default tol of 1e-9
-    _, trace = find_alpha_c(family, k=k, want_trace=True)
-    assert len(trace) <= 20
+def test_alpha_c_evaluation_count(monkeypatch, family, k):
+    # the bracket search took 216-267 tilted_moments calls at the default
+    # brackets; Newton and the two flanks' critical-time searches take 40-50
+    calls, cls = [], type(_family(family, k)[0](0.01))
+    tilted = cls.tilted_moments
+    monkeypatch.setattr(cls, "tilted_moments", lambda law, t: calls.append(t) or tilted(law, t))
+    find_critical_time.cache_clear()
+    find_alpha_c(family, k=k)
+    assert 0 < len(calls) <= 80
 
 
 def test_root_is_at_most_one_step_behind_bisection():
