@@ -104,13 +104,12 @@ def _gf(law, t, g, u):
     return 2.0 * math.sqrt(a * g / mu0) / (1 + a)
 
 
-def _root(f, a, b, fa=None, fb=None, rel=REL_ROOT_TOL, width=0.0):
+def _root(f, a, b, fa=None, fb=None):
     """Root of f on [a, b] given f(a) > 0 > f(b), by ITP.
 
     fa and fb are f(a) and f(b) when the caller holds them.  Stops once
-    b - a is at most width, or at most rel times the larger end of the
-    bracket, and returns the midpoint, or at once a point where f is
-    exactly 0.
+    b - a is at most REL_ROOT_TOL times the larger end of the bracket, and
+    returns the midpoint, or at once a point where f is exactly 0.
 
     Each step interpolates (regula falsi), moves the estimate toward the
     midpoint by 0.2 (b - a)^2 / (b0 - a0), and clips it to the window
@@ -128,7 +127,7 @@ def _root(f, a, b, fa=None, fb=None, rel=REL_ROOT_TOL, width=0.0):
     w0 = b - a
     for j in range(ITER_CAP):
         w = b - a
-        tol = max(width, rel * max(b, -a, 1e-300))  # max(|a|, |b|) as a <= b
+        tol = REL_ROOT_TOL * max(b, -a, 1e-300)  # max(|a|, |b|) as a <= b
         if w <= tol:
             return 0.5 * (a + b)
         x = mid = 0.5 * (a + b)
@@ -676,7 +675,7 @@ _DEFAULT_BRACKETS = {
 }
 
 _NEWTON_H = 1e-7  # forward-difference step in log(t - 2) and log alpha
-_NEWTON_CAP = 10  # Newton steps before find_alpha_c falls back; 4-6 converge
+_NEWTON_CAP = 10  # Newton steps before _newton_alpha_c gives up; 4-6 converge
 
 
 def _newton_alpha_c(make, lo, hi):
@@ -737,36 +736,32 @@ def find_alpha_c(family, k=None, lo=None, hi=None, tol=1e-9, want_trace=False):
     """Critical mean arrival count of a one-parameter family.
 
     The family must be subcritical at lo and supercritical at hi.  Returns
-    alpha_c, the midpoint of a bracket of width at most tol whose ends
-    have signed criticality gaps (_regime_gap) of opposite signs, or
-    (alpha_c, trace) when want_trace is set, trace being the (alpha, gap)
-    pairs that decided it.
+    alpha_c, within tol/2 of a sign change of the signed criticality gap
+    (_regime_gap), or (alpha_c, trace) when want_trace is set, trace being
+    the two (alpha, gap) pairs that decided it.
 
-    First _newton_alpha_c solves the paper's critical system in (t, alpha).
-    Its alpha is accepted when lo <= alpha - tol/2, alpha + tol/2 <= hi,
-    and the gap is positive at alpha - tol/2 and negative at alpha + tol/2:
-    two critical-time searches, the same as classify runs.  The regime is
-    monotone along each family, so the regimes at lo and hi follow and are
-    not searched.  The trace is then the two flank pairs.  The default
-    brackets take 40-50 tilted_moments calls in all, where the bracket
-    search below took 216-267.
-
-    Otherwise the bracket search decides, and the trace is its pairs only:
-    when Newton gives up, raises a coded error or meets a NaN, when its
-    alpha lies outside the bracket or within tol/2 of an end, or when a
-    flank has the wrong sign, as for a tol that is not positive.  It
-    checks the ends, halves the bracket in log alpha while hi/lo > 1.5,
-    then _root (ITP) narrows it to at most tol; a negative tol runs until
-    ITER_CAP.  nongeneric_example is refused: no mix in (0, 1] is
-    supercritical, and so is a tol that is not finite.
+    _newton_alpha_c solves the paper's critical system in (t, alpha); its
+    alpha, clipped to [lo, hi], is accepted when the gap is positive at
+    max(lo, alpha - tol/2) and negative at min(hi, alpha + tol/2): two
+    critical-time searches, the same as classify runs.  The regime is
+    monotone along each family, so the flanks bracket alpha_c.  The default
+    brackets take 40-50 tilted_moments calls in all.  A flank at lo or hi
+    with the wrong sign raises BracketFailure; so does an end with the
+    wrong sign when Newton gives up or meets an error, and NoSolution
+    otherwise.  nongeneric_example is refused: no mix in (0, 1] is
+    supercritical, and so is a tol that is not finite and positive.
     """
     if not math.isfinite(tol):
         raise OutOfDomain(f"bracket width {tol!r} is not finite")
+    if not tol > 0.0:
+        raise OutOfDomain(f"bracket width {tol!r} is not positive")
     if family == "binary0k":
         if k is None:
             k = 2
         make = lambda a: FAMILIES[family](a, k)  # noqa: E731
-        default = (1e-6, k * (1 - 1e-9))
+        # alpha_c(k) is near 2 / (e k 2^k), below 1e-6 from k = 16 on;
+        # k 8^-k stays below it
+        default = (min(1e-6, k * 8.0**-k), k * (1 - 1e-9))
     elif family in _DEFAULT_BRACKETS:
         make, default = FAMILIES[family], _DEFAULT_BRACKETS[family]
     elif family in FAMILIES:
@@ -778,34 +773,20 @@ def find_alpha_c(family, k=None, lo=None, hi=None, tol=1e-9, want_trace=False):
     if not a < b:
         raise BracketFailure(f"empty bracket ({a!r}, {b!r})")
 
-    half = 0.5 * tol
     try:
         alpha_c = _newton_alpha_c(make, a, b)
-        if alpha_c is not None and a <= alpha_c - half and alpha_c + half <= b:
-            trace = [(x, _regime_gap(make(x))) for x in (alpha_c - half, alpha_c + half)]
-            if trace[0][1] > 0.0 > trace[1][1]:
-                return (alpha_c, trace) if want_trace else alpha_c
     except (ParkingModelError, ArithmeticError, ValueError):
-        pass  # the bracket search below decides, and reports what it meets
-
-    trace = []
-
-    def gap_at(alpha):
-        g = _regime_gap(make(alpha))
-        trace.append((alpha, g))
-        return g
-
-    ga, gb = gap_at(a), gap_at(b)
-    if ga <= 0.0:
+        alpha_c = None
+    if alpha_c is None:
+        x, y = a, b
+    else:
+        alpha_c = max(a, min(b, alpha_c))
+        x, y = max(a, alpha_c - 0.5 * tol), min(b, alpha_c + 0.5 * tol)
+    trace = [(x, _regime_gap(make(x))), (y, _regime_gap(make(y)))]
+    if x == a and not trace[0][1] > 0.0:
         raise BracketFailure(f"{family} at alpha = {a!r} is not subcritical")
-    if gb >= 0.0:
+    if y == b and not trace[1][1] < 0.0:
         raise BracketFailure(f"{family} at alpha = {b!r} is not supercritical")
-    # the gap is badly scaled across decades: halve the bracket in log alpha
-    # until it spans a factor 1.5; then rel = 0: the ends keep gaps of
-    # opposite signs and never meet, so only tol, an exact zero of the gap
-    # or ITER_CAP ends the search
-    a, b, ga, gb = _log_phase(gap_at, a, b, ga, gb, 1.5)
-    alpha_c = b if gb == 0.0 else _root(gap_at, a, b, ga, gb, rel=0.0, width=tol)
-    if want_trace:
-        return alpha_c, trace
-    return alpha_c
+    if alpha_c is None or not trace[0][1] > 0.0 > trace[1][1]:
+        raise NoSolution(f"{family}: no critical alpha found in ({a!r}, {b!r})")
+    return (alpha_c, trace) if want_trace else alpha_c

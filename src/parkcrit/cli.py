@@ -426,8 +426,8 @@ def build_parser():
 
     p = subs.add_parser(
         "sweep",
-        help="critical mean per family: log-bisection, then an ITP root search "
-        "(about 15 regime evaluations per family)",
+        help="critical mean per family: Newton's method on the critical system, "
+        "checked by two regime evaluations per family",
     )
     p.add_argument(
         "--families", default="binary0k,poisson,geometric",
@@ -436,7 +436,7 @@ def build_parser():
     p.add_argument("--k", type=int, default=2, help="support point for binary0k")
     common(p, law=False)
     p.add_argument("--tol", type=_POSITIVE_FLOAT, default=1e-6,
-                   help="width of the final bracket on the critical mean")
+                   help="the critical mean lies within tol/2 of where the regime changes")
     p.set_defaults(handler=_cmd_sweep)
 
     p = subs.add_parser("enumerate", help="exact fully parked tree weight table")

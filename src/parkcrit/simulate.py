@@ -45,7 +45,6 @@ depth grows.
 from __future__ import annotations
 
 import math
-import mmap
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -79,8 +78,6 @@ _GROUP_BYTES = 2 << 20
 # numpy's maximum has no vector loop for a scalar, and is 3x slower with one.
 _MINUS_ONES = np.full(1 << 13, -1, dtype=np.int32)
 _MINUS_ONES.flags.writeable = False
-# Workspace arrays this large get pages of their own (_own_pages)
-_OWN_PAGES = 1 << 16
 _LOAD_MAX = 2**31 - 1  # loads settle in int32
 _LOG_TAIL = -64.0 * math.log(2.0)  # log of the overflow risk a tree may take
 
@@ -133,24 +130,6 @@ def _positive_masses(law):
     return masses[: max(1, int(np.argmax(beyond < _TABLE_TAIL * q)))], q
 
 
-def _own_pages(shape, dtype):
-    """np.empty(shape, dtype), but an array of _OWN_PAGES or more bytes gets
-    anonymous pages of its own, which go back to the system with it.
-
-    From malloc, a chunk's workspace stayed in glibc's heap after its run:
-    freeing a large mapping raises glibc's mmap threshold, so later arrays
-    come from the heap, which keeps up to twice that threshold free.  That
-    left about 1 MB more peak RSS in a two-thread depth-16 run.  Fresh pages
-    cost page faults, about 0.9 ms per MB on a 2-core x86-64 VM, which small
-    arrays, such as those of a draw(rng, size) of a small tree, are spared.
-    """
-    n = math.prod(shape)
-    size = n * np.dtype(dtype).itemsize
-    if size < _OWN_PAGES:
-        return np.empty(shape, dtype)
-    return np.frombuffer(mmap.mmap(-1, size), dtype, n).reshape(shape)
-
-
 def _group_size(tree_bytes, most):
     """Trees drawn and settled together: the largest power of two whose
     working set fits _GROUP_BYTES, capped at `most` and at _BATCH, so that a
@@ -185,7 +164,7 @@ def _dense(fill_tree, largest):
 
     def workspace(size, most, fold):
         group = _group_size(4 * size, most)
-        trees = _own_pages((group, size), np.int32)
+        trees = np.empty((group, size), np.int32)
 
         def fill(rngs):
             for rng, tree in zip(rngs, trees):
@@ -223,12 +202,12 @@ def _sparse(q, values, largest):
         # per tree: its kept nodes, a spare slot, and per row its uniforms,
         # its site and its value, if it has its own
         group = _group_size(4 * (kept + 1) + block * (12 * cols + 4), most)
-        trees = _own_pages((group, kept + 1), np.int32)
+        trees = np.empty((group, kept + 1), np.int32)
         flat = trees.reshape(-1)
-        rows = _own_pages((group, block, cols), np.float64)
-        at = _own_pages((group, block), np.intp)
+        rows = np.empty((group, block, cols), np.float64)
+        at = np.empty((group, block), np.intp)
         gaps = at.view(np.float64)  # the sites, while they are reckoned in floats
-        vals = _own_pages((group, block if cols == 2 else 0), np.int32)
+        vals = np.empty((group, block if cols == 2 else 0), np.int32)
         lanes = (kept + 1) * np.arange(group)[:, None]  # where each tree starts in flat
 
         def place(lo, hi, last):
@@ -454,7 +433,7 @@ def _root_load_chunk(draw, depth, seed, start, stop):
     # those levels together
     top = min(depth, _TOP)
     width = (2 << top) - 1
-    batch = _own_pages((min(_BATCH, stop - start), width), np.int32)
+    batch = np.empty((min(_BATCH, stop - start), width), np.int32)
     out = np.empty(stop - start, dtype=np.int64)
     done = 0
     # trees deeper than the batch leave out their deepest level

@@ -448,10 +448,11 @@ def test_alpha_c_within_tol_of_the_bisection(family, k, tol):
     assert abs(find_alpha_c(family, k=k, tol=tol) - old) <= tol
 
 
-@pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, 0.0, -1.0])
 def test_alpha_c_refuses_a_tol_that_is_not_finite(tol):
-    # an infinite tol used to return the bracket midpoint, a NaN one ran as 0
-    with pytest.raises(OutOfDomain, match="not finite"):
+    # an infinite tol used to return the bracket midpoint, a NaN one ran as 0,
+    # and one of at most 0 ran the bracket search until its cap
+    with pytest.raises(OutOfDomain, match="not positive" if math.isfinite(tol) else "not finite"):
         find_alpha_c("poisson", tol=tol)
 
 
@@ -467,6 +468,13 @@ def _family(family, k):
     if family == "binary0k":
         return (lambda a: binary0k(a, k)), _binary0k_alpha_c(k)
     return {"poisson": (poisson, 3 - 2 * math.sqrt(2)), "geometric": (geometric, 1 / 8)}[family]
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-11])
+def test_alpha_c_default_bracket_holds_binary0k_alpha_c(tol):
+    # alpha_c(16) = 6.5e-7 fell below a fixed lo = 1e-6
+    for k in range(2, 61):
+        assert abs(find_alpha_c("binary0k", k=k, tol=tol) - _binary0k_alpha_c(k)) <= tol / 2, k
 
 
 # (lo, hi) ranges as multiples of alpha_c: perfbench's sweeps draw theirs
@@ -515,56 +523,50 @@ def test_alpha_c_newton_keeps_alpha_in_the_bracket(family, k):
     assert lo <= min(seen) and max(seen) <= hi * (1 + 2 * analytic._NEWTON_H)
 
 
+@pytest.mark.parametrize("newton", ["real", "lands-on-alpha-c"])
 @pytest.mark.parametrize("family, k", [("binary0k", 2), ("binary0k", 5), ("poisson", None)])
-def test_alpha_c_bracket_wholly_on_one_side(family, k):
+def test_alpha_c_bracket_wholly_on_one_side(monkeypatch, family, k, newton):
+    # Newton gives up on these brackets; one that lands on alpha_c, outside
+    # them, is clipped to the bracket: every gap is taken inside it
     _, target = _family(family, k)
-    with pytest.raises(BracketFailure, match="not supercritical"):
-        find_alpha_c(family, k=k, lo=target / 10, hi=target / 2)
-    with pytest.raises(BracketFailure, match="not subcritical"):
-        find_alpha_c(family, k=k, lo=target * 2, hi=target * 3)
+    if newton != "real":
+        monkeypatch.setattr(analytic, "_newton_alpha_c", lambda make, lo, hi: target)
+    seen, gap = [], analytic._regime_gap
+    monkeypatch.setattr(analytic, "_regime_gap", lambda law: seen.append(law.mean()) or gap(law))
+    for lo, hi, side in [(target / 10, target / 2, "super"), (target * 2, target * 3, "sub")]:
+        seen.clear()
+        with pytest.raises(BracketFailure, match=f"not {side}critical"):
+            find_alpha_c(family, k=k, lo=lo, hi=hi)
+        assert seen and all(lo <= x <= hi for x in seen), (lo, hi, seen)
 
 
 @pytest.mark.parametrize("family, k", [("binary0k", 2), ("poisson", None), ("geometric", None)])
 def test_alpha_c_near_the_bracket_end_falls_back(family, k):
-    # Newton's alpha is within tol/2 of lo, so its lower flank leaves the
-    # bracket and the bracket search decides, from the ends
+    # Newton's alpha is within tol/2 of lo, so its lower flank is clamped to
+    # lo: the sign change lies in [lo, alpha + tol/2], within tol/2 of alpha
     _, target = _family(family, k)
     tol = 1e-9
     lo = target - tol / 4
     alpha_c, trace = find_alpha_c(family, k=k, lo=lo, hi=2 * target, tol=tol, want_trace=True)
-    assert [x for x, _ in trace[:2]] == [lo, 2 * target] and len(trace) > 2
+    (below, g_below), (above, g_above) = trace
+    assert (below, above) == (lo, alpha_c + tol / 2)
+    assert g_below > 0.0 > g_above
     assert abs(alpha_c - target) <= tol
 
 
-@pytest.mark.parametrize(
-    "newton",
-    [None, math.nan, 1e-9, 60.0, 40.0],
-    ids=["gives-up", "nan", "below-lo", "above-hi", "supercritical-flanks"],
-)
-def test_alpha_c_forced_fallback_comes_from_root(monkeypatch, newton):
-    # Newton gives up, meets a NaN, lands outside the bracket [1e-4, 50] or
-    # lands inside it where both flanks are supercritical
-    roots, root = [], analytic._root
-
-    def spied_root(*args, **kw):
-        x = root(*args, **kw)
-        roots.append((kw.get("width"), x))  # only find_alpha_c passes a width
-        return x
-
-    monkeypatch.setattr(analytic, "_newton_alpha_c", lambda make, lo, hi: newton)
-    monkeypatch.setattr(analytic, "_root", spied_root)
-    alpha_c, trace = find_alpha_c("poisson", tol=1e-9, want_trace=True)
-    assert (1e-9, alpha_c) in roots
-    assert len(trace) > 2 and trace[0][0] == 1e-4 and trace[1][0] == 50.0
-    assert abs(alpha_c - (3 - 2 * math.sqrt(2))) <= 1e-9
-
-
-def test_alpha_c_negative_tol_exhausts_the_cap(monkeypatch):
-    # the real gaps reach exactly 0 near alpha_c; a sign alone never does
-    monkeypatch.setattr(analytic, "_regime_gap", lambda law: 0.1 - law.mean() or 1.0)
-    assert find_alpha_c("poisson", tol=1e-12) == pytest.approx(0.1, abs=1e-12)
-    with pytest.raises(IterationCapExceeded):
-        find_alpha_c("poisson", tol=-1.0)
+@pytest.mark.parametrize("family, k", [("binary0k", 2), ("poisson", None)])
+def test_alpha_c_when_newton_gives_up(monkeypatch, family, k):
+    # the ends decide the message: BracketFailure on a bracket wholly on one
+    # side, a coded NoSolution on a bracket that holds alpha_c
+    _, target = _family(family, k)
+    monkeypatch.setattr(analytic, "_newton_alpha_c", lambda make, lo, hi: None)
+    with pytest.raises(BracketFailure, match="not supercritical"):
+        find_alpha_c(family, k=k, lo=target / 10, hi=target / 2)
+    with pytest.raises(BracketFailure, match="not subcritical"):
+        find_alpha_c(family, k=k, lo=target * 2, hi=target * 3)
+    with pytest.raises(NoSolution) as exc:
+        find_alpha_c(family, k=k, lo=target / 2, hi=target * 2)
+    assert exc.value.code == "NoSolution"
 
 
 # (regime, float.hex of the RegimeReport fields below, first 16 hex digits of
@@ -1152,22 +1154,22 @@ def test_alpha_c_evaluation_count(monkeypatch, family, k):
 
 def test_root_is_at_most_one_step_behind_bisection():
     # past a step in f, regula falsi creeps in from the flat side; the window
-    # about the midpoint keeps ITP within n0 = 1 step of bisection's 30
+    # about the midpoint keeps ITP within n0 = 1 step of bisection's 44
     calls = []
 
     def step(x):
         calls.append(x)
         return 1e-12 if x < 0.7 else -1.0
 
-    x = analytic._root(step, 0.0, 1.0, 1e-12, -1.0, rel=0.0, width=1e-9)
-    assert abs(x - 0.7) <= 1e-9
-    assert len(calls) <= math.ceil(math.log2(1.0 / 1e-9)) + 1
+    x = analytic._root(step, 0.0, 1.0, 1e-12, -1.0)
+    assert abs(x - 0.7) <= analytic.REL_ROOT_TOL
+    assert len(calls) <= math.ceil(math.log2(1.0 / analytic.REL_ROOT_TOL)) + 1
 
 
-def _bisect(f, a, b, rel=analytic.REL_ROOT_TOL, width=0.0):
+def _bisect(f, a, b):
     """Plain bisection of f(a) > 0 > f(b) with _root's stopping rule."""
     for _ in range(analytic.ITER_CAP):
-        if b - a <= max(width, rel * max(abs(a), abs(b), 1e-300)):
+        if b - a <= analytic.REL_ROOT_TOL * max(abs(a), abs(b), 1e-300):
             return 0.5 * (a + b)
         mid = 0.5 * (a + b)
         fm = f(mid)
@@ -1196,10 +1198,10 @@ def test_root_agrees_with_bisection(family, data):
     law = data.draw(FAMILY_LAWS[family])
     root = analytic._root
 
-    def both(f, a, b, fa=None, fb=None, rel=analytic.REL_ROOT_TOL, width=0.0):
-        ref = _outcome(lambda: _bisect(f, a, b, rel, width))
+    def both(f, a, b, fa=None, fb=None):
+        ref = _outcome(lambda: _bisect(f, a, b))
         try:
-            x = root(f, a, b, fa, fb, rel, width)
+            x = root(f, a, b, fa, fb)
         except (ParkingModelError, ArithmeticError, ValueError) as exc:
             assert ref == type(exc).__name__, (law, a, b)
             raise
@@ -1207,7 +1209,7 @@ def test_root_agrees_with_bisection(family, data):
         # each ends on a bracket narrower than the stopping width around the
         # same sign change, so the two midpoints are this close
         gap = abs(x - ref)
-        assert gap <= max(width, rel * (max(abs(x), abs(ref)) + gap)), (law, a, b, x, ref)
+        assert gap <= analytic.REL_ROOT_TOL * (max(abs(x), abs(ref)) + gap), (law, a, b, x, ref)
         return x
 
     with pytest.MonkeyPatch.context() as mp:
