@@ -736,14 +736,15 @@ def find_alpha_c(family, k=None, lo=None, hi=None, tol=1e-9, want_trace=False):
     """Critical mean arrival count of a one-parameter family.
 
     The family must be subcritical at lo and supercritical at hi.  Returns
-    alpha_c, within tol/2 of a sign change of the signed criticality gap
-    (_regime_gap), or (alpha_c, trace) when want_trace is set, trace being
-    the two (alpha, gap) pairs that decided it.
+    alpha_c, within alpha_c tol/2 of a sign change of the signed criticality
+    gap (_regime_gap): tol is relative, as alpha_c spans many decades along
+    binary0k.  Or (alpha_c, trace) when want_trace is set, trace being the
+    two (alpha, gap) pairs that decided it.
 
     _newton_alpha_c solves the paper's critical system in (t, alpha); its
     alpha, clipped to [lo, hi], is accepted when the gap is positive at
-    max(lo, alpha - tol/2) and negative at min(hi, alpha + tol/2): two
-    critical-time searches, the same as classify runs.  The regime is
+    max(lo, alpha (1 - tol/2)) and negative at min(hi, alpha (1 + tol/2)):
+    two critical-time searches, the same as classify runs.  The regime is
     monotone along each family, so the flanks bracket alpha_c.  The default
     brackets take 40-50 tilted_moments calls in all.  A flank at lo or hi
     with the wrong sign raises BracketFailure; so does an end with the
@@ -781,7 +782,7 @@ def find_alpha_c(family, k=None, lo=None, hi=None, tol=1e-9, want_trace=False):
         x, y = a, b
     else:
         alpha_c = max(a, min(b, alpha_c))
-        x, y = max(a, alpha_c - 0.5 * tol), min(b, alpha_c + 0.5 * tol)
+        x, y = max(a, alpha_c * (1.0 - 0.5 * tol)), min(b, alpha_c * (1.0 + 0.5 * tol))
     trace = [(x, _regime_gap(make(x))), (y, _regime_gap(make(y)))]
     if x == a and not trace[0][1] > 0.0:
         raise BracketFailure(f"{family} at alpha = {a!r} is not subcritical")

@@ -436,7 +436,7 @@ def build_parser():
     p.add_argument("--k", type=int, default=2, help="support point for binary0k")
     common(p, law=False)
     p.add_argument("--tol", type=_POSITIVE_FLOAT, default=1e-6,
-                   help="the critical mean lies within tol/2 of where the regime changes")
+                   help="the critical mean a lies within a*tol/2 of where the regime changes")
     p.set_defaults(handler=_cmd_sweep)
 
     p = subs.add_parser("enumerate", help="exact fully parked tree weight table")

@@ -21,8 +21,8 @@ the multiples of the stride s.
 """
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from fractions import Fraction
 
 from .errors import (
@@ -118,8 +118,8 @@ class ArrivalLaw:
         raise NotImplementedError
 
     def coefficient(self, k):
-        """Probability of exactly k arrivals."""
-        raise NotImplementedError
+        """P(A = k); a float law states its masses once, in float_coefficients."""
+        return self.float_coefficients(k)[k]
 
     def exact_coefficients(self, K):
         """Coefficients 0..K as Fractions; only exact laws can comply."""
@@ -323,7 +323,7 @@ class Binary0kLaw(FiniteSupportLaw):
     __slots__ = ("alpha", "k")
     kind = "binary0k"
 
-    def __init__(self, alpha, k):
+    def __init__(self, alpha, k=2):
         if not isinstance(k, int) or k < 2:
             raise BadFamilyParameter(f"support point k must be an int >= 2, got {k!r}")
         alpha = _as_param(alpha, "alpha")
@@ -370,12 +370,8 @@ class PoissonLaw(ArrivalLaw):
         u = self.alpha * t
         return u, u * u
 
-    def coefficient(self, k):
-        a = self.alpha
-        return math.exp(-a + k * math.log(a) - math.lgamma(k + 1)) if k else math.exp(-a)
-
     def float_coefficients(self, K):
-        """coefficient(k) for k = 0..K, with log(alpha) taken once."""
+        """exp(-a) a^k / k! for k = 0..K, in logs, with log(a) taken once."""
         a = self.alpha
         log_a, exp, lgamma = math.log(a), math.exp, math.lgamma
         return [exp(-a)] + [exp(-a + k * log_a - lgamma(k + 1)) for k in range(1, K + 1)]
@@ -436,14 +432,15 @@ class GeometricLaw(ArrivalLaw):
         return r, 2 * r * r
 
     def coefficient(self, k):
+        if not self.is_exact:
+            return super().coefficient(k)
         a = self.alpha
-        base = 1 / (1 + a) if isinstance(a, Fraction) else 1.0 / (1 + a)
-        return base * (a / (1 + a)) ** k
+        return 1 / (1 + a) * (a / (1 + a)) ** k
 
     def float_coefficients(self, K):
         if self.is_exact:
             return super().float_coefficients(K)
-        # coefficient(k) for a float alpha, with the base and the ratio taken once
+        # r^k / (1 + a) for a float alpha, with the base and the ratio taken once
         a = self.alpha
         base, ratio = 1.0 / (1 + a), a / (1 + a)
         return [base * ratio**k for k in range(K + 1)]
@@ -464,19 +461,17 @@ class GeometricLaw(ArrivalLaw):
 
 # base-law constant (3/2)^(7/3) / 13 for the nongeneric example below
 _NONGEN_C = (1.5 ** (7.0 / 3.0)) / 13.0
-# t^k coefficients of (1 - t/3)^(7/3) for k = 0, 1, ..., extended on demand
-_NONGEN_BINOMIAL = [1.0]
-_NONGEN_LOCK = threading.Lock()  # one thread at a time extends the table
 
 
-def _nongen_binomial(k):
-    """t^k coefficient of (1 - t/3)^(7/3) for k >= 0, by the binomial recurrence."""
-    table = _NONGEN_BINOMIAL
-    if k >= len(table):
-        with _NONGEN_LOCK:
-            for j in range(len(table), k + 1):
-                table.append(table[-1] * ((7.0 / 3.0 - (j - 1)) / j * (-1.0 / 3.0)))
-    return table[k]
+@functools.cache
+def _nongen_binomials():
+    """t^k coefficients of (1 - t/3)^(7/3) by the binomial recurrence, from
+    k = 0 to the first that underflows, at k = 659; every one after is 0."""
+    out = [1.0]
+    while out[-1]:
+        j = len(out)
+        out.append(out[-1] * ((7.0 / 3.0 - (j - 1)) / j * (-1.0 / 3.0)))
+    return tuple(out)
 
 
 class NongenericExampleLaw(ArrivalLaw):
@@ -523,30 +518,16 @@ class NongenericExampleLaw(ArrivalLaw):
     def tilted_moments(self, t):
         return _tilted(t, *self._at(t))
 
-    def coefficient(self, k):
-        m = self._mix_f
-        base = self._base_coefficient(k)
-        if k == 0:
-            return 1.0 - m + m * base
-        return m * base
-
     def float_coefficients(self, K):
-        """coefficient(k) for k = 0..K, reading the binomial table once."""
-        m, c = self._mix_f, -_NONGEN_C
-        _nongen_binomial(K)
-        out = [m * (c * b) for b in _NONGEN_BINOMIAL[: K + 1]]
-        out[0] = 1.0 - m + m * self._base_coefficient(0)
+        """P(A = k) for k = 0..K.  B's t^k coefficient is -(3/2)^(7/3)/13
+        times that of (1 - t/3)^(7/3), plus 27/26 at k = 0 and 1/26 at
+        k = 2; the law takes mix times it, and 1 - mix more at k = 0."""
+        m, c, binom = self._mix_f, -_NONGEN_C, _nongen_binomials()
+        out = [m * (c * b) for b in binom[: K + 1]]
+        out += [0.0] * (K + 1 - len(out))
+        out[0] = 1.0 - m + m * (c + 27.0 / 26.0)
         if K >= 2:
-            out[2] = m * self._base_coefficient(2)
-        return out
-
-    @staticmethod
-    def _base_coefficient(k):
-        out = -_NONGEN_C * (_nongen_binomial(k) if k > 0 else 1.0)
-        if k == 0:
-            out += 27.0 / 26.0
-        elif k == 2:
-            out += 1.0 / 26.0
+            out[2] = m * (c * binom[2] + 1.0 / 26.0)
         return out
 
     def mean(self):
@@ -609,31 +590,12 @@ class CustomAnalyticLaw(ArrivalLaw):
         return (self.kind, id(self))
 
 
-# --- factories ----------------------------------------------------------------
+# each family's name is its class
+make_finite_law = FiniteSupportLaw
+binary0k = Binary0kLaw
+poisson = PoissonLaw
+geometric = GeometricLaw
+nongeneric_example = NongenericExampleLaw
 
-def make_finite_law(probs):
-    return FiniteSupportLaw(probs)
-
-
-def binary0k(alpha, k=2):
-    return Binary0kLaw(alpha, k)
-
-
-def poisson(alpha):
-    return PoissonLaw(alpha)
-
-
-def geometric(alpha):
-    return GeometricLaw(alpha)
-
-
-def nongeneric_example(mix=1):
-    return NongenericExampleLaw(mix)
-
-
-FAMILIES = {
-    "binary0k": binary0k,
-    "poisson": poisson,
-    "geometric": geometric,
-    "nongeneric_example": nongeneric_example,
-}
+# the one-parameter families, by their kind, which is also their name
+FAMILIES = {law.kind: law for law in (binary0k, poisson, geometric, nongeneric_example)}

@@ -52,6 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import _order
 from .errors import BudgetExceeded, OutOfDomain, UnsampleableLaw
 
 NODE_BUDGET = 1e10
@@ -114,17 +115,19 @@ def _positive_masses(law):
     K is the first cut leaving less than _TABLE_TAIL of P(A > 0) beyond it,
     and at least 1: where P(A > 0) is subnormal, _TABLE_TAIL of it rounds to
     0, and no cut leaves less than that.
-    Unbounded laws are expanded until a term falls below 2^-64 of the first;
-    the laws sampled here decay geometrically, so what lies past that is
-    negligible.
+    Unbounded laws are expanded, in lists of doubling length, up to the first
+    term at most 2^-64 of the first; the laws sampled here decay
+    geometrically, so what lies past that is negligible.
     """
     top = law.finite_support()
     if top is not None:
         masses = law.float_coefficients(top)[1:]
     else:
-        masses = [float(law.coefficient(1))]
-        while masses[-1] > 2.0**-64 * masses[0]:
-            masses.append(float(law.coefficient(len(masses) + 1)))
+        n = 32
+        while (masses := law.float_coefficients(n)[1:])[-1] > 2.0**-64 * masses[0]:
+            n *= 2
+        cut = 2.0**-64 * masses[0]
+        masses = masses[: next(k for k, m in enumerate(masses, 1) if not m > cut)]
     beyond = np.append(np.cumsum(masses[::-1])[::-1], 0.0)  # beyond[j]: mass of k > j
     q = math.fsum(masses)
     return masses[: max(1, int(np.argmax(beyond < _TABLE_TAIL * q)))], q
@@ -302,7 +305,7 @@ def make_sampler(law):
         q, largest = float(law.alpha / (1 + law.alpha)), None
     elif kind in ("finite", "nongeneric_example"):
         masses, q = _positive_masses(law)
-        table = law.float_coefficients(len(masses))
+        table = [law.mu0, *masses]
         lookup = _inverse_cdf(table, 0)
         dtype = _uniform_dtype(min(m for m in table if m > 0))
 
@@ -314,7 +317,8 @@ def make_sampler(law):
         raise UnsampleableLaw(f"no sampler for {law.describe()}")
     if q > _SPARSE_MAX_Q:
         return _dense(dense, largest)
-    masses, q = _positive_masses(law)
+    if kind in ("poisson", "geometric"):
+        masses, q = _positive_masses(law)
     lookup = _inverse_cdf(np.divide(masses, q), 1)
     return _sparse(q, lookup, len(masses))
 
@@ -364,18 +368,19 @@ def _check_loads(law, draw, depth):
 
 
 def _resolve_threads(threads):
-    threads = 1 if threads is None else int(threads)
+    threads = 1 if threads is None else _order(threads, "thread count")
     if threads < 1:
         raise OutOfDomain(f"thread count must be positive, got {threads}")
     return threads
 
 
 def _check_run(depth, samples, seed, budget):
-    if depth < 0:
+    """(depth, samples, seed) as ints, or the error that refuses the run."""
+    if (depth := _order(depth, "depth")) < 0:
         raise OutOfDomain("depth must be nonnegative")
-    if samples < 1:
+    if (samples := _order(samples, "sample count")) < 1:
         raise OutOfDomain("need at least one sample")
-    if not 0 <= seed < 2**64:
+    if not 0 <= (seed := _order(seed, "seed")) < 2**64:
         raise OutOfDomain("seed must fit in 64 bits")
     # an int compares exactly with a float of any size, but may be too big to
     # format as one; a NaN budget caps nothing, so it is refused too
@@ -383,6 +388,7 @@ def _check_run(depth, samples, seed, budget):
         raise BudgetExceeded(
             f"samples * 2^depth = {samples} * 2^{depth} exceeds the budget {budget:.3g}"
         )
+    return depth, samples, seed
 
 
 def _sample_rng(seed, index):
@@ -476,7 +482,7 @@ def _run_chunks(chunk, draw, depth, seed, samples, threads):
 def sample_root_load(law, depth, samples, seed=0, threads=None, budget=NODE_BUDGET):
     """Per-sample number of cars ending up at the root, as an int64 array."""
     threads = _resolve_threads(threads)
-    _check_run(depth, samples, seed, budget)
+    depth, samples, seed = _check_run(depth, samples, seed, budget)
     draw = make_sampler(law)
     _check_loads(law, draw, depth)
     parts = _run_chunks(_root_load_chunk, draw, depth, seed, samples, threads)
@@ -597,11 +603,11 @@ def root_cluster_stats(law, depth, samples, seed=0, threads=None, budget=NODE_BU
     because the whole occupancy field is kept in memory per sample.
     """
     threads = _resolve_threads(threads)
-    if depth > CLUSTER_DEPTH_CAP:
-        raise BudgetExceeded(f"cluster extraction is capped at depth {CLUSTER_DEPTH_CAP}")
     # the span estimate_root_law times: checks, sampler, chunks, concatenation
     t0 = time.perf_counter()
-    _check_run(depth, samples, seed, budget)
+    depth, samples, seed = _check_run(depth, samples, seed, budget)
+    if depth > CLUSTER_DEPTH_CAP:
+        raise BudgetExceeded(f"cluster extraction is capped at depth {CLUSTER_DEPTH_CAP}")
     draw = make_sampler(law)
     _check_loads(law, draw, depth)
     results = _run_chunks(_cluster_chunk, draw, depth, seed, samples, threads)

@@ -477,6 +477,22 @@ def test_alpha_c_default_bracket_holds_binary0k_alpha_c(tol):
         assert abs(find_alpha_c("binary0k", k=k, tol=tol) - _binary0k_alpha_c(k)) <= tol / 2, k
 
 
+@pytest.mark.parametrize("k", [16, 20, 30])
+def test_alpha_c_flanks_are_relative(k):
+    # alpha_c(16) = 6.5e-7 and alpha_c(30) = 2.2e-11: flanks an absolute
+    # tol/2 = 5e-10 away were far from alpha_c, and from k = 17 the lower one
+    # was lo itself.  Both must lie within alpha tol/2 of the closed form
+    # (+1e-13 relative for Newton's own error), one on either side
+    target, tol = _binary0k_alpha_c(k), 1e-9
+    alpha_c, trace = find_alpha_c("binary0k", k=k, want_trace=True)
+    (below, g_below), (above, g_above) = trace
+    lo = min(1e-6, k * 8.0**-k)
+    assert lo < below < target < above
+    assert target - below <= target * (tol / 2 + 1e-13)
+    assert above - target <= target * (tol / 2 + 1e-13)
+    assert g_below > 0.0 > g_above
+
+
 # (lo, hi) ranges as multiples of alpha_c: perfbench's sweeps draw theirs
 # log-uniformly from the first pair
 _BRACKET_SHAPES = {
@@ -494,10 +510,10 @@ _BRACKET_SHAPES = {
     tol=st.sampled_from([1e-9, 1e-8]),
 )
 def test_alpha_c_is_flanked_by_both_regimes(case, shape, u, tol):
-    # the answer is Newton's, and the midpoint of a bracket of width tol
-    # whose ends classify on either side of critical.  Below tol = 1e-9
-    # both ends can fall inside classify's band of 1e-9 on the gap and read
-    # critical, as they did before Newton
+    # the answer is Newton's, and the middle of a bracket of relative width
+    # tol whose ends have gaps of either sign; an absolute tol/2 away on either side,
+    # classify reads both regimes.  Below tol = 1e-9 the ends can fall inside
+    # classify's band of 1e-9 on the gap and read critical
     family, k = case
     make, target = _family(family, k)
     lo, hi = (target * a * (b / a) ** x for (a, b), x in zip(_BRACKET_SHAPES[shape], u))
@@ -508,7 +524,7 @@ def test_alpha_c_is_flanked_by_both_regimes(case, shape, u, tol):
     assert classify(make(alpha_c + tol / 2)).regime == "supercritical"
     assert abs(alpha_c - target) <= 1e-9
     (below, g_below), (above, g_above) = trace  # Newton's, not the fallback's
-    assert (below, above) == (alpha_c - tol / 2, alpha_c + tol / 2)
+    assert (below, above) == (alpha_c * (1 - tol / 2), alpha_c * (1 + tol / 2))
     assert g_below > 0.0 > g_above
 
 
@@ -542,16 +558,17 @@ def test_alpha_c_bracket_wholly_on_one_side(monkeypatch, family, k, newton):
 
 @pytest.mark.parametrize("family, k", [("binary0k", 2), ("poisson", None), ("geometric", None)])
 def test_alpha_c_near_the_bracket_end_falls_back(family, k):
-    # Newton's alpha is within tol/2 of lo, so its lower flank is clamped to
-    # lo: the sign change lies in [lo, alpha + tol/2], within tol/2 of alpha
+    # Newton's alpha is within alpha tol/2 of lo, so its lower flank is
+    # clamped to lo: the sign change lies in [lo, alpha (1 + tol/2)], within
+    # alpha tol/2 of alpha
     _, target = _family(family, k)
     tol = 1e-9
-    lo = target - tol / 4
+    lo = target * (1 - tol / 4)
     alpha_c, trace = find_alpha_c(family, k=k, lo=lo, hi=2 * target, tol=tol, want_trace=True)
     (below, g_below), (above, g_above) = trace
-    assert (below, above) == (lo, alpha_c + tol / 2)
+    assert (below, above) == (lo, alpha_c * (1 + tol / 2))
     assert g_below > 0.0 > g_above
-    assert abs(alpha_c - target) <= tol
+    assert abs(alpha_c - target) <= tol * target
 
 
 @pytest.mark.parametrize("family, k", [("binary0k", 2), ("poisson", None)])

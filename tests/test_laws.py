@@ -1,7 +1,10 @@
 """Arrival law constructors, validation, and generating function values."""
 
 import math
+import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -20,8 +23,15 @@ from parkcrit.errors import (
     OutOfDomain,
     ProbabilitySumNotOne,
 )
+from parkcrit import laws
 from parkcrit.laws import (
+    FAMILIES,
+    Binary0kLaw,
     CustomAnalyticLaw,
+    FiniteSupportLaw,
+    GeometricLaw,
+    NongenericExampleLaw,
+    PoissonLaw,
     binary0k,
     geometric,
     make_finite_law,
@@ -197,19 +207,41 @@ def test_float_coefficients_of_a_float_law():
     assert law.float_coefficients(30) == [law.coefficient(k) for k in range(31)]
 
 
-_FLOAT_LAWS = st.one_of(
+_UNIT = st.fractions(min_value=0, max_value=1).filter(lambda x: 0 < x < 1)
+_ALL_FAMILIES = st.one_of(
     st.floats(min_value=-9, max_value=9).map(lambda e: poisson(10.0**e)),
     st.floats(min_value=-9, max_value=9).map(lambda e: geometric(10.0**e)),
+    st.fractions(min_value=0, max_value=100).filter(lambda x: x > 0).map(geometric),
     st.floats(min_value=0.0, max_value=1.0, exclude_min=True).map(nongeneric_example),
+    st.tuples(_UNIT, st.integers(2, 40)).map(lambda uk: binary0k(uk[0] * uk[1], uk[1])),
+    st.tuples(st.floats(0.01, 0.99), st.integers(2, 40)).map(lambda uk: binary0k(uk[0] * uk[1], uk[1])),
+    st.lists(st.integers(0, 50), min_size=3, max_size=9)
+    .filter(lambda w: w[0] > 0 and sum(w[2:]) > 0)
+    .map(lambda w: make_finite_law([Fraction(x, sum(w)) for x in w])),
 )
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(law=_FLOAT_LAWS, K=st.integers(0, 250))
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(law=_ALL_FAMILIES, K=st.integers(0, 250))
 def test_float_coefficients_are_the_coefficients(law, K):
-    # the one-list paths of the laws without exact masses give coefficient(k)'s floats
+    # a float law's coefficient(k) reads float_coefficients, and an exact law
+    # states its masses twice, in coefficient and integer_masses: every family
+    # gives the same bits both ways, at every k up to K and at K itself
     got = law.float_coefficients(K)
     assert [v.hex() for v in got] == [float(law.coefficient(k)).hex() for k in range(K + 1)]
+    assert float(law.coefficient(K)).hex() == law.float_coefficients(K)[K].hex()
+
+
+def test_each_family_name_is_its_class():
+    assert FAMILIES == {
+        "binary0k": Binary0kLaw,
+        "poisson": PoissonLaw,
+        "geometric": GeometricLaw,
+        "nongeneric_example": NongenericExampleLaw,
+    }
+    assert (binary0k, poisson, geometric, nongeneric_example, make_finite_law) == (
+        Binary0kLaw, PoissonLaw, GeometricLaw, NongenericExampleLaw, FiniteSupportLaw)
+    assert binary0k(Fraction(1, 14)) == Binary0kLaw(Fraction(1, 14), 2)
 
 
 def test_nongeneric_example_normalization():
@@ -252,6 +284,28 @@ def test_nongeneric_coefficients_keep_the_bits_of_the_recurrence():
         want = _nongeneric_base_coefficient(k)
         assert base.coefficient(k).hex() == want.hex(), k
         assert law.coefficient(k) == (1.0 - 0.3 if k == 0 else 0.0) + 0.3 * want, k
+
+
+def test_nongeneric_coefficients_agree_across_threads():
+    # the binomial table is built on first use; threads that race to build
+    # it read the same masses, the recurrence's, past its underflow at 659 too
+    laws._nongen_binomials.cache_clear()
+    law, start = nongeneric_example(0.3), threading.Barrier(6, timeout=30)
+
+    def masses(_):
+        start.wait()
+        return [v.hex() for v in law.float_coefficients(700)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(6) as pool:
+            got = list(pool.map(masses, range(6), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    want = [((1.0 - 0.3 if k == 0 else 0.0) + 0.3 * _nongeneric_base_coefficient(k)).hex()
+            for k in range(701)]
+    assert all(g == want for g in got)
 
 
 def test_nongeneric_example_third_derivative_blows_up_at_radius():

@@ -323,6 +323,29 @@ def test_input_validation():
         estimate_root_law(poisson(0.1), 2000, 1)
 
 
+@pytest.mark.parametrize("run", [sample_root_load, estimate_root_law, root_cluster_stats])
+@pytest.mark.parametrize(
+    "bad", [{"depth": 2.5}, {"samples": 4.0}, {"seed": 1.5}, {"threads": 1.5}, {"seed": "1"}], ids=repr
+)
+def test_non_integer_run_arguments_are_refused(run, bad):
+    # seed = 1.5 and depth = 2.5 raised a raw TypeError from <<, samples = 4.0
+    # one from range, and threads = 1.5 was cut to 1
+    args = {"depth": 3, "samples": 4, "seed": 1, "threads": 1, **bad}
+    with pytest.raises(OutOfDomain, match="is not an integer"):
+        run(binary0k(0.05), **args)
+
+
+@pytest.mark.parametrize("run", [sample_root_load, root_cluster_stats])
+def test_numpy_integer_run_arguments_are_their_ints(run):
+    # np.int64(s) << 64 wrapped to 0, so every numpy seed drew seed 0's stream
+    law = binary0k(0.3)
+    for seed in (3, 5):
+        want = run(law, 4, 6, seed=seed, threads=2)
+        got = run(law, np.int64(4), np.int64(6), seed=np.uint64(seed), threads=np.int64(2))
+        want, got = (x if run is sample_root_load else x.size_counts for x in (want, got))
+        assert np.array_equal(got, want), seed
+
+
 @pytest.mark.parametrize("run, depth", [(estimate_root_law, 40), (root_cluster_stats, 22)])
 @pytest.mark.parametrize("budget", [math.nan, 0.0])
 def test_budget_that_caps_nothing_is_refused_before_sampling(monkeypatch, run, depth, budget):
@@ -571,6 +594,33 @@ def test_conditional_table_misses_almost_no_mass(law):
     missing = math.fsum(float(law.coefficient(k)) for k in range(top + 1, top + 400))
     assert missing / q < 2.0**-52
     assert q == pytest.approx(1.0 - float(law.coefficient(0)), rel=1e-12)
+
+
+def _positive_masses_by_coefficient(law):
+    # the per-k loop that _positive_masses ran before it read float_coefficients
+    masses = [float(law.coefficient(1))]
+    while masses[-1] > 2.0**-64 * masses[0]:
+        masses.append(float(law.coefficient(len(masses) + 1)))
+    beyond = np.append(np.cumsum(masses[::-1])[::-1], 0.0)
+    q = math.fsum(masses)
+    return masses[: max(1, int(np.argmax(beyond < simulate._TABLE_TAIL * q)))], q
+
+
+@pytest.mark.parametrize(
+    "law",
+    [poisson(a) for a in (1e-300, 1e-9, 1e-3, 0.1, 0.25, 0.28, 5.0)]
+    + [geometric(a) for a in (1e-9, 0.01, 0.2, 1 / 3, 3.0)]
+    + [geometric(Fraction(a)) for a in ("1/10", "1/3", "2/7")]
+    + [nongeneric_example(m) for m in (1e-9, 0.01, Fraction(1, 2), 1)],
+    ids=str,
+)
+def test_positive_masses_read_as_the_per_k_loop_did(law):
+    # the streams rest on these bits: the same terms, cut at the same k,
+    # summed into the same q
+    masses, q = _positive_masses(law)
+    want, want_q = _positive_masses_by_coefficient(law)
+    assert [m.hex() for m in masses] == [m.hex() for m in want]
+    assert q.hex() == want_q.hex()
 
 
 def test_uniforms_resolve_masses_below_2_to_the_minus_24():
