@@ -272,6 +272,18 @@ def test_enumerate_oracle_flag(capsys):
     assert doc["oracle_checked"] is True
 
 
+def test_enumerate_oracle_past_its_budget(capsys):
+    # 19**8 tuples of atoms; the oracle counts its work first and refuses
+    code, out, err = run_cli(
+        capsys,
+        "enumerate", "--family", "geometric", "--alpha", "1/3",
+        "--vertex-order", "8", "--flux-order", "10", "--oracle",
+    )
+    assert code == 2
+    assert out == ""
+    assert "input error (BudgetExceeded): brute force at orders (8, 10)" in err
+
+
 def test_enumerate_json_entries(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from parkcrit.analytic import classify
 from parkcrit.enumeration import (
     DecoratedTree,
     FptTable,
+    _postorder,
     _shapes,
     brute_force_table,
     check_against_oracle,
@@ -153,6 +155,81 @@ def test_brute_force_caps():
         brute_force_table(poisson(0.3), 3, 1)
     with pytest.raises(NonExactLaw):
         tutte_series(binary0k(0.05), 3, 1)
+
+
+def test_brute_force_refuses_work_past_its_budget():
+    # 19**8 tuples, about 3 hours for a loop over every tuple of atoms: the
+    # assignments are counted first, and the call is refused before any is built
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=r"orders \(8, 10\)"):
+        brute_force_table(geometric(Fraction(1, 3)), 8, 10)
+    assert time.perf_counter() - start < 1.0
+
+
+def reference_brute_force(law, vertex_order, flux_order):
+    """brute_force_table's rows one assignment at a time: every tuple of
+    support atoms, each shape parked with an early exit at its first empty
+    vertex, each fully parked tree's weight added on its own."""
+    coeffs = law.exact_coefficients(vertex_order + flux_order)
+    support = [(k, c) for k, c in enumerate(coeffs) if c > 0]
+    rows = [[Fraction(0)] * (flux_order + 1) for _ in range(vertex_order + 1)]
+    for n in range(1, vertex_order + 1):
+        tables = [_postorder(shape) for shape in _shapes(n)]
+        for assignment in itertools.product(support, repeat=n):
+            total = sum(k for k, _ in assignment)
+            if total < n or total > n + flux_order:
+                continue
+            counts = [0] * (flux_order + 1)  # parked shapes by flux
+            for children in tables:
+                loads = [0] * n
+                parked = True
+                for i, (li, ri) in enumerate(children):
+                    x = assignment[i][0]
+                    if li >= 0 and loads[li] > 1:
+                        x += loads[li] - 1
+                    if ri >= 0 and loads[ri] > 1:
+                        x += loads[ri] - 1
+                    if x == 0:
+                        parked = False
+                        break
+                    loads[i] = x
+                if parked:
+                    counts[loads[-1] - 1] += 1
+            if any(counts):
+                weight = Fraction(1)
+                for _, w in assignment:
+                    weight *= w
+                for p, count in enumerate(counts):
+                    rows[n][p] += weight * count
+    return tuple(tuple(r) for r in rows)
+
+
+@st.composite
+def oracle_laws(draw):
+    """binary0k with k 2..5, a geometric law, or a finite law with 2-6 atoms
+    on 0..6, all exact."""
+    kind = draw(st.sampled_from(("binary0k", "geometric", "finite")))
+    if kind == "binary0k":
+        alpha = Fraction(draw(st.integers(1, 9)), draw(st.integers(10, 40)))
+        return binary0k(alpha, draw(st.integers(2, 5)))
+    if kind == "geometric":
+        return geometric(Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 30))))
+    support = [0] + draw(st.lists(st.integers(1, 6), min_size=1, max_size=5, unique=True))
+    if max(support) < 2:
+        support.append(2)  # all mass on {0, 1} is refused
+    weights = [draw(st.integers(1, 9)) for _ in support]
+    probs = [Fraction(0)] * (max(support) + 1)
+    for k, w in zip(support, weights):
+        probs[k] = Fraction(w, sum(weights))
+    return make_finite_law(probs)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(law=oracle_laws(), vertex_order=st.integers(4, 5), flux_order=st.integers(0, 3))
+def test_oracle_matches_the_reference_enumeration(law, vertex_order, flux_order):
+    table = brute_force_table(law, vertex_order, flux_order)
+    assert table.rows == reference_brute_force(law, vertex_order, flux_order)
+    assert first_mismatch(tutte_series(law, 6, 3), brute_force_table(law, 6, 3)) is None
 
 
 def test_table_weights_sum_to_flux_probability():
@@ -349,12 +426,37 @@ def test_packed_rows_match_the_reference_recursion(law, vertex_order, flux_order
 
 def test_slots_widen_as_rows_grow():
     # every row multiplies by h[0] = 2**31 - 8, so each gains about 31 bits
-    # and the slots, at most a quarter wider than the bound that set them,
-    # widen six times by n = 12
+    # and the slots, at most an eighth wider than the bound that set them,
+    # widen seven times by n = 12
     d = 2**31 - 1
     law = make_finite_law([Fraction(d - 7, d), Fraction(3, d), Fraction(2, d), Fraction(2, d)])
     table = assert_matches_reference(law, 12, 3)
     assert table.row_bits[2] < 40 and table.row_bits[12] > 250
+
+
+@pytest.mark.parametrize("d", [10**20, 7**30], ids=["10^20", "7^30"])
+@pytest.mark.parametrize("heavy", [0, 2])
+@pytest.mark.parametrize("vertex_order, flux_order", [(4, 1), (16, 2), (24, 4)])
+def test_packed_rows_with_large_integer_masses(d, heavy, vertex_order, flux_order):
+    # nearly all the mass sits at heavy, so h has one entry of about bits(d)
+    # bits and two tiny ones.  At heavy = 0 an entry of a row has about
+    # bits(d) bits more than the next one up, so each row's largest int is
+    # its first.  At heavy = 2 the entries grow with M, by about bits(d) / 2
+    # bits a step up to M = 2 n, so a row that ends below that has its
+    # largest int last, where a pair product's mask cuts it off
+    probs = [Fraction(1, d), Fraction(2, d), Fraction(2, d)]
+    probs[heavy] = 0
+    probs[heavy] = 1 - sum(probs)
+    law = make_finite_law(probs)
+    table = assert_matches_reference(law, vertex_order, flux_order)
+    assert table.row_bits[vertex_order] > vertex_order * d.bit_length() // 3
+
+
+@pytest.mark.parametrize("vertex_order, flux_order", [(9, 0), (12, 3)])
+def test_packed_rows_whose_pair_products_reach_one_slot(vertex_order, flux_order):
+    # stride 9: rows of one or two slots of ones, so a pair product's slot
+    # bound rests on the first entry of each row alone
+    assert_matches_reference(binary0k(Fraction(1, 20), 9), vertex_order, flux_order)
 
 
 @pytest.mark.parametrize(
