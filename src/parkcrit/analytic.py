@@ -104,12 +104,12 @@ def _gf(law, t, g, u):
     return 2.0 * math.sqrt(a * g / mu0) / (1 + a)
 
 
-def _root(f, a, b, fa=None, fb=None):
-    """Root of f on [a, b] given f(a) > 0 > f(b), by ITP.
+def _root(f, a, b, fa, fb):
+    """Root of f on [a, b] given fa = f(a) > 0 > fb = f(b), by ITP.
 
-    fa and fb are f(a) and f(b) when the caller holds them.  Stops once
-    b - a is at most REL_ROOT_TOL times the larger end of the bracket, and
-    returns the midpoint, or at once a point where f is exactly 0.
+    Stops once b - a is at most REL_ROOT_TOL times the larger end of the
+    bracket, and returns the midpoint, or at once a point where f is
+    exactly 0.
 
     Each step interpolates (regula falsi), moves the estimate toward the
     midpoint by 0.2 (b - a)^2 / (b0 - a0), and clips it to the window
@@ -119,11 +119,8 @@ def _root(f, a, b, fa=None, fb=None):
     k1 = 0.2 / (b0 - a0), k2 = 2, n0 = 1; Oliveira and Takahashi, ACM
     TOMS 47(1), 2020).  The move is at least half the stopping width, so
     an estimate that rounds onto an end still closes the bracket.  A step
-    whose end values are not both finite, or not both given, takes the
-    midpoint.
+    whose end values are not both finite takes the midpoint.
     """
-    fa = math.nan if fa is None else fa
-    fb = math.nan if fb is None else fb
     w0 = b - a
     for j in range(ITER_CAP):
         w = b - a
@@ -732,14 +729,13 @@ def _newton_alpha_c(make, lo, hi):
     return None
 
 
-def find_alpha_c(family, k=None, lo=None, hi=None, tol=1e-9, want_trace=False):
+def find_alpha_c(family, k=None, lo=None, hi=None, tol=1e-9):
     """Critical mean arrival count of a one-parameter family.
 
     The family must be subcritical at lo and supercritical at hi.  Returns
     alpha_c, within alpha_c tol/2 of a sign change of the signed criticality
     gap (_regime_gap): tol is relative, as alpha_c spans many decades along
-    binary0k.  Or (alpha_c, trace) when want_trace is set, trace being the
-    two (alpha, gap) pairs that decided it.
+    binary0k.
 
     _newton_alpha_c solves the paper's critical system in (t, alpha); its
     alpha, clipped to [lo, hi], is accepted when the gap is positive at
@@ -783,11 +779,11 @@ def find_alpha_c(family, k=None, lo=None, hi=None, tol=1e-9, want_trace=False):
     else:
         alpha_c = max(a, min(b, alpha_c))
         x, y = max(a, alpha_c * (1.0 - 0.5 * tol)), min(b, alpha_c * (1.0 + 0.5 * tol))
-    trace = [(x, _regime_gap(make(x))), (y, _regime_gap(make(y)))]
-    if x == a and not trace[0][1] > 0.0:
+    gap_x, gap_y = _regime_gap(make(x)), _regime_gap(make(y))
+    if x == a and not gap_x > 0.0:
         raise BracketFailure(f"{family} at alpha = {a!r} is not subcritical")
-    if y == b and not trace[1][1] < 0.0:
+    if y == b and not gap_y < 0.0:
         raise BracketFailure(f"{family} at alpha = {b!r} is not supercritical")
-    if alpha_c is None or not trace[0][1] > 0.0 > trace[1][1]:
+    if alpha_c is None or not gap_x > 0.0 > gap_y:
         raise NoSolution(f"{family}: no critical alpha found in ({a!r}, {b!r})")
-    return (alpha_c, trace) if want_trace else alpha_c
+    return alpha_c

@@ -25,15 +25,15 @@ from .analytic import _order, classify, flux_distribution
 from .errors import (
     BudgetExceeded,
     EnumerationError,
-    NonExactLaw,
     NoSolution,
     OracleMismatch,
     OutOfDomain,
 )
 
 BRUTE_FORCE_MAX_VERTICES = 8
-# the oracle's work, assignments x shapes x vertices summed over n: 10**7
-# parks in about 0.05 s on one x86-64 core; (6, 3) on a geometric law is 3.9e6
+# the oracle's work, assignments x vertices x (shapes + words per mass) summed
+# over n (_check_oracle_work): 10**7 parks in about 0.05 s on one x86-64 core;
+# (6, 3) on a geometric law is 3.9e6
 BRUTE_FORCE_WORK = 10**7
 
 
@@ -343,6 +343,15 @@ def _packed_rows(h, first):
     return rows, [bits[-1] for bits in reach_bits]
 
 
+def _orders(vertex_order, flux_order):
+    """The two orders of a table as ints, or OutOfDomain."""
+    vertex_order = _order(vertex_order, "vertex order")
+    flux_order = _order(flux_order, "flux order")
+    if vertex_order < 1 or flux_order < 0:
+        raise OutOfDomain("need vertex_order >= 1 and flux_order >= 0")
+    return vertex_order, flux_order
+
+
 def tutte_series(law, vertex_order, flux_order):
     """Weight table via the generating-function row recursion.
 
@@ -367,12 +376,7 @@ def tutte_series(law, vertex_order, flux_order):
     a Fraction only then, and zero where s does not divide n + p.  The
     table's row_bits[n] is the bit length of the largest int of u_n.
     """
-    vertex_order = _order(vertex_order, "vertex order")
-    flux_order = _order(flux_order, "flux order")
-    if vertex_order < 1 or flux_order < 0:
-        raise OutOfDomain("need vertex_order >= 1 and flux_order >= 0")
-    if not law.is_exact:
-        raise NonExactLaw(f"{law.describe()} has no exact coefficients")
+    vertex_order, flux_order = _orders(vertex_order, flux_order)
     h, a, b, s = law.integer_masses(vertex_order + flux_order)
     first = [-(-n // s) for n in range(vertex_order + 1)]  # row n starts at M = first[n]
     u, row_bits = _packed_rows(h, first)
@@ -400,20 +404,26 @@ def tutte_series(law, vertex_order, flux_order):
     )
 
 
-def _check_oracle_work(support, vertex_order, flux_order):
-    """Raise BudgetExceeded if the oracle's work, assignments x shapes x
-    vertices summed over n, would pass BRUTE_FORCE_WORK.  ways[t] counts
-    the assignments to the vertices so far whose arrivals total t."""
+def _check_oracle_work(coeffs, support, vertex_order, flux_order):
+    """Raise BudgetExceeded if the oracle's work would pass BRUTE_FORCE_WORK.
+
+    Summed over n, each fitting assignment of arrivals to n vertices costs
+    its parked vertices, shapes x n, and at most one weight, a product of n
+    masses of up to `words` 64-bit words each.  ways[t] counts the
+    assignments to the vertices so far whose arrivals total t."""
+    bits = max((max(coeffs[k].numerator.bit_length(), coeffs[k].denominator.bit_length())
+                for k in support), default=0)
+    words = -(-bits // 64)
     top = vertex_order + flux_order
     ways = [1] + [0] * top
     work = 0
     for n in range(1, vertex_order + 1):
         ways = [sum(ways[t - k] for k in support if k <= t) for t in range(top + 1)]
-        work += sum(ways[n : n + flux_order + 1]) * (math.comb(2 * n, n) // (n + 1)) * n
+        work += sum(ways[n : n + flux_order + 1]) * n * (math.comb(2 * n, n) // (n + 1) + words)
         if work > BRUTE_FORCE_WORK:
             raise BudgetExceeded(
                 f"brute force at orders ({vertex_order}, {flux_order}) passes its budget of "
-                f"{BRUTE_FORCE_WORK:.0e} parked vertices (assignments x shapes x vertices)"
+                f"{BRUTE_FORCE_WORK:.0e} (assignments x vertices x (shapes + words per mass))"
             )
 
 
@@ -437,21 +447,16 @@ def brute_force_table(law, vertex_order, flux_order):
     before any array is built, would pass BRUTE_FORCE_WORK, it raises
     BudgetExceeded.
     """
-    vertex_order = _order(vertex_order, "vertex order")
-    flux_order = _order(flux_order, "flux order")
-    if vertex_order < 1 or flux_order < 0:
-        raise OutOfDomain("need vertex_order >= 1 and flux_order >= 0")
+    vertex_order, flux_order = _orders(vertex_order, flux_order)
     if vertex_order > BRUTE_FORCE_MAX_VERTICES:
         raise BudgetExceeded(
             f"brute force is capped at {BRUTE_FORCE_MAX_VERTICES} vertices"
         )
-    if not law.is_exact:
-        raise NonExactLaw(f"{law.describe()} has no exact coefficients")
     # no vertex of a tree in the table receives more than vertex_order + flux_order cars
     top = vertex_order + flux_order
     coeffs = law.exact_coefficients(top)
     support = [k for k, c in enumerate(coeffs) if c > 0]
-    _check_oracle_work(support, vertex_order, flux_order)
+    _check_oracle_work(coeffs, support, vertex_order, flux_order)
     import numpy as np  # the shapes park in numpy; only the oracle imports it here
 
     atoms = np.array(support, dtype=np.int64)

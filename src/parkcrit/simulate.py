@@ -367,15 +367,11 @@ def _check_loads(law, draw, depth):
     )
 
 
-def _resolve_threads(threads):
+def _check_run(depth, samples, seed, threads, budget):
+    """(depth, samples, seed, threads) as ints, or the error that refuses the run."""
     threads = 1 if threads is None else _order(threads, "thread count")
     if threads < 1:
         raise OutOfDomain(f"thread count must be positive, got {threads}")
-    return threads
-
-
-def _check_run(depth, samples, seed, budget):
-    """(depth, samples, seed) as ints, or the error that refuses the run."""
     if (depth := _order(depth, "depth")) < 0:
         raise OutOfDomain("depth must be nonnegative")
     if (samples := _order(samples, "sample count")) < 1:
@@ -388,7 +384,7 @@ def _check_run(depth, samples, seed, budget):
         raise BudgetExceeded(
             f"samples * 2^depth = {samples} * 2^{depth} exceeds the budget {budget:.3g}"
         )
-    return depth, samples, seed
+    return depth, samples, seed, threads
 
 
 def _sample_rng(seed, index):
@@ -462,12 +458,15 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-def _run_chunks(chunk, draw, depth, seed, samples, threads):
-    """chunk(draw, depth, seed, start, stop) over `threads` ranges, in sample order.
+def _run(chunk, law, depth, samples, seed, threads):
+    """chunk(draw, depth, seed, start, stop) over `threads` ranges of the
+    checked run, in sample order, after the loads are checked.
 
     At most one worker per usable CPU runs them: a thread beyond the cores
     only adds GIL hand-overs.
     """
+    draw = make_sampler(law)
+    _check_loads(law, draw, depth)
     if threads == 1 or samples < 2 * threads:
         return [chunk(draw, depth, seed, 0, samples)]
     step = -(-samples // threads)
@@ -481,12 +480,8 @@ def _run_chunks(chunk, draw, depth, seed, samples, threads):
 
 def sample_root_load(law, depth, samples, seed=0, threads=None, budget=NODE_BUDGET):
     """Per-sample number of cars ending up at the root, as an int64 array."""
-    threads = _resolve_threads(threads)
-    depth, samples, seed = _check_run(depth, samples, seed, budget)
-    draw = make_sampler(law)
-    _check_loads(law, draw, depth)
-    parts = _run_chunks(_root_load_chunk, draw, depth, seed, samples, threads)
-    return np.concatenate(parts)
+    run = _check_run(depth, samples, seed, threads, budget)
+    return np.concatenate(_run(_root_load_chunk, law, *run))
 
 
 def _standard_error(p, n):
@@ -534,7 +529,7 @@ def estimate_root_law(law, depth, samples, seed=0, threads=None, budget=NODE_BUD
     root_load_tail counts the samples beyond them.  mean_load takes every
     sample at its own load.
     """
-    threads = _resolve_threads(threads)
+    depth, samples, seed, threads = _check_run(depth, samples, seed, threads, budget)
     t0 = time.perf_counter()
     loads = sample_root_load(law, depth, samples, seed, threads, budget)
     elapsed = time.perf_counter() - t0
@@ -602,15 +597,12 @@ def root_cluster_stats(law, depth, samples, seed=0, threads=None, budget=NODE_BU
     size on the infinite tree is larger than measured.  Depth is capped
     because the whole occupancy field is kept in memory per sample.
     """
-    threads = _resolve_threads(threads)
     # the span estimate_root_law times: checks, sampler, chunks, concatenation
     t0 = time.perf_counter()
-    depth, samples, seed = _check_run(depth, samples, seed, budget)
+    depth, samples, seed, threads = _check_run(depth, samples, seed, threads, budget)
     if depth > CLUSTER_DEPTH_CAP:
         raise BudgetExceeded(f"cluster extraction is capped at depth {CLUSTER_DEPTH_CAP}")
-    draw = make_sampler(law)
-    _check_loads(law, draw, depth)
-    results = _run_chunks(_cluster_chunk, draw, depth, seed, samples, threads)
+    results = _run(_cluster_chunk, law, depth, samples, seed, threads)
     sizes = np.concatenate([r[0] for r in results])
     censored = np.concatenate([r[1] for r in results])
     elapsed = time.perf_counter() - t0

@@ -5,6 +5,7 @@ The numeric targets here were computed independently with exact algebra
 shows up as a drift from these constants.
 """
 
+import contextlib
 import dataclasses
 import hashlib
 import math
@@ -14,6 +15,7 @@ import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -435,9 +437,23 @@ BISECTION_ALPHA_C = {
 }
 
 
+@contextlib.contextmanager
+def regime_gaps():
+    """The (alpha, gap) pairs that find_alpha_c reads inside the block, in order."""
+    seen, gap = [], analytic._regime_gap
+
+    def recorded(law):
+        seen.append((law.alpha, gap(law)))
+        return seen[-1][1]
+
+    with mock.patch.object(analytic, "_regime_gap", recorded):
+        yield seen
+
+
 @pytest.mark.parametrize("family, k, tol", list(PINNED_ALPHA_C))
 def test_alpha_c_pinned(family, k, tol):
-    alpha_c, trace = find_alpha_c(family, k=k, tol=tol, want_trace=True)
+    with regime_gaps() as trace:
+        alpha_c = find_alpha_c(family, k=k, tol=tol)
     assert (alpha_c.hex(), len(trace)) == PINNED_ALPHA_C[family, k, tol]
 
 
@@ -484,7 +500,8 @@ def test_alpha_c_flanks_are_relative(k):
     # was lo itself.  Both must lie within alpha tol/2 of the closed form
     # (+1e-13 relative for Newton's own error), one on either side
     target, tol = _binary0k_alpha_c(k), 1e-9
-    alpha_c, trace = find_alpha_c("binary0k", k=k, want_trace=True)
+    with regime_gaps() as trace:
+        find_alpha_c("binary0k", k=k)
     (below, g_below), (above, g_above) = trace
     lo = min(1e-6, k * 8.0**-k)
     assert lo < below < target < above
@@ -519,7 +536,8 @@ def test_alpha_c_is_flanked_by_both_regimes(case, shape, u, tol):
     lo, hi = (target * a * (b / a) ** x for (a, b), x in zip(_BRACKET_SHAPES[shape], u))
     if family == "binary0k":
         hi = min(hi, k * 0.999)
-    alpha_c, trace = find_alpha_c(family, k=k, lo=lo, hi=hi, tol=tol, want_trace=True)
+    with regime_gaps() as trace:
+        alpha_c = find_alpha_c(family, k=k, lo=lo, hi=hi, tol=tol)
     assert classify(make(alpha_c - tol / 2)).regime != "supercritical"
     assert classify(make(alpha_c + tol / 2)).regime == "supercritical"
     assert abs(alpha_c - target) <= 1e-9
@@ -564,7 +582,8 @@ def test_alpha_c_near_the_bracket_end_falls_back(family, k):
     _, target = _family(family, k)
     tol = 1e-9
     lo = target * (1 - tol / 4)
-    alpha_c, trace = find_alpha_c(family, k=k, lo=lo, hi=2 * target, tol=tol, want_trace=True)
+    with regime_gaps() as trace:
+        alpha_c = find_alpha_c(family, k=k, lo=lo, hi=2 * target, tol=tol)
     (below, g_below), (above, g_above) = trace
     assert (below, above) == (lo, alpha_c * (1 + tol / 2))
     assert g_below > 0.0 > g_above

@@ -2,6 +2,8 @@
 
 import hashlib
 import itertools
+import math
+import re
 import time
 from fractions import Fraction
 
@@ -22,7 +24,14 @@ from parkcrit.enumeration import (
     tutte_series,
 )
 from parkcrit.errors import BudgetExceeded, EnumerationError, NonExactLaw, OutOfDomain
-from parkcrit.laws import binary0k, geometric, make_finite_law, poisson
+from parkcrit.laws import (
+    CustomAnalyticLaw,
+    binary0k,
+    geometric,
+    make_finite_law,
+    nongeneric_example,
+    poisson,
+)
 
 B02 = binary0k(Fraction(1, 14))
 
@@ -148,13 +157,46 @@ def test_brute_force_with_dense_support():
     check_against_oracle(law, 4, 2)
 
 
+NON_EXACT_LAWS = [
+    poisson(0.3),
+    geometric(0.1),
+    binary0k(0.05),
+    nongeneric_example(0.5),
+    CustomAnalyticLaw(lambda t: (1.0, 0.0, 0.0), math.inf, 1.0, 0.0, "constant"),
+]
+
+
 def test_brute_force_caps():
     with pytest.raises(BudgetExceeded):
         brute_force_table(B02, 9, 1)
-    with pytest.raises(NonExactLaw):
-        brute_force_table(poisson(0.3), 3, 1)
-    with pytest.raises(NonExactLaw):
-        tutte_series(binary0k(0.05), 3, 1)
+    # exactness is the law's to refuse (integer_masses, exact_coefficients),
+    # before any work
+    for build, law in itertools.product((tutte_series, brute_force_table, check_against_oracle),
+                                        NON_EXACT_LAWS):
+        message = re.escape(f"{law.describe()} has no exact coefficients")
+        with pytest.raises(NonExactLaw, match=message):
+            build(law, 3, 1)
+
+
+@pytest.mark.parametrize("orders", [(0, 1), (3, -1), (2.5, 1), (3, 0.5)])
+def test_both_constructions_refuse_bad_orders_alike(orders):
+    # the orders are checked before the law's exactness
+    errors = []
+    for build, law in itertools.product((tutte_series, brute_force_table), (B02, poisson(0.3))):
+        with pytest.raises(OutOfDomain) as exc:
+            build(law, *orders)
+        errors.append(str(exc.value))
+    assert len(set(errors)) == 1, errors
+
+
+def test_brute_force_budget_counts_the_exact_weights():
+    # 2 vertices and flux up to 2000 park only 8.0e6 vertices, but each
+    # weight is a product of masses of about 4,000 bits: admitted, this call
+    # took 14 s and 458 MB in Fraction products
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=r"orders \(2, 2000\)"):
+        brute_force_table(geometric(Fraction(1, 3)), 2, 2000)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_brute_force_refuses_work_past_its_budget():

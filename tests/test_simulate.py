@@ -5,6 +5,7 @@ reruns; exact reproducibility assertions use fixed seeds.
 """
 
 import hashlib
+import json
 import math
 import time
 import warnings
@@ -15,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from parkcrit import simulate
+from parkcrit import cli, simulate
 from parkcrit.analytic import classify, flux_distribution
 from parkcrit.errors import BudgetExceeded, OutOfDomain, UnsampleableLaw
 from parkcrit.laws import (
@@ -344,6 +345,24 @@ def test_numpy_integer_run_arguments_are_their_ints(run):
         got = run(law, np.int64(4), np.int64(6), seed=np.uint64(seed), threads=np.int64(2))
         want, got = (x if run is sample_root_load else x.size_counts for x in (want, got))
         assert np.array_equal(got, want), seed
+
+
+@pytest.mark.parametrize("run", [estimate_root_law, root_cluster_stats])
+def test_run_records_hold_the_checked_ints(run):
+    # estimate_root_law recorded the caller's numpy ints, which the JSON
+    # output wrote as strings
+    st = run(binary0k(0.3), np.int64(3), np.int64(20), seed=np.int64(5), threads=np.int64(2))
+    fields = {name: getattr(st, name) for name in ("depth", "samples", "seed", "threads")}
+    assert fields == {"depth": 3, "samples": 20, "seed": 5, "threads": 2}
+    assert all(type(v) is int for v in fields.values())
+    doc = json.loads(json.dumps(cli._plain(cli._record(st))))
+    assert {name: doc[name] for name in fields} == fields
+
+
+@pytest.mark.parametrize("run", [sample_root_load, estimate_root_law, root_cluster_stats])
+def test_thread_count_is_checked_first(run):
+    with pytest.raises(OutOfDomain, match="thread count must be positive, got 0"):
+        run(B02, depth=-1, samples=0, seed=-1, threads=0)
 
 
 @pytest.mark.parametrize("run, depth", [(estimate_root_law, 40), (root_cluster_stats, 22)])
