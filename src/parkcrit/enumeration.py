@@ -409,17 +409,26 @@ def _check_oracle_work(coeffs, support, vertex_order, flux_order):
 
     Summed over n, each fitting assignment of arrivals to n vertices costs
     its parked vertices, shapes x n, and at most one weight, a product of n
-    masses of up to `words` 64-bit words each.  ways[t] counts the
-    assignments to the vertices so far whose arrivals total t."""
+    masses of up to `words` 64-bit words each.  Entry t of P^n, P the sum
+    of z^k over the support, counts the assignments to n vertices whose
+    arrivals total t.  Each power is one big-int product, its entries packed
+    into slots (_packed_rows) sized for len(support)^vertex_order."""
     bits = max((max(coeffs[k].numerator.bit_length(), coeffs[k].denominator.bit_length())
                 for k in support), default=0)
     words = -(-bits // 64)
     top = vertex_order + flux_order
-    ways = [1] + [0] * top
-    work = 0
+    size = (len(support) ** vertex_order).bit_length() // 8 + 1  # bytes a slot
+    row = bytearray((top + 1) * size)
+    for k in support:
+        row[k * size] = 1
+    packed, cut = int.from_bytes(row, "little"), (1 << 8 * size * (top + 1)) - 1
+    ways, work = 1, 0
     for n in range(1, vertex_order + 1):
-        ways = [sum(ways[t - k] for k in support if k <= t) for t in range(top + 1)]
-        work += sum(ways[n : n + flux_order + 1]) * n * (math.comb(2 * n, n) // (n + 1) + words)
+        ways = ways * packed & cut
+        data = ways.to_bytes((top + 1) * size, "little")
+        fitting = sum(int.from_bytes(data[k : k + size], "little")
+                      for k in range(n * size, (n + flux_order + 1) * size, size))
+        work += fitting * n * (math.comb(2 * n, n) // (n + 1) + words)
         if work > BRUTE_FORCE_WORK:
             raise BudgetExceeded(
                 f"brute force at orders ({vertex_order}, {flux_order}) passes its budget of "

@@ -20,30 +20,33 @@ A | A > 0.  Denser laws draw one value per node.
 
 Loads are settled bottom up: load(v) = arrivals(v) + surplus of both
 children, surplus(u) = max(load(u) - 1, 0), each level's loads (less 2,
-see _settle) written over its arrivals, in int32: a run whose loads could
-pass 2^31 - 1 is refused before its first draw (_check_loads).
+see _settle) written over its arrivals, in int16 where a run's trees cannot
+hold more than 2^15 - 1 cars, else in int32: a run whose loads could pass
+2^31 - 1 is refused before its first draw (_check_loads).  The width
+changes no value.
 
 Each chunk of samples (one per worker thread) allocates its arrays once,
 through draw.workspace, and draws and settles its trees a group at a time
 in them.  A group holds G trees, the largest power of two up to _BATCH
-whose trees and draw arrays fit in _GROUP_BYTES (2 MiB): 16 trees up to
-depth 13, and at depth 16 two poisson(0.1) or four binary0k(0.05) trees
-in sample_root_load.  One numpy call then covers a group: the sparse
-draw's gap arithmetic, value lookup and placement, and each level of the
-settle.  Fewer calls per tree cost less interpreter time, and with
+whose arrays, temporaries included, fit in _GROUP_BYTES (2 MiB): 16 trees
+up to depth 13, and at depth 16 four poisson(0.1) or eight binary0k(0.05)
+int16 trees in sample_root_load.  One numpy call then covers a group: the
+sparse draw's gap arithmetic, value lookup and placement, and each level
+of the settle.  Fewer calls per tree cost less interpreter time, and with
 several threads fewer GIL hand-overs.  sample_root_load settles a group's
 levels below level 10; their levels 0..10 (2047 nodes: arrivals above
 level 10, loads at it) then become rows of a batch of _BATCH samples,
-whose top levels settle together.  Its sparse trees deeper than level 10
-leave out their deepest level, half their nodes: each site there hands
-its surplus to its parent as it is placed.  root_cluster_stats settles a
-group's whole trees and keeps every level's occupancy.  The truncation
-treats the nodes below the deepest level as absent, which only loses the
-flux they would push up; root-level estimates converge from below as
-depth grows.
+whose top levels settle together, in int32.  Its sparse trees deeper than
+level 10 leave out their deepest level, half their nodes: each site there
+hands its surplus to its parent as it is placed.  root_cluster_stats
+settles a group's whole trees and keeps every level's occupancy.  The
+truncation treats the nodes below the deepest level as absent, which only
+loses the flux they would push up; root-level estimates converge from
+below as depth grows.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
@@ -53,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import _order
-from .errors import BudgetExceeded, OutOfDomain, UnsampleableLaw
+from .errors import BudgetExceeded, EvaluationBeyondRadius, OutOfDomain, UnsampleableLaw
 
 NODE_BUDGET = 1e10
 LOAD_BINS = 1024  # estimate_root_law's histograms have a bin per load below it
@@ -71,15 +74,21 @@ _TABLE_TAIL = 2.0**-53  # mass of A | A > 0 left beyond a value table's end
 _TOP = 10
 _BATCH = 16
 # Trees of a chunk are drawn and settled in groups (see above).  A group's
-# working set is capped, since it multiplies with the threads and adds to
-# the peak RSS: with 2 MiB, a two-thread depth-16 run stays within 1% of
-# the peak RSS of drawing one tree at a time.
+# arrays, temporaries included, are capped, since they multiply with the
+# threads and add to the peak RSS.
 _GROUP_BYTES = 2 << 20
-# The settle's max(y, -1) takes its -1 from this array, a row at a time:
-# numpy's maximum has no vector loop for a scalar, and is 3x slower with one.
-_MINUS_ONES = np.full(1 << 13, -1, dtype=np.int32)
-_MINUS_ONES.flags.writeable = False
-_LOAD_MAX = 2**31 - 1  # loads settle in int32
+# The settle's max(y, -1) takes its -1 from these arrays, a row at a time, one
+# per width: numpy's maximum has no vector loop for a scalar, and is 3x slower.
+_MINUS_ONES = {np.dtype(t): np.full(1 << 13, -1, dtype=t) for t in (np.int16, np.int32)}
+for _row in _MINUS_ONES.values():
+    _row.flags.writeable = False
+# Per byte of packed bits (np.packbits' order, first bit highest): its ones,
+# and each of its bits twice, as two bytes
+_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+_ONES_IN = _BITS.sum(axis=1, dtype=np.uint8)
+_TWICE = np.packbits(np.repeat(_BITS, 2, axis=1), axis=1).view(">u2")[:, 0]
+_INT16_MAX = 2**15 - 1
+_LOAD_MAX = 2**31 - 1  # loads settle in int32 when they may pass _INT16_MAX
 _LOG_TAIL = -64.0 * math.log(2.0)  # log of the overflow risk a tree may take
 
 
@@ -102,8 +111,8 @@ def _inverse_cdf(masses, base):
         # places it; the rest are searched
         np.greater_equal(u, first, out=out)
         out += base
-        far = np.flatnonzero(u >= second)
-        out.flat[far] = base + np.searchsorted(cdf, u.flat[far], side="right")
+        far = u >= second  # a mask, not indices of u.flat: u may be strided
+        out[far] = base + np.searchsorted(cdf, u[far], side="right")
         return out
 
     return lookup
@@ -133,12 +142,13 @@ def _positive_masses(law):
     return masses[: max(1, int(np.argmax(beyond < _TABLE_TAIL * q)))], q
 
 
-def _group_size(tree_bytes, most):
+def _group_size(tree_bytes, most, once=0):
     """Trees drawn and settled together: the largest power of two whose
-    working set fits _GROUP_BYTES, capped at `most` and at _BATCH, so that a
-    whole number of groups fills a batch."""
+    arrays, `tree_bytes` a tree and `once` for the group, fit _GROUP_BYTES,
+    capped at `most` and at _BATCH, so that a whole number of groups fills a
+    batch."""
     group = 1
-    while 2 * group <= min(most, _BATCH) and 2 * group * tree_bytes <= _GROUP_BYTES:
+    while 2 * group <= min(most, _BATCH) and once + 2 * group * tree_bytes <= _GROUP_BYTES:
         group *= 2
     return group
 
@@ -146,17 +156,17 @@ def _group_size(tree_bytes, most):
 def _sampler(workspace, largest):
     """draw(rng, size), with draw.workspace and draw.largest.
 
-    workspace(size, most, fold) -> (group, fill) allocates the arrays of a
-    group of up to `group` <= most trees of `size` nodes; fill(rngs) draws
-    tree i from rngs[i] into them and returns the trees as the rows of an
-    int32 view.  With fold, a sparse draw keeps the trees without their
-    deepest level, whose surplus it adds to the level above (_sparse); a
-    dense draw keeps every level.  draw(rng, size) is one whole tree from a
-    workspace of its own.
+    workspace(size, most, fold, dtype) -> (group, fill) allocates the arrays
+    of a group of up to `group` <= most trees of `size` nodes; fill(rngs)
+    draws tree i from rngs[i] into them and returns the trees as the rows of
+    a view of that dtype.  With fold, a sparse draw keeps the trees without
+    their deepest level, whose surplus it adds to the level above (_sparse);
+    a dense draw keeps every level.  draw(rng, size) is one whole int32 tree
+    from a workspace of its own.
     """
 
     def draw(rng, size):
-        return workspace(size, 1, False)[1]([rng])[0]
+        return workspace(size, 1, False, np.int32)[1]([rng])[0]
 
     draw.workspace, draw.largest = workspace, largest
     return draw
@@ -165,9 +175,11 @@ def _sampler(workspace, largest):
 def _dense(fill_tree, largest):
     """A draw of one value per node: fill_tree(rng, tree) writes a whole tree."""
 
-    def workspace(size, most, fold):
-        group = _group_size(4 * size, most)
-        trees = np.empty((group, size), np.int32)
+    def workspace(size, most, fold, dtype):
+        # fill_tree's temporaries, for one tree at a time: its int64 or float
+        # draws and a bool mask
+        group = _group_size(np.dtype(dtype).itemsize * size, most, once=9 * size)
+        trees = np.empty((group, size), dtype)
 
         def fill(rngs):
             for rng, tree in zip(rngs, trees):
@@ -179,9 +191,10 @@ def _dense(fill_tree, largest):
     return _sampler(workspace, largest)
 
 
-def _sparse(q, values, largest):
+def _sparse(q, values):
     """Draw by gaps between the sites where A > 0: about size * q rows, not size.
 
+    values is A | A > 0: a constant, or the table of its masses for 1, 2, ...
     Site j reads row j of the float64 uniforms.  Its gap from site j - 1 is
     1 + floor(log1p(-u) / log1p(-q)), which is Geometric(q), and its value
     of A | A > 0 is a lookup of u, or values itself when that is a constant.
@@ -197,20 +210,29 @@ def _sparse(q, values, largest):
     """
     log_miss = math.log1p(-q)
     cols = 1 if isinstance(values, int) else 2
+    # every site of binary0k, k >= 2, has a surplus on the deepest level
+    largest, surplus_share = (values, 1.0) if cols == 1 else (len(values), 1.0 - values[0])
+    if cols == 2:
+        values = _inverse_cdf(values, 1)
 
-    def workspace(size, most, fold):
+    def workspace(size, most, fold, dtype):
         lam = size * q
         block = int(lam + 6.0 * math.sqrt(lam) + 16.0)
         kept = size // 2 if fold and size > 1 else size  # nodes kept per tree
-        # per tree: its kept nodes, a spare slot, and per row its uniforms,
-        # its site and its value, if it has its own
-        group = _group_size(4 * (kept + 1) + block * (12 * cols + 4), most)
-        trees = np.empty((group, kept + 1), np.int32)
+        item = np.dtype(dtype).itemsize
+        # per row its uniforms, gap, value if it has its own and bool masks,
+        # and when folding, a deepest-level site's index, parent and surplus
+        # for about half the rows' surplus share
+        row = 8 * cols + 8 + item * (cols - 1) + 2 + (kept < size) * surplus_share * (16 + item) / 2
+        group = _group_size(item * (kept + 1) + block * row, most)
+        trees = np.empty((group, kept + 1), dtype)
         flat = trees.reshape(-1)
         rows = np.empty((group, block, cols), np.float64)
-        at = np.empty((group, block), np.intp)
-        gaps = at.view(np.float64)  # the sites, while they are reckoned in floats
-        vals = np.empty((group, block if cols == 2 else 0), np.int32)
+        gaps = np.empty((group, block), np.float64)
+        # the sites, in int64 over the head of the uniforms, which are spent
+        # by then: lanes lo..hi lie over the rows of lanes below hi
+        at = rows.reshape(-1).view(np.int64)[: group * block].reshape(group, block)
+        vals = np.empty((group, block if cols == 2 else 0), dtype)
         lanes = (kept + 1) * np.arange(group)[:, None]  # where each tree starts in flat
 
         def place(lo, hi, last):
@@ -238,14 +260,20 @@ def _sparse(q, values, largest):
                 if cols == 2:
                     deep &= v > 1  # a value of 1 has no surplus
                 deep = np.flatnonzero(deep)
-                parents = (i.flat[deep] - 1) >> 1
-                parents += (lo + deep // block) * (kept + 1)
-                # int32, as flat: numpy's add.at is 20-40x slower with a
+                parents = i.flat[deep]
+                parents -= 1
+                parents >>= 1
+                # of flat's dtype: numpy's add.at is 20-40x slower with a
                 # scalar or another dtype
                 if cols == 2:
-                    surplus = v.flat[deep] - 1
+                    surplus = v.flat[deep]
+                    surplus -= 1
                 else:
-                    surplus = np.full(len(deep), values - 1, dtype=np.int32)
+                    surplus = np.full(len(deep), values - 1, dtype=dtype)
+                deep //= block
+                deep += lo
+                deep *= kept + 1
+                parents += deep
             np.minimum(i, kept, out=i)  # sites past what is kept land in the spare slot
             i += lanes[lo:hi]
             flat[i] = values if cols == 1 else v
@@ -287,7 +315,7 @@ def make_sampler(law):
         def dense(rng, tree):
             np.multiply(rng.random(len(tree), dtype=dtype) < pk, k, out=tree)
 
-        return _sparse(pk, k, k) if pk <= _BINARY0K_SPARSE_MAX_Q else _dense(dense, k)
+        return _sparse(pk, k) if pk <= _BINARY0K_SPARSE_MAX_Q else _dense(dense, k)
     if kind == "poisson":
         a = law.alpha
 
@@ -319,47 +347,78 @@ def make_sampler(law):
         return _dense(dense, largest)
     if kind in ("poisson", "geometric"):
         masses, q = _positive_masses(law)
-    lookup = _inverse_cdf(np.divide(masses, q), 1)
-    return _sparse(q, lookup, len(masses))
+    return _sparse(q, np.divide(masses, q))
 
 
 def _log_sum_tail(law, n, x):
-    """Chernoff bound on log P(S >= x), S the sum of n draws of a poisson
-    or geometric law, for x above the mean of S (0.0 at or below it).
+    """Chernoff bound on log P(S >= x), S the sum of n draws of the law, for
+    x above the mean of S (0.0 at or below it).
 
-    poisson: S is Poisson(lam), lam = n alpha, and P(S >= x) <=
+    P(S >= x) <= G(t)^n t^-x for every t > 1 where G is finite.  poisson:
+    S is Poisson(lam), lam = n alpha, and the least bound is
     e^-lam (e lam / x)^x.  geometric: with r = alpha / (1 + alpha),
     E[e^(s A)] = (1 - r) / (1 - r e^s); e^s = x / (r (n + x)) gives
-    P(S >= x) <= ((n + x) / (n (1 + alpha)))^n (alpha (n + x) / (x (1 + alpha)))^x.
+    ((n + x) / (n (1 + alpha)))^n (alpha (n + x) / (x (1 + alpha)))^x.
+    Any other law: n log G(t) - x log t is convex in log t, least where the
+    tilted mean t G'(t) / G(t) is x / n, and log t is bisected towards that
+    point, or towards the largest t where G is finite, until the exponent
+    is at most _LOG_TAIL.
     """
-    alpha = float(law.alpha)
-    if x <= n * alpha:
+    mean = float(law.mean())
+    if x <= n * mean:
         return 0.0
     if law.kind == "poisson":
-        lam = n * alpha
+        lam = n * mean
         return x * math.log(lam / x) + x - lam
-    return (n * math.log((n + x) / (n * (1.0 + alpha)))
-            + x * math.log(alpha * (n + x) / (x * (1.0 + alpha))))
+    if law.kind == "geometric":
+        return (n * math.log((n + x) / (n * (1.0 + mean)))
+                + x * math.log(mean * (n + x) / (x * (1.0 + mean))))
+    lo, hi, best = 0.0, math.log(law.radius), 0.0  # bounds on log t
+    while best > _LOG_TAIL:
+        s = (lo + hi) / 2 if hi < math.inf else 2 * lo + 1
+        if not lo < s < hi:
+            break
+        try:
+            t = math.exp(s)
+            g, tilted = law.pgf(t), law.tilted_moments(t)[0]
+        except (OverflowError, EvaluationBeyondRadius):
+            g = math.inf
+        if g < math.inf:
+            best = min(best, n * math.log(g) - x * math.log(t))
+        if g < math.inf and n * tilted < x:
+            lo = s
+        else:
+            hi = s
+    return best
 
 
 def _check_loads(law, draw, depth):
-    """Refuse a run whose loads could leave int32, before any tree is drawn.
+    """The dtype a run's loads settle in, int16 or int32, or refuse the run
+    before any tree is drawn.
 
-    A load is at most the load of the root of a tree whose n = 2^(depth+1) - 1
-    nodes all draw the largest value M: n (M - 1) + 1, certain where the
-    draw has one.  The dense poisson and geometric draws have none; a load
-    is at most the sum S of a tree's arrivals, and the run is refused
-    unless a Chernoff bound puts P(S > 2^31 - 1) at most 2^-64 per tree.
+    Every value the settle holds lies between -2 and the largest load, which
+    is at most the sum S of its tree's arrivals and, where the draw has a
+    largest value M, at most n (M - 1) + 1, n = 2^(depth+1) - 1: certain.
+    int16 takes a run where that certain bound fits it, or where M fits it
+    and a Chernoff bound (_log_sum_tail) puts P(S > 2^15 - 1) at most 2^-64
+    per tree.  int32 takes the rest where the certain bound fits it and,
+    for the dense poisson and geometric draws, which have no M, where the
+    bound puts P(S > 2^31 - 1) at most 2^-64 per tree.
     """
     n = (2 << depth) - 1
-    if draw.largest is None:
+    largest = draw.largest
+    most = math.inf if largest is None else n * (largest - 1) + 1
+    if most <= _INT16_MAX or (
+        (largest or 0) <= _INT16_MAX and _log_sum_tail(law, n, _INT16_MAX + 1) <= _LOG_TAIL
+    ):
+        return np.dtype(np.int16)
+    if largest is None:
         if _log_sum_tail(law, n, _LOAD_MAX + 1.0) <= _LOG_TAIL:
-            return
+            return np.dtype(np.int32)
         worst = "a sum of arrivals that may exceed it"
     else:
-        most = n * (draw.largest - 1) + 1
         if most <= _LOAD_MAX:
-            return
+            return np.dtype(np.int32)
         worst = f"up to {most}"
     raise BudgetExceeded(
         f"{law.describe()} at depth {depth}: loads settle in int32 "
@@ -396,10 +455,11 @@ def _split(block, top):
     return [block[..., (1 << lvl) - 1 : (2 << lvl) - 1] for lvl in range(top + 1)]
 
 
-def _groups(draw, depth, seed, start, stop, fold=False):
+def _groups(workspace, depth, seed, start, stop, fold=False):
     """The trees of samples start..stop, a group at a time, as the rows of one
-    array that every group reuses, and their levels (_sampler's fold)."""
-    group, fill = draw.workspace((2 << depth) - 1, stop - start, fold)
+    array that every group reuses, and their levels (_sampler's workspace,
+    with the run's dtype)."""
+    group, fill = workspace((2 << depth) - 1, stop - start, fold)
     for a in range(start, stop, group):
         trees = fill([_sample_rng(seed, i) for i in range(a, min(a + group, stop))])
         levels = _split(trees, trees.shape[1].bit_length() - 1)
@@ -417,29 +477,30 @@ def _settle(levels):
     tree or, along their last axis, a batch of them.
     """
     x = levels[-1]
+    minus_ones = _MINUS_ONES[x.dtype]
     yield x
     for y in reversed(levels[:-1]):
         # a view: a level's width is a power of two
-        cut = x.reshape(x.shape[:-1] + (-1, min(x.shape[-1], len(_MINUS_ONES))))
-        np.maximum(cut, _MINUS_ONES[: cut.shape[-1]], out=cut)
+        cut = x.reshape(x.shape[:-1] + (-1, min(x.shape[-1], len(minus_ones))))
+        np.maximum(cut, minus_ones[: cut.shape[-1]], out=cut)
         np.add(y, x[..., 0::2], out=y)
         np.add(y, x[..., 1::2], out=y)
         x = y
         yield x
 
 
-def _root_load_chunk(draw, depth, seed, start, stop):
+def _root_load_chunk(workspace, depth, seed, start, stop):
     # each group of trees settles its levels below `top` together; then its
     # levels 0..top (arrivals above top, loads at top), the first `width`
     # nodes of each tree, become its rows of a batch, and the batch settles
-    # those levels together
+    # those levels together, in int32 whatever the trees' width
     top = min(depth, _TOP)
     width = (2 << top) - 1
     batch = np.empty((min(_BATCH, stop - start), width), np.int32)
     out = np.empty(stop - start, dtype=np.int64)
     done = 0
     # trees deeper than the batch leave out their deepest level
-    for trees, levels in _groups(draw, depth, seed, start, stop, fold=depth > top):
+    for trees, levels in _groups(workspace, depth, seed, start, stop, fold=depth > top):
         for _ in _settle(levels[top:]):
             pass
         row = done % _BATCH
@@ -458,21 +519,30 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
+def _layout(law, depth, samples, fold):
+    """RunStats' load_bits and group_trees of a run, its samples in one chunk."""
+    draw = make_sampler(law)
+    dtype = _check_loads(law, draw, depth)
+    group = draw.workspace((2 << depth) - 1, samples, fold, dtype)[0]  # np.empty maps no page
+    return {"load_bits": 8 * dtype.itemsize, "group_trees": group}
+
+
 def _run(chunk, law, depth, samples, seed, threads):
-    """chunk(draw, depth, seed, start, stop) over `threads` ranges of the
-    checked run, in sample order, after the loads are checked.
+    """chunk(workspace, depth, seed, start, stop) over `threads` ranges of the
+    checked run, in sample order; workspace is draw.workspace at the dtype
+    that _check_loads picks.
 
     At most one worker per usable CPU runs them: a thread beyond the cores
     only adds GIL hand-overs.
     """
     draw = make_sampler(law)
-    _check_loads(law, draw, depth)
+    workspace = functools.partial(draw.workspace, dtype=_check_loads(law, draw, depth))
     if threads == 1 or samples < 2 * threads:
-        return [chunk(draw, depth, seed, 0, samples)]
+        return [chunk(workspace, depth, seed, 0, samples)]
     step = -(-samples // threads)
     with ThreadPoolExecutor(max_workers=min(threads, _usable_cpus())) as pool:
         futs = [
-            pool.submit(chunk, draw, depth, seed, a, min(a + step, samples))
+            pool.submit(chunk, workspace, depth, seed, a, min(a + step, samples))
             for a in range(0, samples, step)
         ]
         return [f.result() for f in futs]
@@ -498,6 +568,8 @@ class RunStats:
     samples: int
     seed: int
     threads: int
+    load_bits: int  # 16 or 32: the width the loads settle in (_check_loads)
+    group_trees: int  # trees drawn and settled together, at most
     elapsed_seconds: float  # checks, sampler and chunks
 
     @property
@@ -553,6 +625,7 @@ def estimate_root_law(law, depth, samples, seed=0, threads=None, budget=NODE_BUD
         mean_load=float(loads.mean()),
         flux_probs=tuple(flux),
         elapsed_seconds=elapsed,
+        **_layout(law, depth, samples, depth > _TOP),
     )
 
 
@@ -567,24 +640,24 @@ class ClusterStats(RunStats):
         return 0.0
 
 
-def _cluster_chunk(draw, depth, seed, start, stop):
+def _cluster_chunk(workspace, depth, seed, start, stop):
     sizes = np.zeros(stop - start, dtype=np.int64)
     censored = np.zeros(stop - start, dtype=bool)
     done = 0
-    for trees, levels in _groups(draw, depth, seed, start, stop):
-        # each level's occupancy, root first, in bits: bytes would add a
-        # quarter to the arrays of a group
-        occupied = [np.packbits(x > -2, axis=-1) for x in _settle(levels)][::-1]
+    for trees, levels in _groups(workspace, depth, seed, start, stop):
+        # each level's occupancy, root first, in bits, a tree at a time: a
+        # level of the group's bools would be a quarter of its int16 trees
+        occupied = [np.array([np.packbits(row > -2) for row in x]) for x in _settle(levels)][::-1]
         size = sizes[done : done + len(trees)]
-        mask = occupied[0] > 0  # each tree's cluster vertices on the current level
+        mask = occupied[0]  # each tree's cluster vertices on the current level, in bits
         for lvl in range(1, depth + 1):
-            hits = mask.sum(axis=1)
+            hits = _ONES_IN[mask].sum(axis=1, dtype=np.int64)
             if not hits.any():
                 break
             size += hits
-            level = np.unpackbits(occupied[lvl], axis=-1, count=1 << lvl).view(bool)
-            mask = np.repeat(mask, 2, axis=1) & level
-        size += mask.sum(axis=1)
+            # each vertex's bit twice, for its two children
+            mask = _TWICE[mask].view(np.uint8)[:, : occupied[lvl].shape[1]] & occupied[lvl]
+        size += _ONES_IN[mask].sum(axis=1, dtype=np.int64)
         censored[done : done + len(trees)] = mask.any(axis=1)
         done += len(trees)
     return sizes, censored
@@ -615,4 +688,5 @@ def root_cluster_stats(law, depth, samples, seed=0, threads=None, budget=NODE_BU
         size_counts=tuple(int(c) for c in np.bincount(sizes)),
         censored=int(censored.sum()),
         elapsed_seconds=elapsed,
+        **_layout(law, depth, samples, False),
     )

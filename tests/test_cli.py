@@ -554,7 +554,7 @@ SOLVED_KEYS = [
     "moments.mean_flux", "empty_vertex_offspring", "empty_vertex_offspring.p0",
     "empty_vertex_offspring.p1", "empty_vertex_offspring.p2", "empty_vertex_offspring.mean",
 ]
-RUN_KEYS = ["depth", "samples", "seed", "threads", "elapsed_seconds"]
+RUN_KEYS = ["depth", "samples", "seed", "threads", "load_bits", "group_trees", "elapsed_seconds"]
 B0K = ("--family", "binary0k", "--alpha")
 MC = ("--depth", "3", "--samples", "10")
 
@@ -575,7 +575,8 @@ def key_paths(obj, prefix=""):
 # The key sets are those of the payloads before they were built from the
 # result records; only the order of the flux and simulate keys moved.  A
 # new key, such as a diagnostics block, changes this table on purpose:
-# simulate's root_load_tail came with the cap on its histogram.
+# simulate's root_load_tail came with the cap on its histogram, and its
+# load_bits and group_trees with loads settled in int16.
 @pytest.mark.parametrize(
     "argv, keys",
     [

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import random
 import re
 import time
 from fractions import Fraction
@@ -13,8 +14,10 @@ from hypothesis import strategies as st
 
 from parkcrit.analytic import classify
 from parkcrit.enumeration import (
+    BRUTE_FORCE_WORK,
     DecoratedTree,
     FptTable,
+    _check_oracle_work,
     _postorder,
     _shapes,
     brute_force_table,
@@ -206,6 +209,52 @@ def test_brute_force_refuses_work_past_its_budget():
     with pytest.raises(BudgetExceeded, match=r"orders \(8, 10\)"):
         brute_force_table(geometric(Fraction(1, 3)), 8, 10)
     assert time.perf_counter() - start < 1.0
+
+
+def reference_oracle_work(coeffs, support, vertex_order, flux_order):
+    """The oracle's work, summed over n, by the pure-Python DP over totals
+    that _check_oracle_work ran before its big-int products."""
+    bits = max((max(coeffs[k].numerator.bit_length(), coeffs[k].denominator.bit_length())
+                for k in support), default=0)
+    words = -(-bits // 64)
+    top = vertex_order + flux_order
+    ways, work = [1] + [0] * top, 0
+    for n in range(1, vertex_order + 1):
+        ways = [sum(ways[t - k] for k in support if k <= t) for t in range(top + 1)]
+        work += sum(ways[n : n + flux_order + 1]) * n * (math.comb(2 * n, n) // (n + 1) + words)
+    return work
+
+
+def test_oracle_work_matches_the_dp_over_totals():
+    # a derandomized grid of exact laws and orders: every admit or refuse
+    # decision is the DP's
+    rng, decided = random.Random(31), []
+    for _ in range(120):
+        kind = rng.randrange(3)
+        if kind == 0:
+            law = binary0k(Fraction(rng.randint(1, 40), 100), k=rng.randint(2, 5))
+        elif kind == 1:
+            law = geometric(Fraction(rng.randint(1, 30), rng.randint(31, 90)))
+        else:
+            w = [rng.randint(1, 9)] + [rng.randint(0, 9) for _ in range(rng.randint(1, 5))] + [1]
+            law = make_finite_law([Fraction(x, sum(w)) for x in w])
+        orders = rng.randint(1, 8), rng.choice([0, 1, 2, 3, 5, 8, 13, 30, 60])
+        coeffs = law.exact_coefficients(sum(orders))
+        support = [k for k, c in enumerate(coeffs) if c > 0]
+        refused = reference_oracle_work(coeffs, support, *orders) > BRUTE_FORCE_WORK
+        try:
+            _check_oracle_work(coeffs, support, *orders)
+            assert not refused, (law, orders)
+        except BudgetExceeded:
+            assert refused, (law, orders)
+        decided.append(refused)
+    assert 20 < sum(decided) < 100
+    # an admitted call with 8,001 atoms in its support: the DP took 1.8 s
+    law = geometric(Fraction(1, 3))
+    coeffs = law.exact_coefficients(8001)
+    start = time.perf_counter()
+    _check_oracle_work(coeffs, list(range(8002)), 1, 8000)
+    assert time.perf_counter() - start < 0.5
 
 
 def reference_brute_force(law, vertex_order, flux_order):

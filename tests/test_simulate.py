@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import time
+import tracemalloc
 import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -757,9 +758,8 @@ def settled_alone(tree, depth):
     return int(loads[0][0]), size, bool(cluster.any())
 
 
-def reference_run(law, depth, samples, seed, rng_of=None):
+def reference_run(draw, depth, samples, seed, rng_of=None):
     """Root loads, cluster size counts and censored count, one tree at a time."""
-    draw = REFERENCE_LAWS[law][1]
     rng_of = rng_of or (lambda i: np.random.Generator(np.random.SFC64((seed << 64) + i)))
     runs = [settled_alone(draw(rng_of(i), (2 << depth) - 1), depth) for i in range(samples)]
     sizes = Counter(size for _, size, _ in runs)
@@ -777,7 +777,7 @@ REFERENCE_SAMPLES = {0: 130, 1: 130, 10: 130, 11: 130, 16: 35, 18: 5}
 @pytest.mark.parametrize("depth", sorted(REFERENCE_SAMPLES))
 def test_grouped_runs_match_one_tree_at_a_time(name, depth):
     law, samples = REFERENCE_LAWS[name][0], REFERENCE_SAMPLES[depth]
-    loads, counts, censored = reference_run(name, depth, samples, seed=77)
+    loads, counts, censored = reference_run(REFERENCE_LAWS[name][1], depth, samples, seed=77)
     for threads in (1, 2, 3, 4):
         got = sample_root_load(law, depth, samples, seed=77, threads=threads)
         assert got.tolist() == loads, threads
@@ -786,6 +786,94 @@ def test_grouped_runs_match_one_tree_at_a_time(name, depth):
     for samples in (n for n in BATCH_EDGES if n < samples):
         got = sample_root_load(law, depth, samples, seed=77, threads=2)
         assert got.tolist() == loads[:samples], samples
+
+
+# A run whose loads settle in int16, and one just past that width, which
+# settles in int32: the arrivals of a depth-14 poisson(2) tree sum to 65,534
+# on average.  19 samples fill groups of 8 and a batch of 16 and leave part
+# groups, at one thread and at two.
+WIDTH_RUNS = {
+    "int16": (binary0k(0.05), 16, lambda rng, size: gap_tree(rng, size, 0.025, 2)),
+    "int32": (poisson(2), 14, lambda rng, size: rng.poisson(2.0, size)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDTH_RUNS))
+def test_both_load_widths_match_one_tree_at_a_time(name):
+    law, depth, draw_tree = WIDTH_RUNS[name]
+    loads, counts, censored = reference_run(draw_tree, depth, 19, seed=77)
+    for threads in (1, 2):
+        got = sample_root_load(law, depth, 19, seed=77, threads=threads)
+        assert got.tolist() == loads, threads
+        stats = root_cluster_stats(law, depth, 19, seed=77, threads=threads)
+        assert (stats.size_counts, stats.censored) == (counts, censored), threads
+        assert stats.load_bits == int(name[3:])
+    assert make_sampler(law)(np.random.default_rng(1), 7).dtype == np.int32
+
+
+# The mc-root-law benchmark's laws.  At depth 16 their trees settle in int16,
+# and sample_root_load's groups hold twice the trees that int32 trees allow.
+GROUP_LAWS = {
+    "binary0k": (binary0k(0.05), 8),
+    "poisson": (poisson(0.1), 4),
+    "geometric": (geometric(0.1), 4),
+    "finite": (PINNED_STREAMS["finite"][0], 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_LAWS))
+def test_int16_groups_double_and_fit_the_budget(name):
+    law, group = GROUP_LAWS[name]
+    stats = estimate_root_law(law, 16, 2 * group, seed=3, threads=1)
+    assert (stats.load_bits, stats.group_trees) == (16, group)
+    size = (2 << 16) - 1
+    assert make_sampler(law).workspace(size, 16, True, np.int32)[0] == group // 2
+    # every array a group allocates, temporaries included, within the budget;
+    # the run's batch of top levels and its output are its chunk's
+    tracemalloc.start()
+    try:
+        sample_root_load(law, 16, group, seed=3, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= simulate._GROUP_BYTES + group * (4 * 2047 + 8) + 64 * 1024, peak
+
+
+def test_load_width_follows_the_tail_bound():
+    finite = PINNED_STREAMS["finite"][0]
+    cases = [
+        (binary0k(0.05), 18, 16),  # the tail past 2^15 - 1 is below e^-380
+        (binary0k(0.05), 19, 32),  # the mean sum, 52,429, is past it
+        (poisson(0.1), 17, 16),
+        (poisson(0.1), 18, 32),
+        (finite, 16, 16),
+        (poisson(2), 13, 32),  # a mean sum of 32,766: the tail is far above 2^-64
+        (poisson(2), 12, 16),
+        # a certain bound of 2^15 and a tail of 1e-30: the value 2^15 itself
+        # does not fit int16
+        (binary0k(Fraction(2, 10**30), 2**15), 0, 32),
+    ]
+    for law, depth, bits in cases:
+        assert simulate._layout(law, depth, 1, False)["load_bits"] == bits, (law, depth)
+
+
+@pytest.mark.parametrize("alpha, depth", [(0.05, 16), (0.05, 18), (0.01, 19), (0.24, 16)])
+def test_tail_bound_through_the_pgf_bounds_the_binomial_tail(alpha, depth):
+    # binary0k(alpha) draws 2 Binomial(n, alpha / 2) cars over n nodes.  The
+    # bound through its pgf lies above the log of the exact tail; where it
+    # does not settle int16 at once, the bisection ends at the least bound,
+    # within log n of the exact tail
+    n, p, x = (2 << depth) - 1, alpha / 2, 2**15
+    terms = [math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+             + j * math.log(p) + (n - j) * math.log1p(-p)
+             for j in range(x // 2, min(n, x // 2 + 5000) + 1)]  # the rest adds below 1e-100
+    top = max(terms)
+    exact = top + math.log(math.fsum(math.exp(t - top) for t in terms))
+    bound = simulate._log_sum_tail(binary0k(alpha), n, x)
+    if bound <= simulate._LOG_TAIL:
+        assert exact <= bound < 0
+    else:
+        assert exact - 1e-9 <= bound <= exact + math.log(n)
 
 
 @pytest.mark.parametrize("name", ["sparse-one-column", "sparse-poisson"])
@@ -805,7 +893,7 @@ def test_a_tree_whose_first_block_ends_inside_it_draws_on_alone(monkeypatch, nam
         rngs[index] = rng_of(index)
         return rngs[index]
 
-    loads, counts, censored = reference_run(name, depth, 4, seed=5, rng_of=rng_of)
+    loads, counts, censored = reference_run(REFERENCE_LAWS[name][1], depth, 4, seed=5, rng_of=rng_of)
     monkeypatch.setattr(simulate, "_sample_rng", recording)
     assert sample_root_load(law, depth, 4, seed=5).tolist() == loads
     calls = [len(rngs[i].calls) for i in range(4)]
