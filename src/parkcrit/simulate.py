@@ -27,22 +27,20 @@ changes no value.
 
 Each chunk of samples (one per worker thread) allocates its arrays once,
 through draw.workspace, and draws and settles its trees a group at a time
-in them.  A group holds G trees, the largest power of two up to _BATCH
-whose arrays, temporaries included, fit in _GROUP_BYTES (2 MiB): 16 trees
-up to depth 13, and at depth 16 four poisson(0.1) or eight binary0k(0.05)
-int16 trees in sample_root_load.  One numpy call then covers a group: the
-sparse draw's gap arithmetic, value lookup and placement, and each level
-of the settle.  Fewer calls per tree cost less interpreter time, and with
-several threads fewer GIL hand-overs.  sample_root_load settles a group's
-levels below level 10; their levels 0..10 (2047 nodes: arrivals above
-level 10, loads at it) then become rows of a batch of _BATCH samples,
-whose top levels settle together, in int32.  Its sparse trees deeper than
-level 10 leave out their deepest level, half their nodes: each site there
-hands its surplus to its parent as it is placed.  root_cluster_stats
-settles a group's whole trees and keeps every level's occupancy.  The
-truncation treats the nodes below the deepest level as absent, which only
-loses the flux they would push up; root-level estimates converge from
-below as depth grows.
+in them.  A group holds G trees, the largest power of two up to
+_GROUP_CAP (16) whose arrays, temporaries included, fit in _GROUP_BYTES
+(2 MiB): 16 trees up to depth 13, and at depth 16 four poisson(0.1) or
+eight binary0k(0.05) int16 trees in sample_root_load.  One numpy call
+then covers a group: the sparse draw's gap arithmetic, value lookup and
+placement, and each level of the settle.  Fewer calls per tree cost less
+interpreter time, and with several threads fewer GIL hand-overs.
+sample_root_load reads each tree's root load off its settled group; its
+sparse trees leave out their deepest level, half their nodes: each site
+there hands its surplus to its parent as it is placed.
+root_cluster_stats keeps every level's occupancy.  The truncation treats
+the nodes below the deepest level as absent, which only loses the flux
+they would push up; root-level estimates converge from below as depth
+grows.
 """
 from __future__ import annotations
 
@@ -68,14 +66,10 @@ CLUSTER_DEPTH_CAP = 22
 _SPARSE_MAX_Q = 0.25
 _BINARY0K_SPARSE_MAX_Q = 0.0625
 _TABLE_TAIL = 2.0**-53  # mass of A | A > 0 left beyond a value table's end
-# Levels 0.._TOP of a batch of _BATCH trees settle together.  Small per-level
-# calls cost their Python overhead and, with several threads, a GIL hand-over
-# each.
-_TOP = 10
-_BATCH = 16
-# Trees of a chunk are drawn and settled in groups (see above).  A group's
-# arrays, temporaries included, are capped, since they multiply with the
-# threads and add to the peak RSS.
+# Trees of a chunk are drawn and settled in groups (see above) of at most
+# _GROUP_CAP trees.  A group's arrays, temporaries included, are capped too,
+# since they multiply with the threads and add to the peak RSS.
+_GROUP_CAP = 16
 _GROUP_BYTES = 2 << 20
 # The settle's max(y, -1) takes its -1 from these arrays, a row at a time, one
 # per width: numpy's maximum has no vector loop for a scalar, and is 3x slower.
@@ -145,10 +139,9 @@ def _positive_masses(law):
 def _group_size(tree_bytes, most, once=0):
     """Trees drawn and settled together: the largest power of two whose
     arrays, `tree_bytes` a tree and `once` for the group, fit _GROUP_BYTES,
-    capped at `most` and at _BATCH, so that a whole number of groups fills a
-    batch."""
+    capped at `most` and at _GROUP_CAP."""
     group = 1
-    while 2 * group <= min(most, _BATCH) and once + 2 * group * tree_bytes <= _GROUP_BYTES:
+    while 2 * group <= min(most, _GROUP_CAP) and once + 2 * group * tree_bytes <= _GROUP_BYTES:
         group *= 2
     return group
 
@@ -356,13 +349,11 @@ def _log_sum_tail(law, n, x):
 
     P(S >= x) <= G(t)^n t^-x for every t > 1 where G is finite.  poisson:
     S is Poisson(lam), lam = n alpha, and the least bound is
-    e^-lam (e lam / x)^x.  geometric: with r = alpha / (1 + alpha),
-    E[e^(s A)] = (1 - r) / (1 - r e^s); e^s = x / (r (n + x)) gives
-    ((n + x) / (n (1 + alpha)))^n (alpha (n + x) / (x (1 + alpha)))^x.
-    Any other law: n log G(t) - x log t is convex in log t, least where the
-    tilted mean t G'(t) / G(t) is x / n, and log t is bisected towards that
-    point, or towards the largest t where G is finite, until the exponent
-    is at most _LOG_TAIL.
+    e^-lam (e lam / x)^x; on the way there G(t) overflows floats for a law
+    far below x.  Any other law: n log G(t) - x log t is convex in log t,
+    least where the tilted mean t G'(t) / G(t) is x / n, and log t is
+    bisected towards that point, or towards the largest t where G is
+    finite, until the exponent is at most _LOG_TAIL.
     """
     mean = float(law.mean())
     if x <= n * mean:
@@ -370,9 +361,6 @@ def _log_sum_tail(law, n, x):
     if law.kind == "poisson":
         lam = n * mean
         return x * math.log(lam / x) + x - lam
-    if law.kind == "geometric":
-        return (n * math.log((n + x) / (n * (1.0 + mean)))
-                + x * math.log(mean * (n + x) / (x * (1.0 + mean))))
     lo, hi, best = 0.0, math.log(law.radius), 0.0  # bounds on log t
     while best > _LOG_TAIL:
         s = (lo + hi) / 2 if hi < math.inf else 2 * lo + 1
@@ -456,61 +444,43 @@ def _split(block, top):
 
 
 def _groups(workspace, depth, seed, start, stop, fold=False):
-    """The trees of samples start..stop, a group at a time, as the rows of one
-    array that every group reuses, and their levels (_sampler's workspace,
-    with the run's dtype)."""
+    """The settle (_settle) of each group of the trees of samples
+    start..stop, drawn into one array that every group reuses (_sampler's
+    workspace, with the run's dtype)."""
     group, fill = workspace((2 << depth) - 1, stop - start, fold)
     for a in range(start, stop, group):
         trees = fill([_sample_rng(seed, i) for i in range(a, min(a + group, stop))])
-        levels = _split(trees, trees.shape[1].bit_length() - 1)
-        levels[-1] -= 2  # the loads of the deepest level kept, less 2 (_settle)
-        yield trees, levels
+        yield _settle(_split(trees, trees.shape[1].bit_length() - 1))
 
 
 def _settle(levels):
     """Loads less 2 per level, deepest first, each written over its level's arrivals.
 
-    The deepest level must hold its loads less 2 already.  With y = load - 2,
-    a node's surplus max(load - 1, 0) is max(y, -1) + 1, so a parent's load
-    less 2 is its arrivals plus max(y, -1) of both children, one pass over
-    the children fewer than taking their surplus.  The levels may hold one
-    tree or, along their last axis, a batch of them.
+    The levels hold a group's trees as rows: arrivals, and loads on the
+    deepest level.  With y = load - 2, a node's surplus max(load - 1, 0) is
+    max(y, -1) + 1, so a parent's load less 2 is its arrivals plus
+    max(y, -1) of both children, one pass over the children fewer than
+    taking their surplus.
     """
     x = levels[-1]
+    x -= 2
     minus_ones = _MINUS_ONES[x.dtype]
     yield x
     for y in reversed(levels[:-1]):
         # a view: a level's width is a power of two
-        cut = x.reshape(x.shape[:-1] + (-1, min(x.shape[-1], len(minus_ones))))
+        cut = x.reshape(len(x), -1, min(x.shape[1], len(minus_ones)))
         np.maximum(cut, minus_ones[: cut.shape[-1]], out=cut)
-        np.add(y, x[..., 0::2], out=y)
-        np.add(y, x[..., 1::2], out=y)
+        np.add(y, x[:, 0::2], out=y)
+        np.add(y, x[:, 1::2], out=y)
         x = y
         yield x
 
 
 def _root_load_chunk(workspace, depth, seed, start, stop):
-    # each group of trees settles its levels below `top` together; then its
-    # levels 0..top (arrivals above top, loads at top), the first `width`
-    # nodes of each tree, become its rows of a batch, and the batch settles
-    # those levels together, in int32 whatever the trees' width
-    top = min(depth, _TOP)
-    width = (2 << top) - 1
-    batch = np.empty((min(_BATCH, stop - start), width), np.int32)
-    out = np.empty(stop - start, dtype=np.int64)
-    done = 0
-    # trees deeper than the batch leave out their deepest level
-    for trees, levels in _groups(workspace, depth, seed, start, stop, fold=depth > top):
-        for _ in _settle(levels[top:]):
-            pass
-        row = done % _BATCH
-        batch[row : row + len(trees)] = trees[:, :width]
-        done += len(trees)
-        if done % _BATCH == 0 or done == stop - start:
-            for x in _settle(_split(batch[: row + len(trees)], top)):
-                pass
-            out[done - len(x) : done] = x[:, 0] + 2
-    return out
+    # a group's root loads are its last settled level, less 2; its sparse
+    # trees leave out their deepest level (_sparse)
+    groups = _groups(workspace, depth, seed, start, stop, fold=True)
+    return np.concatenate([[*settle][-1][:, 0] + 2 for settle in groups], dtype=np.int64)
 
 
 def _usable_cpus():
@@ -625,7 +595,7 @@ def estimate_root_law(law, depth, samples, seed=0, threads=None, budget=NODE_BUD
         mean_load=float(loads.mean()),
         flux_probs=tuple(flux),
         elapsed_seconds=elapsed,
-        **_layout(law, depth, samples, depth > _TOP),
+        **_layout(law, depth, samples, True),
     )
 
 
@@ -641,15 +611,13 @@ class ClusterStats(RunStats):
 
 
 def _cluster_chunk(workspace, depth, seed, start, stop):
-    sizes = np.zeros(stop - start, dtype=np.int64)
-    censored = np.zeros(stop - start, dtype=bool)
-    done = 0
-    for trees, levels in _groups(workspace, depth, seed, start, stop):
+    sizes, censored = [], []
+    for settle in _groups(workspace, depth, seed, start, stop):
         # each level's occupancy, root first, in bits, a tree at a time: a
         # level of the group's bools would be a quarter of its int16 trees
-        occupied = [np.array([np.packbits(row > -2) for row in x]) for x in _settle(levels)][::-1]
-        size = sizes[done : done + len(trees)]
+        occupied = [np.array([np.packbits(row > -2) for row in x]) for x in settle][::-1]
         mask = occupied[0]  # each tree's cluster vertices on the current level, in bits
+        size = np.zeros(len(mask), dtype=np.int64)
         for lvl in range(1, depth + 1):
             hits = _ONES_IN[mask].sum(axis=1, dtype=np.int64)
             if not hits.any():
@@ -657,10 +625,9 @@ def _cluster_chunk(workspace, depth, seed, start, stop):
             size += hits
             # each vertex's bit twice, for its two children
             mask = _TWICE[mask].view(np.uint8)[:, : occupied[lvl].shape[1]] & occupied[lvl]
-        size += _ONES_IN[mask].sum(axis=1, dtype=np.int64)
-        censored[done : done + len(trees)] = mask.any(axis=1)
-        done += len(trees)
-    return sizes, censored
+        sizes.append(size + _ONES_IN[mask].sum(axis=1, dtype=np.int64))
+        censored.append(mask.any(axis=1))
+    return np.concatenate(sizes), np.concatenate(censored)
 
 
 def root_cluster_stats(law, depth, samples, seed=0, threads=None, budget=NODE_BUDGET):

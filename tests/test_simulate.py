@@ -93,8 +93,8 @@ def test_cluster_stats_prefix_stable_in_sample_count():
 
 # Both kinds of binary0k law: the sparse one leaves most root loads at 0, the
 # dense one gives every sample its own load.  The sample counts straddle the
-# groups of trees drawn and settled together (a power of two, 16 at most),
-# the settle batch of 16 samples and the splits over 2 and 3 threads.
+# groups of trees drawn and settled together (a power of two, 16 at most)
+# and the splits over 2 and 3 threads.
 STREAM_LAWS = [B02, binary0k(Fraction(1, 5), k=3)]
 BATCH_EDGES = (1, 2, 3, 15, 16, 17, 33, 130)
 
@@ -412,6 +412,13 @@ def test_int32_bound_is_the_worst_tree():
     assert loads.tolist() == [2**31 - 1] * 4
     with pytest.raises(BudgetExceeded, match="up to 2147483650"):
         sample_root_load(binary0k(k + Fraction(1, 2), k + 1), depth=1, samples=4, seed=0)
+    # int16's top edge: the same worst trees settle in int16 up to a root
+    # load of 2^15 - 1, and one car more in int32
+    for k, depth, bits in [(32767, 0, 16), (10923, 1, 16), (32768, 0, 32), (10924, 1, 32)]:
+        law = binary0k(k - Fraction(1, 2), k)
+        loads = sample_root_load(law, depth, samples=4, seed=0)
+        assert loads.tolist() == [((2 << depth) - 1) * (k - 1) + 1] * 4
+        assert estimate_root_law(law, depth, samples=4, seed=0).load_bits == bits
 
 
 def test_tail_bound_of_the_dense_draws():
@@ -768,8 +775,8 @@ def reference_run(draw, depth, samples, seed, rng_of=None):
 
 
 # Sample counts by depth: a group holds up to 16 trees of depth 10 or 11,
-# 2 of depth 16 and 1 of depth 18; 130 and 35 straddle the settle batch of
-# 16, and split over 2 to 4 threads they leave part groups.
+# 4 to 8 of depth 16 and 1 or 2 of depth 18; 130 and 35 straddle the
+# groups, and split over 2 to 4 threads they leave part groups.
 REFERENCE_SAMPLES = {0: 130, 1: 130, 10: 130, 11: 130, 16: 35, 18: 5}
 
 
@@ -790,8 +797,8 @@ def test_grouped_runs_match_one_tree_at_a_time(name, depth):
 
 # A run whose loads settle in int16, and one just past that width, which
 # settles in int32: the arrivals of a depth-14 poisson(2) tree sum to 65,534
-# on average.  19 samples fill groups of 8 and a batch of 16 and leave part
-# groups, at one thread and at two.
+# on average.  19 samples fill groups of 8 and leave part groups, at one
+# thread and at two.
 WIDTH_RUNS = {
     "int16": (binary0k(0.05), 16, lambda rng, size: gap_tree(rng, size, 0.025, 2)),
     "int32": (poisson(2), 14, lambda rng, size: rng.poisson(2.0, size)),
@@ -805,6 +812,7 @@ def test_both_load_widths_match_one_tree_at_a_time(name):
     for threads in (1, 2):
         got = sample_root_load(law, depth, 19, seed=77, threads=threads)
         assert got.tolist() == loads, threads
+        assert got.dtype == np.int64  # not the width the loads settle in
         stats = root_cluster_stats(law, depth, 19, seed=77, threads=threads)
         assert (stats.size_counts, stats.censored) == (counts, censored), threads
         assert stats.load_bits == int(name[3:])
@@ -829,14 +837,14 @@ def test_int16_groups_double_and_fit_the_budget(name):
     size = (2 << 16) - 1
     assert make_sampler(law).workspace(size, 16, True, np.int32)[0] == group // 2
     # every array a group allocates, temporaries included, within the budget;
-    # the run's batch of top levels and its output are its chunk's
+    # the run's output is its chunk's
     tracemalloc.start()
     try:
         sample_root_load(law, 16, group, seed=3, threads=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= simulate._GROUP_BYTES + group * (4 * 2047 + 8) + 64 * 1024, peak
+    assert peak <= simulate._GROUP_BYTES + group * 8 + 64 * 1024, peak
 
 
 def test_load_width_follows_the_tail_bound():
