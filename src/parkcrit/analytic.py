@@ -120,21 +120,30 @@ def _root(f, a, b, fa, fb):
     TOMS 47(1), 2020).  The move is at least half the stopping width, so
     an estimate that rounds onto an end still closes the bracket.  A step
     whose end values are not both finite takes the midpoint.
+
+    max, abs and copysign(v, d) are written out as conditionals that give
+    the same floats: d = mid - xf is never -0.0, as mid is not, and the
+    window r can be an ulp below 0.
     """
-    w0 = b - a
-    for j in range(ITER_CAP):
-        w = b - a
-        tol = REL_ROOT_TOL * max(b, -a, 1e-300)  # max(|a|, |b|) as a <= b
+    w0, scale = b - a, 4.0
+    for _ in range(ITER_CAP):
+        w, scale = b - a, 0.5 * scale  # 2^(1 - j) at step j, a normal float
+        m = -a if -a > b else b  # max(|a|, |b|) as a <= b
+        tol = REL_ROOT_TOL * (1e-300 if 1e-300 > m else m)
         if w <= tol:
             return 0.5 * (a + b)
         x = mid = 0.5 * (a + b)
         xf = (b * fa - a * fb) / (fa - fb)
         if a <= xf <= b:  # false when an end value is not finite
-            d = mid - xf
-            delta = max(0.2 * w * w / w0, 0.5 * tol)
-            xt = xf + math.copysign(delta, d) if delta <= abs(d) else mid
-            r = 0.5 * (w0 * 2.0 ** (1 - j) - w)
-            x = xt if abs(xt - mid) <= r else mid - math.copysign(r, d)
+            d, delta = mid - xf, 0.2 * w * w / w0
+            if 0.5 * tol > delta:
+                delta = 0.5 * tol
+            r = 0.5 * (w0 * scale - w)
+            step, clip = delta, (r if r >= 0.0 else -r)  # copysign(., d) where d >= 0
+            if d < 0.0:
+                d, step, clip = -d, -delta, -clip
+            xt = xf + step if delta <= d else mid
+            x = xt if -r <= xt - mid <= r else mid - clip
         fx = f(x)
         if fx == 0.0:
             return x
@@ -194,12 +203,13 @@ def find_critical_time(law):
     cap = radius * (1 - 1e-12)
     if not cap > 0.0:  # NaN too
         raise OutOfDomain(f"radius {radius!r} is not positive")
-    seen, tilted = [], law.tilted_moments
+    evaluations, tilted, sqrt = 0, law.tilted_moments, math.sqrt
 
     def h(s):
-        seen.append(s)
+        nonlocal evaluations
+        evaluations += 1
         u, v = tilted(s)
-        f = SQRT2 * (1.0 - u) - math.sqrt(v)
+        f = SQRT2 * (1.0 - u) - sqrt(v)
         if f != f:
             raise NoSolution(f"{law.describe()}: the margin is NaN at t = {s!r}")
         return f
@@ -219,9 +229,9 @@ def find_critical_time(law):
         except NoSolution:  # a NaN margin is no answer
             raise
         except (ParkingModelError, ArithmeticError, ValueError):
-            return CriticalTime(radius, False, True, False, len(seen))
+            return CriticalTime(radius, False, True, False, evaluations)
         if f >= -MARGIN_TOL:
-            return CriticalTime(radius, abs(f) <= MARGIN_TOL, True, True, len(seen))
+            return CriticalTime(radius, abs(f) <= MARGIN_TOL, True, True, evaluations)
     hi, f_hi = t, f
     while lo == 0.0 < 0.5 * hi and f_hi < 0.0:  # not positive anywhere yet: halve
         t = 0.5 * hi
@@ -232,7 +242,7 @@ def find_critical_time(law):
             hi, f_hi = t, f
     lo, hi, f_lo, f_hi = _log_phase(h, lo, hi, f_lo, f_hi, 1.3)
     t = hi if f_hi == 0.0 else _root(h, lo, hi, f_lo, f_hi)
-    return CriticalTime(t, True, False, True, len(seen))
+    return CriticalTime(t, True, False, True, evaluations)
 
 
 def time_from_density(law, x):
@@ -497,10 +507,11 @@ def _flux_blocks(g, p, q, s, order):
     m = min(B, N - B)  # the longest block
     # G q^2 = y q + p (1 - y) gives J q = y q + 2 p (1 - y), so -1/J is
     # -q / D with D = 2 p + y (q - 2 p): one series division, no J
-    two_p, d_rest = 2.0 * p, [q[0] - 2.0 * p] + q[1 : m - 1]
+    # (map stops with reversed(neg_inv), after n terms of d_rest)
+    two_p, d_rest, mul = 2.0 * p, [q[0] - 2.0 * p] + q[1 : m - 1], operator.mul
     neg_inv = [-q[0] / two_p]
     for n in range(1, m):
-        neg_inv.append(-(q[n] + sum(map(operator.mul, d_rest[:n], reversed(neg_inv)), 0.0)) / two_p)
+        neg_inv.append(-(q[n] + sum(map(mul, d_rest, reversed(neg_inv)), 0.0)) / two_p)
     qa = np.zeros(N + m)  # q, zero past what is known and on to the end of q_win
     qa[:B] = q
     sa = np.zeros(L + N)  # s behind L zeros: sa[L + n] = s_n
@@ -511,7 +522,6 @@ def _flux_blocks(g, p, q, s, order):
     s_win = np.ndarray((N, L + 1), float, sa, 0, (8, 8))  # row n: s_{n-L}, ..., s_n
     f_win = np.ndarray((m, m), float, fa, 0, (8, 8))  # row i: F_{i-m+1}, ..., F_i
     g_rev, neg_inv_rev = np.array(g[::-1]), np.array(neg_inv[::-1])
-    work = np.empty((m, max(N, L + 1)))
     mul, red = np.multiply, np.add.reduce
     with np.errstate(all="ignore"):  # flux_distribution refuses what is not a probability
         q2_rev = 2.0 * qa[m - 1 :: -1]
@@ -520,13 +530,13 @@ def _flux_blocks(g, p, q, s, order):
             b, w = n1 - n0, min(L, n1 - 1) + 1
             # s on the block without d: the sum of q_j q_{n-j} over j = 1..n0-1
             s_blk = sa[L + n0 : L + n1]
-            red(mul(q_win[1 : b + 1, : n0 - 1], qa[n0 - 1 : 0 : -1], out=work[:b, : n0 - 1]), 1, out=s_blk)
+            red(mul(q_win[1 : b + 1, : n0 - 1], qa[n0 - 1 : 0 : -1]), 1, out=s_blk)
             f_blk = fa[m - 1 : m - 1 + b]
-            red(mul(s_win[n0:n1, L + 1 - w :], g_rev[L + 1 - w :], out=work[:b, :w]), 1, out=f_blk)
+            red(mul(s_win[n0:n1, L + 1 - w :], g_rev[L + 1 - w :]), 1, out=f_blk)
             f_blk[0] -= qa[n0 - 1]
-            red(mul(f_win[:b], neg_inv_rev, out=work[:b, :m]), 1, out=f_blk)  # d = -F / J
+            red(mul(f_win[:b], neg_inv_rev), 1, out=f_blk)  # d = -F / J
             qa[n0:n1] = f_blk
-            s_blk += red(mul(f_win[:b], q2_rev, out=work[:b, :m]), 1)  # the 2 q_j d_{n-j}
+            s_blk += red(mul(f_win[:b], q2_rev), 1)  # the 2 q_j d_{n-j}
     return qa[:N].tolist()
 
 
@@ -576,31 +586,38 @@ def flux_distribution(law, order=40):
         g.pop()
     g0, g_rest = g[0], g[1:]
     q0 = _no_flux_prob(law, p)
-    den = 2.0 * g0 * q0
-    q, s = [q0], [q0 * q0]
+    den, two_q0, mul = 2.0 * g0 * q0, 2.0 * q0, operator.mul
+    q, s, qn = [q0], [q0 * q0], q0
     for n in range(1, min(order, _FLUX_BLOCK - 1) + 1):
         # reversed(q) runs q_{n-1}, q_{n-2}, ..., so this pairs q_j with
         # q_{n-j} for j = 1..(n-1)//2; likewise the g sum stops at G's support
-        r = 2.0 * sum(map(operator.mul, q[1 : (n + 1) // 2], reversed(q)), 0.0)
-        if n % 2 == 0:
-            r += q[n // 2] * q[n // 2]
-        c = q[n - 1] - g0 * r - sum(map(operator.mul, g_rest, reversed(s)), 0.0)
+        half = n >> 1
+        if n & 1:
+            r = 2.0 * sum(map(mul, q[1 : half + 1], reversed(q)), 0.0)
+        else:
+            r = 2.0 * sum(map(mul, q[1:half], reversed(q)), 0.0) + q[half] * q[half]
+        c = qn - g0 * r - sum(map(mul, g_rest, reversed(s)), 0.0)
         if n == 1:
             c -= p
         qn = c / den
         q.append(qn)
-        s.append(2.0 * q0 * qn + r)
+        s.append(two_q0 * qn + r)
     if order >= _FLUX_BLOCK:
         q = _flux_blocks(g, p, q, s, order)
-    for k, v in enumerate(q):
-        if v < 0.0:
-            if v < -1e-10:
-                raise NegativeCoefficient(f"P(flux = {k}) came out {v!r}")
-            q[k] = 0.0
-    for k, v in enumerate(q):
-        if not v <= 1.0:  # NaN fails this too
-            raise NoSolution(f"P(flux = {k}) came out {v!r}")
-    tail_mass = 1.0 - math.fsum(q)
+    # min and max skip a NaN past q_0, and fsum then reads NaN: only then,
+    # or for an entry outside [0, 1], do the loops run, to name the first
+    total = math.fsum(q) if min(q) >= 0.0 and max(q) <= 1.0 else math.nan
+    if total != total:
+        for k, v in enumerate(q):
+            if v < 0.0:
+                if v < -1e-10:
+                    raise NegativeCoefficient(f"P(flux = {k}) came out {v!r}")
+                q[k] = 0.0
+        for k, v in enumerate(q):
+            if not v <= 1.0:  # NaN fails this too
+                raise NoSolution(f"P(flux = {k}) came out {v!r}")
+        total = math.fsum(q)
+    tail_mass = 1.0 - total
     if tail_mass < -1e-12:  # the slack of verify's flux-total-mass check
         raise NoSolution(f"flux mass {1.0 - tail_mass!r} exceeds 1")
     moments = _moments(law, p)

@@ -85,7 +85,9 @@ def _tilted(t, g0, g1, g2):
 class ArrivalLaw:
     """Interface shared by all arrival laws."""
 
-    __slots__ = ()  # each law lists its fields: caches keep thousands of laws alive
+    # each law lists its fields: caches keep thousands of laws alive; _hash
+    # holds hash(_key()) from the first lookup on, as every cache hashes the law
+    __slots__ = ("_hash",)
     kind = "abstract"
 
     @property
@@ -99,8 +101,8 @@ class ArrivalLaw:
 
     @property
     def mu0(self):
-        """Probability of zero arrivals, as a float."""
-        return float(self.coefficient(0))
+        """Probability of zero arrivals, as a float: the float of the exact mass if there is one."""
+        return self.float_coefficients(0)[0]
 
     def pgf(self, t):
         """G(t), exact when t and the law are."""
@@ -169,7 +171,16 @@ class ArrivalLaw:
         return isinstance(other, ArrivalLaw) and self._key() == other._key()
 
     def __hash__(self):
-        return hash(self._key())
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash(self._key())
+            return h
+
+    def __getstate__(self):
+        """The fields without _hash: string hashes are salted per process."""
+        slots = (n for c in type(self).__mro__ for n in c.__dict__.get("__slots__", ()))
+        return None, {n: getattr(self, n) for n in slots if n != "_hash"}
 
     def __repr__(self):
         return self.describe()

@@ -10,6 +10,7 @@ import dataclasses
 import hashlib
 import math
 import operator
+import random
 import sys
 import warnings
 from decimal import Decimal, localcontext
@@ -18,7 +19,7 @@ from functools import lru_cache
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from parkcrit import analytic
@@ -156,6 +157,55 @@ def test_flux_refuses_a_mass_above_one(monkeypatch, order):
         warnings.simplefilter("error")
         with pytest.raises(NoSolution, match=r"flux mass 1\.00000000003\d* exceeds 1"):
             flux_distribution(poisson(0.1), order)
+
+
+def _flux_from_blocks(monkeypatch, entries, base=0.5):
+    """flux_distribution(B02_SUB, 40) with the blocks returning base^(k+1)
+    at each k = 0..40, or the value entries give for k."""
+    q = [base ** (k + 1) for k in range(41)]
+    for k, v in entries.items():
+        q[k] = v
+    monkeypatch.setattr(analytic, "_flux_blocks", lambda g, p, head, s, order: list(q))
+    return flux_distribution(B02_SUB, 40)
+
+
+# each message is the one that a loop over the entries, first for those
+# below -1e-10 and then for those not in [0, 1], gave for the same list
+@pytest.mark.parametrize(
+    "entries, error, message",
+    [
+        ({7: -1e-9, 12: -2e-9}, NegativeCoefficient, "P(flux = 7) came out -1e-09"),
+        ({3: math.nan, 9: -1e-9}, NegativeCoefficient, "P(flux = 9) came out -1e-09"),
+        ({0: math.nan}, NoSolution, "P(flux = 0) came out nan"),
+        ({5: math.nan, 8: 1.5}, NoSolution, "P(flux = 5) came out nan"),
+        ({6: math.inf, 30: math.nan}, NoSolution, "P(flux = 6) came out inf"),
+        ({4: 1.5, 20: math.nan}, NoSolution, "P(flux = 4) came out 1.5"),
+        ({4: math.inf, 8: -math.inf}, NegativeCoefficient, "P(flux = 8) came out -inf"),
+        ({0: -math.inf, 1: math.inf}, NegativeCoefficient, "P(flux = 0) came out -inf"),
+        ({2: 1e308, 3: 1e308}, NoSolution, "P(flux = 2) came out 1e+308"),
+    ],
+)
+def test_flux_checks_name_the_first_bad_entry(monkeypatch, entries, error, message):
+    # +inf with -inf makes fsum raise ValueError, and 1e308 twice overflows
+    # it: the coded error comes first either way
+    with pytest.raises(error) as info:
+        _flux_from_blocks(monkeypatch, entries)
+    assert str(info.value) == message
+
+
+def test_flux_checks_refuse_a_mass_above_one(monkeypatch):
+    with pytest.raises(NoSolution) as info:
+        _flux_from_blocks(monkeypatch, {0: 0.75, 1: 0.25 + 2e-12}, base=0.0)
+    assert str(info.value) == "flux mass 1.000000000002 exceeds 1"
+
+
+def test_flux_checks_zero_a_rounding_slip(monkeypatch):
+    # an entry in [-1e-10, 0) becomes 0.0; -0.0 is not below 0 and stays
+    got = _flux_from_blocks(monkeypatch, {5: -1e-12, 6: -1e-10, 7: -0.0})
+    want = [0.5 ** (k + 1) for k in range(41)]
+    want[5:8] = [0.0, 0.0, -0.0]
+    assert [v.hex() for v in got.probs] == [v.hex() for v in want]
+    assert got.tail_mass == 1.0 - math.fsum(want)
 
 
 def test_critical_quantities_refuses_empty_prob_outside_unit_interval(monkeypatch):
@@ -802,6 +852,65 @@ def test_exact_law_answers_pinned(kind, args):
     assert (rep.regime, fields, digest) == PINNED_EXACT_LAWS[kind, args]
 
 
+def _mix_laws(n=200):
+    """n laws of the benchmark's analytic-mix families over its ranges,
+    binary0k four times in ten, from a fixed stream; every parameter is a
+    decimal, so no float of a law depends on the platform."""
+    rng = random.Random(2205)
+
+    def decimal(lo, hi):  # four digits, in [10^lo, 10^hi)
+        return float(f"{rng.randrange(1000, 10000)}e{rng.randrange(lo, hi) - 3}")
+
+    cycle = ("binary0k", "poisson", "binary0k", "geometric", "finite") * 2
+    laws = []
+    for i in range(n):
+        family = "nongeneric_example" if i % 10 == 9 else cycle[i % 10]
+        if family == "binary0k":
+            k = rng.randrange(2, 31)
+            alpha = Fraction(rng.randrange(1000, 10000), 10 ** rng.randrange(3, 7))
+            laws.append(binary0k(min(alpha, k - Fraction(1, 10**6)), k))
+        elif family == "finite":
+            top = 10 ** rng.randrange(3, 6)
+            masses = [Fraction(rng.randrange(1, top), 10**6) for _ in range(rng.randrange(3, 6))]
+            laws.append(make_finite_law([1 - sum(masses), *masses]))
+        elif family == "nongeneric_example":
+            laws.append(nongeneric_example(decimal(-3, 0)))
+        else:
+            laws.append({"poisson": poisson, "geometric": geometric}[family](decimal(-3, 3)))
+    return laws
+
+
+def _answers(law):
+    """The law, every field of classify's report and, unless it has none,
+    every field of flux_distribution(law, 60), floats as hex; or the name
+    of what either raised."""
+    def text(value):
+        if isinstance(value, tuple):
+            return " ".join(map(text, value))
+        return value.hex() if isinstance(value, float) else repr(value)
+
+    out = [law.describe()]
+    for answer in (lambda: classify(law), lambda: flux_distribution(law, 60)):
+        got = _outcome(answer)
+        if isinstance(got, str):
+            return " ".join(out + [got])
+        out += [text(getattr(got, f.name)) for f in dataclasses.fields(got)]
+        if got.empty_prob is None:
+            break
+    return " ".join(out)
+
+
+# the first 16 hex digits of the sha256 of _answers over _mix_laws(),
+# recorded while _root still called max, abs and copysign and the flux
+# checks looped over every entry
+ANALYTIC_MIX_DIGEST = "fde31493058d8c9b"
+
+
+def test_analytic_mix_answers_pinned():
+    text = "\n".join(_answers(law) for law in _mix_laws())
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == ANALYTIC_MIX_DIGEST
+
+
 def _decimal_g(law, t):
     """G(t) and G'(t) in decimal, from the law's exact parameters."""
     def dec(x):
@@ -1252,6 +1361,108 @@ def test_root_agrees_with_bisection(family, data):
         mp.setattr(analytic, "_root", both)
         _outcome(lambda: find_critical_time.__wrapped__(law))
         _outcome(lambda: solve_empty_prob(law))
+
+
+def _builtin_itp(f, a, b, fa, fb):
+    """_root's ITP loop as it stood with max, abs, copysign and 2.0 ** (1 - j), verbatim."""
+    w0 = b - a
+    for j in range(analytic.ITER_CAP):
+        w = b - a
+        tol = analytic.REL_ROOT_TOL * max(b, -a, 1e-300)  # max(|a|, |b|) as a <= b
+        if w <= tol:
+            return 0.5 * (a + b)
+        x = mid = 0.5 * (a + b)
+        xf = (b * fa - a * fb) / (fa - fb)
+        if a <= xf <= b:  # false when an end value is not finite
+            d = mid - xf
+            delta = max(0.2 * w * w / w0, 0.5 * tol)
+            xt = xf + math.copysign(delta, d) if delta <= abs(d) else mid
+            r = 0.5 * (w0 * 2.0 ** (1 - j) - w)
+            x = xt if abs(xt - mid) <= r else mid - math.copysign(r, d)
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if fx > 0.0:
+            a, fa = x, fx
+        else:
+            b, fb = x, fx
+    raise IterationCapExceeded(f"bracket ({a!r}, {b!r}) open after {analytic.ITER_CAP} steps")
+
+
+def _itp_trace(root, f, a, b, fa, fb):
+    """root's answer as hex, or the name of what it raised, and the points it evaluated f at."""
+    seen = []
+
+    def logged(x):
+        seen.append(x.hex())
+        return f(x)
+
+    out = _outcome(lambda: root(logged, a, b, fa, fb))
+    return (out if isinstance(out, str) else out.hex()), seen
+
+
+# decreasing through c: smooth, kinked, a step that regula falsi creeps
+# along, plateaus that give exact zeros, and values of +-inf off the root
+_ROOT_SHAPES = {
+    "line": lambda c: lambda x: c - x,
+    "kink": lambda c: lambda x: (c - x) * (1e10 if x < c else 1e-10),
+    "step": lambda c: lambda x: 1e-12 if x < c else -1.0,
+    "cube": lambda c: lambda x: ((c - x) / c) ** 3,
+    "plateau": lambda c: lambda x: round((c - x) / c, 3),
+    "atan": lambda c: lambda x: math.atan((c - x) / (c * 1e-6)),
+    "infinite": lambda c: lambda x: math.inf if x < 0.5 * c else (-math.inf if x > 1.5 * c else c - x),
+}
+# (a, b) about the root c, with spread s > 1 and relative half-width h; a
+# narrow bracket about a root below 1e-297 is subnormal in width, and one
+# across 0 has |a| > |b|
+_ROOT_BRACKETS = {
+    "from_zero": lambda c, s, h: (0.0, c * s),
+    "about": lambda c, s, h: (c / s, c * s),
+    "narrow": lambda c, s, h: (c - c * h, c + c * h),
+    "across_zero": lambda c, s, h: (-2 * c * s, c * s),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_ROOT_SHAPES))
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    exponent=st.floats(-300.0, 300.0) | st.floats(-300.0, -297.0),
+    bracket=st.sampled_from(sorted(_ROOT_BRACKETS)),
+    spread=st.floats(1.0, 100.0, exclude_min=True),
+    half_width=st.sampled_from([1e-12, 1e-9, 1e-6]),
+    infinite_ends=st.booleans(),
+)
+@example(exponent=-300.0, bracket="narrow", spread=2.0, half_width=1e-9, infinite_ends=False)
+@example(exponent=-300.0, bracket="from_zero", spread=2.0, half_width=1e-9, infinite_ends=True)
+@example(exponent=300.0, bracket="about", spread=50.0, half_width=1e-9, infinite_ends=False)
+def test_root_matches_the_builtin_itp(shape, exponent, bracket, spread, half_width, infinite_ends):
+    # the same answer from the same sequence of points, bit for bit, with
+    # the end values as given or as +-inf
+    c = 10.0**exponent
+    a, b = _ROOT_BRACKETS[bracket](c, spread, half_width)
+    f = _ROOT_SHAPES[shape](c)
+    fa, fb = (math.inf, -math.inf) if infinite_ends else (f(a), f(b))
+    assume(fa > 0.0 > fb)
+    assert _itp_trace(analytic._root, f, a, b, fa, fb) == _itp_trace(_builtin_itp, f, a, b, fa, fb)
+
+
+@pytest.mark.parametrize(
+    "law",
+    [poisson(1e300), poisson(1e-300), geometric(1e-8), binary0k(0.05), B02_CRIT, nongeneric_example(1e-9)],
+    ids=repr,
+)
+def test_searches_match_the_builtin_itp(monkeypatch, law):
+    # t_c of poisson(1e300) is about 5.9e-301 and that of poisson(1e-300)
+    # about 5.9e299: every search's answer keeps its bits
+    def searches():
+        find_critical_time.cache_clear()
+        got = [_outcome(lambda: find_critical_time(law).t), _outcome(lambda: solve_empty_prob(law)[0])]
+        return [v if isinstance(v, str) else v.hex() for v in got]
+
+    new = searches()
+    monkeypatch.setattr(analytic, "_root", _builtin_itp)
+    assert searches() == new
+    find_critical_time.cache_clear()
 
 
 def _unevaluable_at(radius):

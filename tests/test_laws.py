@@ -1,6 +1,10 @@
 """Arrival law constructors, validation, and generating function values."""
 
+import copy
 import math
+import os
+import pickle
+import subprocess
 import sys
 import threading
 import time
@@ -11,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parkcrit import analytic, laws
 from parkcrit.analytic import classify
 from parkcrit.enumeration import tutte_series
 from parkcrit.errors import (
@@ -23,7 +28,6 @@ from parkcrit.errors import (
     OutOfDomain,
     ProbabilitySumNotOne,
 )
-from parkcrit import laws
 from parkcrit.laws import (
     FAMILIES,
     Binary0kLaw,
@@ -355,6 +359,76 @@ def test_equality_and_hashing():
     d = {a: "x"}
     assert d[b] == "x"
     assert make_finite_law([Fraction(1, 2), 0, Fraction(1, 2)]) != a
+
+
+# each pair is one law built two ways
+_SAME_LAWS = [
+    (binary0k(Fraction(1, 14)), Binary0kLaw("2/28", k=2)),
+    (poisson(0.3), PoissonLaw(0.3)),
+    (geometric(Fraction(1, 8)), GeometricLaw("1/8")),
+    (nongeneric_example(1), NongenericExampleLaw("1")),
+    (make_finite_law([Fraction(1, 2), 0, Fraction(1, 2)]), FiniteSupportLaw(["1/2", 0, "2/4"])),
+]
+
+
+@pytest.mark.parametrize("a, b", _SAME_LAWS, ids=lambda law: law.describe())
+def test_equal_laws_hash_equal_and_as_their_keys(a, b):
+    hash(a)  # cached on a, still unset on b
+    assert a == b and hash(a) == hash(b) == hash(a._key()) == hash(b._key())
+
+
+@pytest.mark.parametrize("law", [binary0k(Fraction(3, 191), 3), poisson(0.0123)], ids=lambda law: law.kind)
+def test_a_law_builds_its_key_once_for_many_lookups(monkeypatch, law):
+    # with no equal law cached, no lookup compares keys
+    analytic.classify.cache_clear()
+    analytic.find_critical_time.cache_clear()
+    calls, key = [], type(law)._key
+    monkeypatch.setattr(type(law), "_key", lambda self: calls.append(self) or key(self))
+    seen = {law}
+    for _ in range(50):
+        assert law in seen
+        classify(law)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("law", [a for a, _ in _SAME_LAWS], ids=lambda law: law.describe())
+def test_copies_stay_equal(law):
+    hash(law)
+    for copy_of in (copy.copy, copy.deepcopy):
+        twin = copy_of(law)
+        assert twin == law and hash(twin) == hash(law)
+
+
+# built the same way here and in a child process
+_PICKLED = (
+    "[binary0k(Fraction(1, 14)), poisson(0.3), geometric(Fraction(1, 8)), "
+    "nongeneric_example(1), make_finite_law(['1/2', 0, '1/2'])]"
+)
+
+
+def test_a_law_pickled_under_another_hash_seed_hashes_as_here():
+    # string hashes are salted per process: laws hashed in a child with
+    # another PYTHONHASHSEED must not bring those hashes along
+    child = (
+        "import pickle\n"
+        "from fractions import Fraction\n"
+        "from parkcrit.laws import binary0k, geometric, make_finite_law, nongeneric_example, poisson\n"
+        f"laws = {_PICKLED}\n"
+        "print([hash(law) for law in laws])\n"
+        "print(pickle.dumps(laws).hex())\n"
+    )
+    src = os.path.dirname(os.path.dirname(laws.__file__))
+    env = {
+        **os.environ,
+        "PYTHONHASHSEED": "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1",
+        "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+    }
+    out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, check=True)
+    child_hashes, data = out.stdout.splitlines()
+    fresh = eval(_PICKLED)
+    assert child_hashes != repr([hash(law) for law in fresh])  # the salt differs
+    got = pickle.loads(bytes.fromhex(data))
+    assert got == fresh and [hash(law) for law in got] == [hash(law) for law in fresh]
 
 
 def test_describe_mentions_parameters():
