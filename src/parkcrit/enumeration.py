@@ -35,6 +35,8 @@ BRUTE_FORCE_MAX_VERTICES = 8
 # over n (_check_oracle_work): 10**7 parks in about 0.05 s on one x86-64 core;
 # (6, 3) on a geometric law is 3.9e6
 BRUTE_FORCE_WORK = 10**7
+# integer tables that _integer_cells keeps: a fixed size, no option
+INTEGER_TABLE_CACHE_SIZE = 8
 
 
 # --- parking dynamics on a finite decorated tree -------------------------------
@@ -352,6 +354,24 @@ def _orders(vertex_order, flux_order):
     return vertex_order, flux_order
 
 
+@lru_cache(maxsize=INTEGER_TABLE_CACHE_SIZE)
+def _integer_cells(h, s, vertex_order, flux_order):
+    """The ints a table reads, cached by its integer masses h (a tuple), its
+    stride s and its two orders: (cells, row_bits), where cells[n] holds
+    u_n[M] for the M = (n + p) / s with p = 0..flux_order and s | n + p, in
+    increasing p, and row_bits[n] is the bit length of the largest int of
+    u_n (_packed_rows).  Both are tuples of tuples or of ints, so no caller
+    can change a cached value, and the cache holds at most
+    INTEGER_TABLE_CACHE_SIZE tables' cells, not their rows."""
+    first = [-(-n // s) for n in range(vertex_order + 1)]  # row n starts at M = first[n]
+    u, row_bits = _packed_rows(h, first)
+    cells = tuple(
+        tuple(u[n][: len(range(s * first[n] - n, flux_order + 1, s))])
+        for n in range(vertex_order + 1)
+    )
+    return cells, tuple(row_bits)
+
+
 def tutte_series(law, vertex_order, flux_order):
     """Weight table via the generating-function row recursion.
 
@@ -375,11 +395,20 @@ def tutte_series(law, vertex_order, flux_order):
     cell (n, p) is the int u_n[(n + p) / s] * a**n * b**((n + p) / s), made
     a Fraction only then, and zero where s does not divide n + p.  The
     table's row_bits[n] is the bit length of the largest int of u_n.
+
+    The ints depend on (h, s) and the two orders alone, not on a and b, so
+    every law with equal integer masses at equal orders shares them: every
+    geometric law has h all ones and s = 1, and every two-atom law on
+    {0, k} has h = [1, 1] and s = k.  _integer_cells keeps the ints of
+    the INTEGER_TABLE_CACHE_SIZE tables used last, a fixed number, and
+    only the rescale by a**n * b**M runs per law.  That pays only where
+    one process makes several tables with equal integer masses and
+    orders, such as a sweep over alpha within one of those families; a
+    single table, or a law with fresh masses, runs the recursion as before.
     """
     vertex_order, flux_order = _orders(vertex_order, flux_order)
     h, a, b, s = law.integer_masses(vertex_order + flux_order)
-    first = [-(-n // s) for n in range(vertex_order + 1)]  # row n starts at M = first[n]
-    u, row_bits = _packed_rows(h, first)
+    cells, row_bits = _integer_cells(tuple(h), s, vertex_order, flux_order)
 
     zero = Fraction(0)
     rows = [tuple([zero] * (flux_order + 1))]
@@ -388,9 +417,10 @@ def tutte_series(law, vertex_order, flux_order):
         num *= a.numerator
         den *= a.denominator
         row = [zero] * (flux_order + 1)
-        pn, pd = num * b.numerator ** first[n], den * b.denominator ** first[n]
-        for i, p in enumerate(range(s * first[n] - n, flux_order + 1, s)):
-            row[p] = Fraction(u[n][i] * pn, pd)
+        first = -(-n // s)  # row n starts at M = ceil(n / s)
+        pn, pd = num * b.numerator ** first, den * b.denominator ** first
+        for p, u in zip(range(s * first - n, flux_order + 1, s), cells[n]):
+            row[p] = Fraction(u * pn, pd)
             pn *= b.numerator
             pd *= b.denominator
         rows.append(tuple(row))
@@ -400,7 +430,7 @@ def tutte_series(law, vertex_order, flux_order):
         flux_order=flux_order,
         rows=tuple(rows),
         source="recursion",
-        row_bits=tuple(row_bits),
+        row_bits=row_bits,
     )
 
 

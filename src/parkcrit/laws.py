@@ -382,10 +382,20 @@ class PoissonLaw(ArrivalLaw):
         return u, u * u
 
     def float_coefficients(self, K):
-        """exp(-a) a^k / k! for k = 0..K, in logs, with log(a) taken once."""
+        """exp(-a) a^k / k! for k = 0..K, in logs, with log(a) taken once.
+
+        Past the mode the exponent falls strictly, so once a term at k > a
+        is 0.0 every later one is too: the list stops computing there and
+        is padded with zeros."""
         a = self.alpha
         log_a, exp, lgamma = math.log(a), math.exp, math.lgamma
-        return [exp(-a)] + [exp(-a + k * log_a - lgamma(k + 1)) for k in range(1, K + 1)]
+        out = [exp(-a)]
+        for k in range(1, K + 1):
+            term = exp(-a + k * log_a - lgamma(k + 1))
+            if not term and k > a:
+                break
+            out.append(term)
+        return out + [0.0] * (K + 1 - len(out))
 
     def mean(self):
         return self.alpha

@@ -13,11 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parkcrit.analytic import classify
+from parkcrit import enumeration
 from parkcrit.enumeration import (
     BRUTE_FORCE_WORK,
+    INTEGER_TABLE_CACHE_SIZE,
     DecoratedTree,
     FptTable,
     _check_oracle_work,
+    _integer_cells,
     _postorder,
     _shapes,
     brute_force_table,
@@ -427,6 +430,103 @@ LARGE_TABLE_DIGESTS = [
 def test_large_tables_pinned(law, n, digest):
     csv = tutte_series(law, n, 5).csv_text()
     assert hashlib.sha256(csv.encode()).hexdigest()[:16] == digest
+
+
+def count_packed_rows(monkeypatch):
+    """Empty the integer-table cache and count _packed_rows's calls from now on."""
+    _integer_cells.cache_clear()
+    calls = []
+    packed_rows = enumeration._packed_rows
+
+    def counted(h, first):
+        calls.append(h)
+        return packed_rows(h, first)
+
+    monkeypatch.setattr(enumeration, "_packed_rows", counted)
+    return calls
+
+
+def cold_table(law, vertex_order, flux_order):
+    """The table built with the integer-table cache empty."""
+    _integer_cells.cache_clear()
+    return tutte_series(law, vertex_order, flux_order)
+
+
+@pytest.mark.parametrize(
+    "before, pinned",
+    [
+        (geometric(Fraction(1, 8)), LARGE_TABLE_DIGESTS[0]),
+        (binary0k(Fraction(1, 14), 3), LARGE_TABLE_DIGESTS[1]),
+    ],
+    ids=["geometric", "binary0k-3"],
+)
+def test_large_tables_pinned_after_another_law_of_their_masses(before, pinned):
+    # the second table reads the integer cells the first one cached, and
+    # must hash and read as it does when built cold
+    law, n, digest = pinned
+    cold = cold_table(law, n, 5)
+    _integer_cells.cache_clear()
+    tutte_series(before, n, 5)
+    warm = tutte_series(law, n, 5)
+    assert _integer_cells.cache_info().hits == 1
+    assert hashlib.sha256(warm.csv_text().encode()).hexdigest()[:16] == digest
+    assert warm.rows == cold.rows and warm.row_bits == cold.row_bits
+
+
+def test_geometric_laws_share_one_recursion(monkeypatch):
+    calls = count_packed_rows(monkeypatch)
+    laws = [geometric(Fraction(1, 14 + j)) for j in range(9)] + [geometric(Fraction(2, 5))]
+    for law in laws:
+        tutte_series(law, 12, 3)
+    assert len(calls) == 1
+    for law in laws:
+        assert_matches_reference(law, 12, 3)  # each warm table against the reference rows
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ((geometric(Fraction(1, 8)), 40, 5), (geometric(Fraction(1, 8)), 40, 6)),
+        # stride 3 at N + P = 45 and 46 has the same h, so only the flux
+        # order tells (40, 5) and (40, 6) apart, and only the vertex order
+        # (40, 5) and (41, 5); at N + P = 5 strides 3 and 4 have the same h
+        ((binary0k(Fraction(1, 14), 3), 40, 5), (binary0k(Fraction(1, 14), 3), 40, 6)),
+        ((binary0k(Fraction(1, 14), 3), 40, 5), (binary0k(Fraction(1, 14), 3), 41, 5)),
+        ((binary0k(Fraction(1, 14), 3), 40, 5), (binary0k(Fraction(1, 14), 4), 40, 5)),
+        ((binary0k(Fraction(1, 14), 3), 3, 2), (binary0k(Fraction(1, 14), 4), 3, 2)),
+    ],
+    ids=["geometric-flux-order", "flux-order", "vertex-order", "stride", "stride-same-h"],
+)
+def test_tables_of_other_orders_or_strides_share_nothing(monkeypatch, first, second):
+    calls = count_packed_rows(monkeypatch)
+    warm = [tutte_series(*first), tutte_series(*second)]
+    assert len(calls) == 2 and _integer_cells.cache_info().hits == 0
+    for table, args in zip(warm, (first, second)):
+        cold = cold_table(*args)
+        assert table.rows == cold.rows and table.row_bits == cold.row_bits
+
+
+def test_integer_table_cache_stays_bounded():
+    _integer_cells.cache_clear()
+    for j in range(3 * INTEGER_TABLE_CACHE_SIZE):
+        masses = [Fraction(3 + j, 100), Fraction(2, 100), Fraction(2, 100)]
+        tutte_series(make_finite_law([1 - sum(masses)] + masses), 6, 3)
+    info = _integer_cells.cache_info()
+    assert info.maxsize == INTEGER_TABLE_CACHE_SIZE
+    assert info.misses == 3 * INTEGER_TABLE_CACHE_SIZE
+    assert info.currsize <= info.maxsize
+
+
+def test_cached_integer_cells_are_tuples():
+    law = binary0k(Fraction(1, 14), 3)
+    h, _, _, s = law.integer_masses(12 + 3)
+    table = tutte_series(law, 12, 3)
+    cells, row_bits = value = _integer_cells(tuple(h), s, 12, 3)
+    assert type(value) is tuple and type(cells) is tuple and type(row_bits) is tuple
+    assert all(type(row) is tuple for row in cells) and len(cells) == 12 + 1
+    assert all(type(u) is int for row in cells for u in row)
+    assert row_bits == table.row_bits
 
 
 def conv(a, b, out_len, out=None, start=0):

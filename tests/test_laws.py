@@ -211,6 +211,26 @@ def test_float_coefficients_of_a_float_law():
     assert law.float_coefficients(30) == [law.coefficient(k) for k in range(31)]
 
 
+def poisson_coefficients_in_full(law, K):
+    """PoissonLaw.float_coefficients as it was, computing every term."""
+    a = law.alpha
+    log_a, exp, lgamma = math.log(a), math.exp, math.lgamma
+    return [exp(-a)] + [exp(-a + k * log_a - lgamma(k + 1)) for k in range(1, K + 1)]
+
+
+# 1e-9 to 1e3 in quarter decades, and 745.2: at 745.2 and 1e3 exp(-alpha) is
+# already 0.0 at k = 0, and the terms before the mode rise out of 0.0 again
+POISSON_MEANS = [10.0 ** (e / 4) for e in range(-36, 13)] + [745.2]
+
+
+@pytest.mark.parametrize("K", [0, 1, 40, 200, 2000])
+def test_poisson_coefficients_stop_at_the_first_zero_past_the_mode(K):
+    for alpha in POISSON_MEANS:
+        law = poisson(alpha)
+        got = law.float_coefficients(K)
+        assert [v.hex() for v in got] == [v.hex() for v in poisson_coefficients_in_full(law, K)]
+
+
 _UNIT = st.fractions(min_value=0, max_value=1).filter(lambda x: 0 < x < 1)
 _ALL_FAMILIES = st.one_of(
     st.floats(min_value=-9, max_value=9).map(lambda e: poisson(10.0**e)),
